@@ -116,6 +116,17 @@ def _encode_bf16(arr: np.ndarray) -> bytes:
     return rounded.astype("<u2").tobytes()
 
 
+def _unique_keys(pairs) -> dict:
+    # json keeps the last of repeated keys; a header that names a tensor
+    # twice is ambiguous, so it is rejected instead
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise MalformedHeaderError(f"header repeats key {key!r}", 8)
+        out[key] = value
+    return out
+
+
 def load_checkpoint(path) -> dict[str, TensorRecord]:
     """Parse a container file into records, header order preserved."""
     blob = Path(path).read_bytes()
@@ -127,9 +138,9 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
             f"header length {header_len} exceeds file size {len(blob)}", 0
         )
     try:
-        header = json.loads(blob[8 : 8 + header_len])
-    except json.JSONDecodeError as e:
-        raise MalformedHeaderError(f"header is not valid JSON: {e.msg}", 8) from e
+        header = json.loads(blob[8 : 8 + header_len], object_pairs_hook=_unique_keys)
+    except ValueError as e:  # JSONDecodeError, or bytes that are not text
+        raise MalformedHeaderError(f"header is not valid JSON: {e}", 8) from e
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object", 8)
 
@@ -143,7 +154,7 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
         if not isinstance(entry, dict) or not {"dtype", "shape", "data_offsets"} <= set(entry):
             raise MalformedHeaderError(f"tensor {key!r}: missing dtype/shape/data_offsets", 8)
         wire = entry["dtype"]
-        if wire not in _WIRE_TO_DTYPE:
+        if not isinstance(wire, str) or wire not in _WIRE_TO_DTYPE:
             raise UnknownDtypeError(f"tensor {key!r}: unknown dtype {wire!r}", 8)
         dtype = _WIRE_TO_DTYPE[wire]
         shape = entry["shape"]
@@ -240,8 +251,8 @@ class LoraLayer:
             raise AlignmentError(
                 f"{self.layer_key}: rank {self.rank} exceeds min of full shape {self.full_shape}"
             )
-        if self.scaling <= 0:
-            raise AlignmentError(f"{self.layer_key}: scaling must be positive")
+        if not 0 < self.scaling < math.inf:
+            raise AlignmentError(f"{self.layer_key}: scaling must be positive and finite")
 
     @property
     def full_shape(self) -> tuple[int, int]:
@@ -386,7 +397,12 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
         p = Path(entry["path"])
         if not p.is_absolute():
             p = path.parent / p
+        scaling = float(entry.get("scaling", 1.0))
+        if not math.isfinite(scaling):
+            raise AlignmentError(
+                f"manifest {path}: entry {i} ({p}) has non-finite scaling {scaling}"
+            )
         paths.append(p)
         names.append(str(entry.get("name", p.stem)))
-        scalings.append(float(entry.get("scaling", 1.0)))
+        scalings.append(scaling)
     return paths, names, scalings

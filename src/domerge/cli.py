@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checkpoint import (
     DEFAULT_A_PATTERN,
     DEFAULT_B_PATTERN,
@@ -120,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="layer parallelism; falls back to DO_MERGE_THREADS, then CPU count",
+        help="layer parallelism; falls back to DO_MERGE_THREADS, then 1",
     )
     m.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
     m.set_defaults(func=cmd_merge)
@@ -194,7 +196,7 @@ def _resolve_threads(value: int | None) -> int:
                     EXIT_USAGE, "usage", f"DO_MERGE_THREADS must be an integer, got {env!r}"
                 ) from None
         else:
-            value = os.cpu_count() or 1
+            value = 1
     if value < 1:
         raise _CliError(EXIT_USAGE, "usage", "--threads must be >= 1")
     return value
@@ -224,7 +226,6 @@ def cmd_merge(args) -> int:
             ortho = OrthoConfig(
                 max_steps=args.ortho_steps,
                 max_rel_perturbation=args.ortho_budget,
-                seed=args.seed,
             )
         except ValueError as e:
             raise _CliError(EXIT_USAGE, "usage", str(e)) from None
@@ -259,6 +260,9 @@ def cmd_merge(args) -> int:
             a_key = key + ".lora_A.weight"
             records[b_key] = TensorRecord.from_array(b_key, b, "f32")
             records[a_key] = TensorRecord.from_array(a_key, a, "f32")
+    for key, record in records.items():
+        if not np.isfinite(np.frombuffer(record.raw, dtype="<f4")).all():
+            raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
     save_checkpoint(records, out_path, overwrite=True)
 
     layer_stats = {}

@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import AdapterSet
-from .linalg import decouple
-from .merge import MergeConfig, assemble_full_rank
-from .ortho import orthogonalize_group
+from .merge import MergeConfig, _factors, _orthogonalized_factors, _unit_magnitudes
+from .ortho import _owner_mask
 
 
 def format_float(x: float) -> str:
@@ -113,7 +112,7 @@ def magnitude_distribution_variance(adapters: AdapterSet) -> float:
     """
     total = 0.0
     for key in adapters.layer_keys:
-        norms = [np.linalg.norm(assemble_full_rank(l)) for l in adapters.group(key)]
+        norms = _unit_magnitudes(*_factors(adapters.group(key)), "matrix")
         total += float(np.var(norms))
     return total
 
@@ -133,28 +132,27 @@ def norm_average_accuracy(finetuned, merged) -> float:
 def orthogonality_report(
     adapters: AdapterSet, after_ortho: bool = False, config: MergeConfig | None = None
 ) -> dict[str, np.ndarray]:
-    """Per-layer pairwise ||W_i^T W_j||_F matrices on full-rank products.
+    """Per-layer pairwise ||W_i^T W_j||_F matrices of the task matrices W_i = B_i A_i.
 
-    With after_ortho, the group is first run through the orthogonalizer
-    configured on ``config.ortho`` (product-space, so the effect of factor
-    perturbations is measured where merging actually happens).
+    With M = B_i^T B_j and P_i = A_i A_i^T, ||A_i^T M A_j||_F^2 is the sum of
+    M * (P_i M P_j), so the report comes from factor Grams and no m x n
+    product is formed. With after_ortho, the factor groups first go through
+    the orthogonalizer configured on ``config.ortho``, as merge_layer does.
     """
     if config is None:
         config = MergeConfig()
     out = {}
     for key in adapters.layer_keys:
-        mats = [assemble_full_rank(l) for l in adapters.group(key)]
-        if after_ortho:
-            ocfg = config.ortho if config.ortho is not None else None
-            if ocfg is not None:
-                mats, _ = orthogonalize_group(mats, ocfg)
-        n = len(mats)
-        gram = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = float(np.linalg.norm(mats[i].T @ mats[j]))
-                gram[i, j] = gram[j, i] = v
-        out[key] = gram
+        bs, as_ = _factors(adapters.group(key))
+        if after_ortho and config.ortho is not None:
+            bs, as_, _ = _orthogonalized_factors(bs, as_, config.ortho)
+        b, a = np.hstack(bs), np.vstack(as_)
+        gram_b = b.T @ b
+        own_a = np.where(_owner_mask(bs), 0.0, a @ a.T)  # block-diagonal P_i
+        starts = np.cumsum([0] + [x.shape[1] for x in bs[:-1]])
+        sq = gram_b * (own_a @ gram_b @ own_a)
+        sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+        out[key] = np.sqrt(np.maximum(0.5 * (sq + sq.T), 0.0))
     return out
 
 
@@ -169,10 +167,8 @@ def build_report(
         config = MergeConfig()
     stats = {}
     for key in adapters.layer_keys:
-        stats[key] = [
-            float(np.linalg.norm(decouple(assemble_full_rank(l), config.magnitude_mode).magnitude))
-            for l in adapters.group(key)
-        ]
+        mags = _unit_magnitudes(*_factors(adapters.group(key)), config.magnitude_mode)
+        stats[key] = [float(np.linalg.norm(c)) for c in mags]
     acc = None
     if finetuned is not None and merged is not None:
         acc = norm_average_accuracy(finetuned, merged)

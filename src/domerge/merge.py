@@ -1,7 +1,7 @@
 """Layer-wise merging of aligned adapters.
 
-The main method orthogonalizes each layer's low-rank factor groups, forms
-full-rank task matrices, splits them into magnitudes and directions, and
+The main method orthogonalizes each layer's low-rank factor groups, splits
+each adapter's task matrix B_i A_i into magnitudes and directions, and
 merges the two components separately:
 
     delta = lam * (sum_i alpha_i) applied to (sum_j direction_j)
@@ -10,6 +10,10 @@ Plain task-arithmetic summation and uniform averaging are kept as baselines,
 and both pipeline stages can be disabled independently so ablations are
 scriptable. With both stages off the main method degenerates to exactly the
 task-arithmetic code path.
+
+Every method works on factors: the merged delta is one product of an
+m x R and an R x n stack, R = sum_i rank_i, unit norms come from rank_i x
+rank_i Grams, and no per-adapter m x n matrix is formed.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import AdapterSet, AlignmentError, LoraLayer
-from .linalg import MAGNITUDE_MODES, Decoupled, decouple, recompose, svd_truncate
+from .linalg import MAGNITUDE_MODES
 from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
 
 METHODS = ("do_merging", "task_arithmetic", "average")
@@ -80,16 +84,12 @@ def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
     return layer.scaling * (layer.B @ layer.A)
 
 
-def _sum_products(layers) -> np.ndarray:
-    # shared accumulation for task_arithmetic and the fully ablated main
-    # method, so the two are bit-identical, not merely close
-    total = assemble_full_rank(layers[0])
-    for layer in layers[1:]:
-        total = total + assemble_full_rank(layer)
-    return total
+def _factors(layers):
+    """Each adapter's (scaling * B_i, A_i), the factors of its task matrix."""
+    return [layer.scaling * layer.B for layer in layers], [layer.A for layer in layers]
 
 
-def _orthogonalized_products(layers, config: OrthoConfig):
+def _orthogonalized_factors(bs, as_, config: OrthoConfig):
     """Orthogonalize the B group directly and the A group transposed.
 
     B factors (m x r_i) share their row count, so their column-space Gram
@@ -98,53 +98,85 @@ def _orthogonalized_products(layers, config: OrthoConfig):
     row spaces of the A's apart, which is the subspace each adapter actually
     spans, and it keeps mixed-rank groups well-shaped.
     """
-    b_group = [layer.scaling * layer.B for layer in layers]
-    a_group = [layer.A.T for layer in layers]
-    b_hat, b_stats = orthogonalize_group(b_group, config)
-    a_hat_t, a_stats = orthogonalize_group(a_group, config)
-    products = [bh @ ah.T for bh, ah in zip(b_hat, a_hat_t)]
-    return products, {"B": b_stats, "A": a_stats}
+    b_hat, b_stats = orthogonalize_group(bs, config)
+    a_hat_t, a_stats = orthogonalize_group([a.T for a in as_], config)
+    return b_hat, [a.T for a in a_hat_t], {"B": b_stats, "A": a_stats}
+
+
+def _unit_magnitudes(bs, as_, mode: str) -> list[np.ndarray]:
+    """decouple()'s magnitudes of each W_i = B_i A_i, without forming W_i.
+
+    Column, row or whole-matrix norms are quadratic forms in the r_i x r_i
+    Grams B_i^T B_i and A_i A_i^T. As in decouple(), units with norm at or
+    below 1e-12 ||W_i||_F / sqrt(units) are degenerate and get magnitude 0.
+    """
+    if mode == "column":
+        sq = [np.einsum("ij,ij->j", a, (b.T @ b) @ a) for b, a in zip(bs, as_)]
+    elif mode == "row":
+        sq = [np.einsum("ij,ij->i", b, b @ (a @ a.T)) for b, a in zip(bs, as_)]
+    else:
+        sq = [np.array([np.vdot(b.T @ b, a @ a.T)]) for b, a in zip(bs, as_)]
+    norms = [np.sqrt(np.maximum(s, 0.0)) for s in sq]
+    return [np.where(c > 1e-12 * np.linalg.norm(c) / np.sqrt(c.size), c, 0.0) for c in norms]
+
+
+def _decoupled_factors(bs, as_, mode: str):
+    """Rescale each adapter's factors so sum_i B_i A_i is the decoupled merge over lam.
+
+    Summing the directions W_i / c_i and recomposing with alpha = sum_i c_i
+    gives sum_i W_i scaled per unit by alpha / c_i (0 on degenerate units),
+    which lands on A_i's columns, B_i's rows, or either factor.
+    """
+    mags = _unit_magnitudes(bs, as_, mode)
+    alpha = sum(mags)
+    scales = [np.divide(alpha, c, out=np.zeros_like(c), where=c > 0) for c in mags]
+    if mode == "row":
+        return [b * s[:, None] for b, s in zip(bs, scales)], as_
+    return bs, [a * s for a, s in zip(as_, scales)]
+
+
+def _merged_factors(layers, config: MergeConfig):
+    """(L, R, ortho stats) with merged delta L @ R. Every method ends in this one
+    stacking, so the fully ablated main method is bit-identical to task_arithmetic."""
+    n = len(layers)
+    lam = 1.0 / n if config.method == "average" else config.resolve_lam(n)
+    bs, as_ = _factors(layers)
+    stats = None
+    if config.method == "do_merging":
+        if config.ortho is not None:
+            bs, as_, stats = _orthogonalized_factors(bs, as_, config.ortho)
+        if config.decouple_enabled:
+            bs, as_ = _decoupled_factors(bs, as_, config.magnitude_mode)
+    return np.hstack(bs), lam * np.vstack(as_), stats
+
+
+def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """svd_truncate(left @ right, r) from QRs of the stacks and an SVD of the
+    R x R core; components past the product's rank are zero."""
+    m, n = left.shape[0], right.shape[1]
+    if not (1 <= r <= min(m, n)):
+        raise ValueError(f"rank {r} out of range for shape {(m, n)}")
+    q_l, r_l = np.linalg.qr(left)
+    q_r, r_r = np.linalg.qr(right.T)
+    u, s, vt = np.linalg.svd(r_l @ r_r.T, full_matrices=False)
+    k = min(r, s.size)
+    us = np.pad(u[:, :k] * s[:k], ((0, 0), (0, r - k)))
+    vt = np.pad(vt[:k], ((0, r - k), (0, 0)))
+    return q_l @ us, vt @ q_r.T
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
-    """Merge one aligned layer group into a MergedLayer carrying the delta."""
+    """Merge one aligned layer group into a MergedLayer carrying the delta (and lowrank factors)."""
     if not layers:
         raise ValueError("empty layer group")
     shapes = {layer.full_shape for layer in layers}
     if len(shapes) > 1:
         raise AlignmentError(f"layer group has conflicting shapes {sorted(shapes)}")
-    n = len(layers)
-    key = layers[0].layer_key
-    lam = config.resolve_lam(n)
-
-    if config.method == "task_arithmetic":
-        return MergedLayer(layer_key=key, delta=lam * _sum_products(layers))
-    if config.method == "average":
-        return MergedLayer(layer_key=key, delta=_sum_products(layers) / n)
-
-    if config.ortho is None and not config.decouple_enabled:
-        return MergedLayer(layer_key=key, delta=lam * _sum_products(layers))
-
-    stats = None
-    if config.ortho is not None:
-        products, stats = _orthogonalized_products(layers, config.ortho)
-    else:
-        products = [assemble_full_rank(layer) for layer in layers]
-
-    if config.decouple_enabled:
-        parts = [decouple(w, config.magnitude_mode) for w in products]
-        alpha = parts[0].magnitude.copy()
-        direction = parts[0].direction.copy()
-        for p in parts[1:]:
-            alpha += p.magnitude
-            direction += p.direction
-        delta = lam * recompose(Decoupled(alpha, direction, config.magnitude_mode))
-    else:
-        total = products[0]
-        for w in products[1:]:
-            total = total + w
-        delta = lam * total
-    return MergedLayer(layer_key=key, delta=delta, ortho_stats=stats)
+    left, right, stats = _merged_factors(layers, config)
+    merged = MergedLayer(layer_key=layers[0].layer_key, delta=left @ right, ortho_stats=stats)
+    if config.output_mode == "lowrank":
+        merged.lowrank = _truncated_factors(left, right, config.lowrank_rank)
+    return merged
 
 
 def resolve_base_key(base: dict[str, np.ndarray], layer_key: str) -> str:
@@ -192,8 +224,6 @@ def merge_adapter_set(
                     f"delta has {merged.delta.shape}"
                 )
             merged.fused = w_pre + merged.delta
-        elif config.output_mode == "lowrank":
-            merged.lowrank = svd_truncate(merged.delta, config.lowrank_rank)
         return merged
 
     if threads > 1 and len(keys) > 1:

@@ -32,8 +32,8 @@ class OrthoConfig:
         raise it (backtracking keeps any value safe).
     max_rel_perturbation: hard cap on ||delta_i||_F / ||W_i||_F, enforced by
         projection every step, never just at convergence.
-    seed: recorded for provenance; the descent itself is deterministic
-        (zero-initialized, no sampling).
+
+    The descent is deterministic (zero-initialized, no sampling).
     """
 
     mu: float | None = None
@@ -41,7 +41,6 @@ class OrthoConfig:
     step_size: float = 1e-2
     rel_loss_tol: float = 1e-6
     max_rel_perturbation: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         if self.mu is not None and self.mu < 0:
@@ -83,40 +82,46 @@ def _check_group(mats, deltas=None):
     return mats, deltas
 
 
-def _cross_gram_sum(perturbed) -> float:
-    total = 0.0
-    for i in range(len(perturbed)):
-        for j in range(i + 1, len(perturbed)):
-            total += float(np.linalg.norm(perturbed[i].T @ perturbed[j]) ** 2)
-    return total
+def _owner_mask(mats) -> np.ndarray:
+    """True where a stacked-Gram entry pairs columns of two different members."""
+    owner = np.repeat(np.arange(len(mats)), [w.shape[1] for w in mats])
+    return owner[:, None] != owner[None, :]
+
+
+def _off_gram(x, off):
+    """(G_off, Lo): X^T X of the stacked group with same-member blocks zeroed, and
+    Lo = sum_{i<j} ||X_i^T X_j||_F^2 = ||G_off||_F^2 / 2, as G_off holds each cross block twice."""
+    g = np.where(off, x.T @ x, 0.0)
+    return g, 0.5 * float(np.vdot(g, g))
+
+
+def _member_sq(x, starts) -> np.ndarray:
+    """Squared Frobenius norm of each member's column block of x."""
+    return np.add.reduceat(np.einsum("ij,ij->j", x, x), starts)
 
 
 def ortho_loss(mats, deltas, mu: float) -> float:
     """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
     mats, deltas = _check_group(mats, deltas)
-    perturbed = [w + d for w, d in zip(mats, deltas)]
-    reg = sum(float(np.linalg.norm(d) ** 2) for d in deltas)
-    return _cross_gram_sum(perturbed) + mu * reg
+    d = np.hstack(deltas)
+    _, lo = _off_gram(np.hstack(mats) + d, _owner_mask(mats))
+    return lo + mu * float(np.vdot(d, d))
 
 
 def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     """Analytic gradient of ortho_loss with respect to each delta.
 
     d/d(delta_i) = 2 sum_{j != i} X_j X_j^T X_i + 2 mu delta_i,
-    with X_k = W_k + delta_k. Grouped as X_j (X_j^T X_i) so the work stays
-    at Gram size, and so the gradient is exactly zero on a mutually
-    orthogonal group with zero deltas.
+    with X_k = W_k + delta_k. For the stacked group that is the block of
+    columns of 2 X G_off + 2 mu D belonging to member i, so the work stays
+    at Gram size, and the gradient is exactly zero on a mutually orthogonal
+    group with zero deltas.
     """
     mats, deltas = _check_group(mats, deltas)
-    x = [w + d for w, d in zip(mats, deltas)]
-    grads = []
-    for i in range(len(x)):
-        g = 2.0 * mu * deltas[i]
-        for j in range(len(x)):
-            if j != i:
-                g = g + 2.0 * x[j] @ (x[j].T @ x[i])
-        grads.append(g)
-    return grads
+    d = np.hstack(deltas)
+    x = np.hstack(mats) + d
+    g, _ = _off_gram(x, _owner_mask(mats))
+    return np.hsplit(2.0 * x @ g + 2.0 * mu * d, np.cumsum([w.shape[1] for w in mats[:-1]]))
 
 
 def orthogonalize_group(mats, config: OrthoConfig | None = None):
@@ -127,69 +132,65 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
     non-increasing and final_lo <= initial_lo holds unconditionally. Each
     accepted iterate is projected member-wise onto the perturbation ball
     ||delta_i||_F <= max_rel_perturbation * ||W_i||_F.
+
+    Every gradient 2 X G_off + 2 mu D and projection keeps D in the span of
+    the stacked group W = [W_1 ... W_n], so when W has more rows than its R
+    columns the descent runs on C in W = Q C, at R x R cost per trial, and
+    maps back once. The perturbed members are column blocks of one array.
     """
     if config is None:
         config = OrthoConfig()
     mats, _ = _check_group(mats)
-    n = len(mats)
-    member_norms = [float(np.linalg.norm(w)) for w in mats]
-    deltas = [np.zeros_like(w) for w in mats]
-    initial_lo = _cross_gram_sum(mats)
+    if len(mats) == 1:
+        return [mats[0].copy()], OrthoStats(0.0, 0.0, 0, [0.0], [0.0])
+    widths = [w.shape[1] for w in mats]
+    starts = np.cumsum([0] + widths[:-1])
+    off = _owner_mask(mats)
+    w = np.hstack(mats)
+    member_norms = np.sqrt(_member_sq(w, starts))
+    g, initial_lo = _off_gram(w, off)
+    q, c = np.linalg.qr(w) if w.shape[0] > w.shape[1] else (None, w)
 
-    if n == 1:
-        stats = OrthoStats(0.0, 0.0, 0, [0.0], [0.0])
-        return [w.copy() for w in mats], stats
-
-    total_sq = sum(v * v for v in member_norms)
+    total_sq = float(member_norms @ member_norms)
     mu = config.mu
     if mu is None:
         mu = initial_lo / total_sq if total_sq > 0 else 0.0
     # target a hair inside the budget so the measured ratio ||d||/||W||
     # stays <= max_rel_perturbation after its own rounding
-    caps = [config.max_rel_perturbation * (1.0 - 1e-12) * v for v in member_norms]
+    caps = config.max_rel_perturbation * (1.0 - 1e-12) * member_norms
     t_base = config.step_size / (total_sq + mu) if (total_sq + mu) > 0 else config.step_size
 
-    cur_lo = initial_lo
-    cur = initial_lo  # deltas are zero so the penalty term starts at 0
+    d = np.zeros_like(c)
+    cur = cur_lo = initial_lo  # deltas are zero so the penalty term starts at 0
     trajectory = [initial_lo]
-    steps = 0
     for _ in range(config.max_steps):
-        grads = ortho_grad(mats, deltas, mu)
+        grad = 2.0 * (c + d) @ g + 2.0 * mu * d
         t = t_base
-        accepted = None
         for _ in range(_MAX_BACKTRACKS):
-            trial = []
-            for d, g, cap in zip(deltas, grads, caps):
-                nd = d - t * g
-                norm = np.linalg.norm(nd)
-                if norm > cap:
-                    nd = nd * (cap / norm) if norm > 0 else nd
-                trial.append(nd)
-            new = ortho_loss(mats, trial, mu)
-            new_lo = _cross_gram_sum([w + d for w, d in zip(mats, trial)])
+            trial = d - t * grad
+            norms = np.sqrt(_member_sq(trial, starts))
+            shrink = np.divide(caps, norms, out=np.ones_like(norms), where=norms > caps)
+            trial *= np.repeat(shrink, widths)
+            new_g, new_lo = _off_gram(c + trial, off)
+            new = new_lo + mu * float(np.vdot(trial, trial))
             if new < cur and new_lo <= cur_lo:
-                accepted = (trial, new, new_lo)
                 break
             t *= 0.5
-        if accepted is None:
+        else:
             break
-        trial, new, new_lo = accepted
         rel_change = (cur - new) / cur if cur > 0 else 0.0
-        deltas, cur, cur_lo = trial, new, new_lo
+        d, g, cur, cur_lo = trial, new_g, new, new_lo
         trajectory.append(cur_lo)
-        steps += 1
         if rel_change < config.rel_loss_tol:
             break
 
-    rels = [
-        float(np.linalg.norm(d) / v) if v > 0 else 0.0
-        for d, v in zip(deltas, member_norms)
-    ]
+    rels = np.sqrt(_member_sq(d, starts)) / np.where(member_norms > 0, member_norms, np.inf)
     stats = OrthoStats(
         initial_lo=initial_lo,
         final_lo=cur_lo,
-        steps_taken=steps,
-        per_member_rel_perturbation=rels,
+        steps_taken=len(trajectory) - 1,
+        per_member_rel_perturbation=rels.tolist(),
         lo_trajectory=trajectory,
     )
-    return [w + d for w, d in zip(mats, deltas)], stats
+    out = w + (d if q is None else q @ d)
+    return np.hsplit(out, starts[1:]), stats

@@ -207,8 +207,9 @@ def test_lora_layer_validation():
         LoraLayer("l", B=b, A=a, rank=3)  # rank must equal the inner dim
     with pytest.raises(AlignmentError):
         LoraLayer("l", B=np.ones((6, 6)), A=np.ones((6, 2)), rank=6)  # rank > min(full)
-    with pytest.raises(AlignmentError):
-        LoraLayer("l", B=b, A=a, rank=2, scaling=0.0)
+    for scaling in (0.0, float("nan"), float("inf")):
+        with pytest.raises(AlignmentError):
+            LoraLayer("l", B=b, A=a, rank=2, scaling=scaling)
 
 
 def test_extract_adapters_aligned(adapter_files):
@@ -316,8 +317,46 @@ def test_load_manifest_rejects_bad_entries(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(AlignmentError):
         load_manifest(bad)
+    for scaling in ("NaN", "-Infinity"):
+        entries = f'{{"path": "ok.safetensors"}}, {{"path": "a.safetensors", "scaling": {scaling}}}'
+        bad.write_text(f"[{entries}]")
+        with pytest.raises(AlignmentError, match=r"entry 1 .*a\.safetensors"):
+            load_manifest(bad)
 
 
 def test_parse_errors_are_parse_error_subclasses():
     for cls in (MalformedHeaderError, UnknownDtypeError, OffsetError, TruncatedPayloadError):
         assert issubclass(cls, ParseError)
+
+
+def test_duplicate_header_key_rejected(tmp_path):
+    entry = '{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
+    header = f'{{"w":{entry},"w":{entry}}}'.encode()
+    path = tmp_path / "dup.safetensors"
+    path.write_bytes(struct.pack("<Q", len(header)) + header + b"\0" * 4)
+    with pytest.raises(MalformedHeaderError, match="repeats key 'w'"):
+        load_checkpoint(path)
+
+
+_FUZZ_BLOB = raw_safetensors(
+    [("a.weight", "F32", np.ones((2, 3))), ("b", "BF16", np.ones(4))], metadata={"k": "v"}
+)
+_FUZZ_HEADER_END = 8 + struct.unpack("<Q", _FUZZ_BLOB[:8])[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, _FUZZ_HEADER_END - 1), st.integers(0, 255)), min_size=1, max_size=4
+    )
+)
+def test_mutated_header_raises_only_parse_error(tmp_path_factory, edits):
+    blob = bytearray(_FUZZ_BLOB)
+    for pos, value in edits:
+        blob[pos] = value
+    path = tmp_path_factory.mktemp("fuzz") / "m.safetensors"
+    path.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(path)
+    except ParseError:
+        pass

@@ -175,6 +175,47 @@ def test_merge_threads_env_fallback(adapter_files, tmp_path, capsys, monkeypatch
     assert run(capsys, "merge", *args, "--output", str(tmp_path / "t3.safetensors"))[0] == 2
 
 
+def test_merge_threads_default_to_one(monkeypatch):
+    from domerge.cli import _resolve_threads
+
+    monkeypatch.delenv("DO_MERGE_THREADS", raising=False)
+    assert _resolve_threads(None) == 1
+    assert _resolve_threads(3) == 3
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--method", "task_arithmetic"), (), ("--no-ortho",)],
+    ids=["task_arithmetic", "default", "no_ortho"],
+)
+def test_merge_non_finite_scaling_exit_3(adapter_files, tmp_path, capsys, flags):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(
+        '[{"path": "%s"}, {"path": "%s", "scaling": NaN}]' % (adapter_files[0], adapter_files[1])
+    )
+    out = tmp_path / "o.safetensors"
+    code, _, err = run(capsys, "merge", "--manifest", str(manifest), *flags, "--output", str(out))
+    assert code == 3
+    assert "entry 1" in err and adapter_files[1].name in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
+    # finite f64 factors whose merged delta overflows the f32 output
+    records = make_adapter_records(["l"], rank=2, full_shape=(4, 3), rng=rng, dtype="f64")
+    path = tmp_path / "big.safetensors"
+    save_checkpoint(records, path)
+    out = tmp_path / "o.safetensors"
+    code, _, err = run(
+        capsys, "merge", str(path), "--method", "task_arithmetic", "--lambda", "1e300",
+        "--output", str(out),
+    )
+    assert code == 2
+    assert "'l'" in err and "not finite" in err
+    assert not out.exists()
+
+
 def test_merge_ablation_flags(adapter_files, tmp_path, capsys):
     flags_out = tmp_path / "ablated.safetensors"
     ta_out = tmp_path / "ta.safetensors"

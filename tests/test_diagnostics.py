@@ -123,6 +123,25 @@ def test_orthogonality_report_after_ortho_not_worse(adapter_files):
         assert off_sq(after[key]) <= off_sq(before[key]) + 1e-9
 
 
+def test_orthogonality_report_after_ortho_matches_dense_oracle(adapter_files):
+    # the report runs merge's factor groups (B, and A transposed) through the
+    # descent, then measures the products those factors form
+    from oracles import descend
+
+    adapters = extract_adapters(adapter_files)
+    cfg = MergeConfig(ortho=OrthoConfig(max_rel_perturbation=0.2))
+    report = orthogonality_report(adapters, after_ortho=True, config=cfg)
+    for key, gram in report.items():
+        group = adapters.group(key)
+        b_hat, _ = descend([l.scaling * l.B for l in group], cfg.ortho)
+        a_hat_t, _ = descend([l.A.T for l in group], cfg.ortho)
+        mats = [b @ a.T for b, a in zip(b_hat, a_hat_t)]
+        for i in range(len(mats)):
+            for j in range(len(mats)):
+                want = np.linalg.norm(mats[i].T @ mats[j])
+                assert gram[i, j] == pytest.approx(want, rel=1e-10)
+
+
 def test_build_report_fields(adapter_files):
     adapters = extract_adapters(adapter_files)
     report = build_report(adapters, finetuned=[0.9, 0.8, 0.7], merged=[0.8, 0.8, 0.6])

@@ -9,7 +9,10 @@ from domerge.merge import (
     merge_layer,
     resolve_base_key,
 )
+from domerge.linalg import svd_truncate
 from domerge.ortho import OrthoConfig
+
+from oracles import dense_merge_delta
 
 
 def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):
@@ -179,3 +182,64 @@ def test_merge_determinism_across_calls(adapter_files):
     m2 = merge_adapter_set(adapters, config=MergeConfig())
     for key in m1:
         assert np.array_equal(m1[key].delta, m2[key].delta)
+
+
+def degenerate_group(rng, m, n, ranks):
+    """Mixed-rank layers; in the second, B A has a zero column and units below decouple's floor."""
+    layers = [make_layer(rng, m=m, n=n, rank=r, scaling=0.5 + i) for i, r in enumerate(ranks)]
+    layers[1].A[:, 3] = 0.0
+    layers[1].A[:, 5] *= 1e-14
+    layers[1].B[2, :] *= 1e-14
+    return layers
+
+
+@pytest.mark.parametrize("shape", [(20, 14), (8, 6)], ids=["tall", "wide"])
+@pytest.mark.parametrize("mode", ["column", "row", "matrix"])
+@pytest.mark.parametrize("ortho", [True, False], ids=["ortho", "no_ortho"])
+def test_factored_merge_matches_dense_oracle(shape, mode, ortho):
+    rng = np.random.default_rng(3)
+    layers = degenerate_group(rng, *shape, ranks=(2, 4, 3))
+    ortho_cfg = OrthoConfig() if ortho else None
+    configs = [
+        MergeConfig(magnitude_mode=mode, ortho=ortho_cfg),
+        MergeConfig(magnitude_mode=mode, ortho=ortho_cfg, decouple_enabled=False),
+        MergeConfig(method="task_arithmetic", lam=0.3),
+        MergeConfig(method="average"),
+    ]
+    for cfg in configs:
+        got = merge_layer(layers, cfg).delta
+        want = dense_merge_delta(layers, cfg)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def lowrank_layers(rng):
+    return [make_layer(rng, m=20, n=14, rank=r) for r in (2, 4, 3)]
+
+
+@pytest.mark.parametrize("rank", [9, 10, 14])
+def test_lowrank_exact_at_or_beyond_combined_rank(rank):
+    layers = lowrank_layers(np.random.default_rng(5))
+    out = merge_layer(layers, MergeConfig(output_mode="lowrank", lowrank_rank=rank))
+    b, a = out.lowrank
+    assert b.shape == (20, rank) and a.shape == (rank, 14)
+    assert np.all(b[:, 9:] == 0.0) and np.all(a[9:] == 0.0)
+    assert np.linalg.norm(b @ a - out.delta) <= 1e-12 * np.linalg.norm(out.delta)
+
+
+@pytest.mark.parametrize("rank", [1, 4, 8])
+def test_lowrank_matches_dense_truncation_error(rank):
+    layers = lowrank_layers(np.random.default_rng(6))
+    out = merge_layer(layers, MergeConfig(output_mode="lowrank", lowrank_rank=rank))
+    b, a = out.lowrank
+    db, da = svd_truncate(out.delta, rank)
+    err = np.linalg.norm(b @ a - out.delta)
+    dense_err = np.linalg.norm(db @ da - out.delta)
+    assert err == pytest.approx(dense_err, rel=1e-10)
+    # same best approximation, not just the same error
+    assert np.linalg.norm(b @ a - db @ da) <= 1e-9 * np.linalg.norm(out.delta)
+
+
+def test_lowrank_rank_beyond_shape_rejected():
+    layers = lowrank_layers(np.random.default_rng(7))
+    with pytest.raises(ValueError, match="out of range"):
+        merge_layer(layers, MergeConfig(output_mode="lowrank", lowrank_rank=15))

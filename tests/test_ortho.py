@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from domerge.ortho import OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
 
-
-def cross_gram_total(mats):
-    # independent reference: sum over pairs of ||W_i^T W_j||_F^2
-    total = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            total += np.linalg.norm(mats[i].T @ mats[j]) ** 2
-    return total
+from oracles import cross_gram_sum, descend, pairwise_grad, pairwise_loss
 
 
 def test_config_defaults_and_validation():
@@ -35,7 +28,7 @@ def test_config_defaults_and_validation():
 def test_loss_with_zero_deltas_is_cross_gram_sum(rng):
     mats = [rng.standard_normal((6, 4)) for _ in range(3)]
     zeros = [np.zeros_like(w) for w in mats]
-    assert ortho_loss(mats, zeros, mu=5.0) == pytest.approx(cross_gram_total(mats), rel=1e-12)
+    assert ortho_loss(mats, zeros, mu=5.0) == pytest.approx(cross_gram_sum(mats), rel=1e-12)
 
 
 def test_loss_penalty_term(rng):
@@ -43,7 +36,7 @@ def test_loss_penalty_term(rng):
     deltas = [0.1 * rng.standard_normal((5, 3)) for _ in range(2)]
     mu = 2.0
     perturbed = [w + d for w, d in zip(mats, deltas)]
-    expected = cross_gram_total(perturbed) + mu * sum(np.linalg.norm(d) ** 2 for d in deltas)
+    expected = cross_gram_sum(perturbed) + mu * sum(np.linalg.norm(d) ** 2 for d in deltas)
     assert ortho_loss(mats, deltas, mu) == pytest.approx(expected, rel=1e-12)
 
 
@@ -98,7 +91,7 @@ def test_loss_never_increased_and_budget_respected(rng):
     cfg = OrthoConfig(max_rel_perturbation=0.05)
     out, stats = orthogonalize_group(mats, cfg)
     assert stats.final_lo <= stats.initial_lo
-    assert stats.final_lo == pytest.approx(cross_gram_total(out), rel=1e-9)
+    assert stats.final_lo == pytest.approx(cross_gram_sum(out), rel=1e-9)
     for w, p in zip(mats, out):
         rel = np.linalg.norm(p - w) / np.linalg.norm(w)
         assert rel <= cfg.max_rel_perturbation
@@ -180,3 +173,38 @@ def test_budget_and_monotonicity_properties(seed, members, budget, step):
         norm = np.linalg.norm(w)
         if norm > 0:
             assert np.linalg.norm(p - w) / norm <= budget
+
+
+def test_loss_and_gradient_match_pairwise_oracle(rng):
+    mats = [rng.standard_normal((9, w)) for w in (2, 4, 3)]
+    deltas = [0.1 * rng.standard_normal(w.shape) for w in mats]
+    mu = 0.3
+    assert ortho_loss(mats, deltas, mu) == pytest.approx(pairwise_loss(mats, deltas, mu), rel=1e-13)
+    for got, want in zip(ortho_grad(mats, deltas, mu), pairwise_grad(mats, deltas, mu)):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "rows, widths",
+    [(40, (3, 5, 4)), (9, (4, 3, 5)), (6, (2, 2))],
+    ids=["tall", "wide", "square"],
+)
+@pytest.mark.parametrize("step", [1e-2, 1.0])
+def test_descent_matches_pairwise_oracle(rows, widths, step):
+    # tall groups descend on the R x R factor of a QR, the others on the stack itself
+    rng = np.random.default_rng((rows, len(widths)))
+    mats = [rng.standard_normal((rows, w)) for w in widths]
+    cfg = OrthoConfig(step_size=step)
+    out, stats = orthogonalize_group(mats, cfg)
+    ref_out, ref = descend(mats, cfg)
+    assert stats.steps_taken == ref.steps_taken > 0
+    assert len(stats.lo_trajectory) == len(ref.lo_trajectory)
+    for got, want in zip(stats.lo_trajectory, ref.lo_trajectory):
+        assert got == pytest.approx(want, rel=1e-12)
+    assert stats.per_member_rel_perturbation == pytest.approx(
+        ref.per_member_rel_perturbation, rel=1e-9
+    )
+    for got, want in zip(out, ref_out):
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

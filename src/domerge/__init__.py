@@ -16,7 +16,6 @@ from .checkpoint import (
     ParseError,
     TensorRecord,
     extract_adapters,
-    load_base,
     load_checkpoint,
     load_manifest,
     save_checkpoint,
@@ -53,6 +52,7 @@ from .merge import (
     MergeConfig,
     MergedLayer,
     assemble_full_rank,
+    layer_outputs,
     merge_adapter_set,
     merge_layer,
 )
@@ -86,7 +86,7 @@ __all__ = [
     "extract_adapters",
     "factor_crossterm_trial",
     "frobenius_norm",
-    "load_base",
+    "layer_outputs",
     "load_checkpoint",
     "load_manifest",
     "magnitude_distribution_variance",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -201,16 +202,15 @@ def save_checkpoint(records: dict[str, TensorRecord], path, overwrite: bool = Tr
     if path.exists() and not overwrite:
         raise FileExistsError(f"{path} exists (pass force/overwrite to replace)")
     header: dict[str, dict] = {}
-    payload = bytearray()
+    begin = 0
     for key in sorted(records):
         rec = records[key]
-        begin = len(payload)
-        payload.extend(rec.raw)
         header[key] = {
             "dtype": _DTYPES[rec.dtype][0],
             "shape": list(rec.shape),
             "data_offsets": [begin, begin + len(rec.raw)],
         }
+        begin += len(rec.raw)
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     pad = -(8 + len(body)) % 8
     body += b" " * pad
@@ -219,7 +219,8 @@ def save_checkpoint(records: dict[str, TensorRecord], path, overwrite: bool = Tr
         with os.fdopen(fd, "wb") as fh:
             fh.write(len(body).to_bytes(8, "little"))
             fh.write(body)
-            fh.write(bytes(payload))
+            for key in header:  # sorted, like the offsets
+                fh.write(records[key].raw)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -373,15 +374,11 @@ def extract_adapters(
     )
 
 
-def load_base(path) -> dict[str, np.ndarray]:
-    """Load a base checkpoint as float64 arrays keyed by tensor name."""
-    return {k: rec.to_array() for k, rec in load_checkpoint(path).items()}
-
-
 def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
     """Read an adapter manifest: a JSON list of {path, name?, scaling?}.
 
-    Relative paths resolve against the manifest's directory.
+    path is a string; relative paths resolve against the manifest's
+    directory. scaling, when given, is a positive finite JSON number.
     """
     path = Path(path)
     try:
@@ -392,17 +389,19 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
         raise AlignmentError(f"manifest {path}: expected a non-empty JSON list")
     paths, names, scalings = [], [], []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or "path" not in entry:
-            raise AlignmentError(f"manifest {path}: entry {i} needs a 'path' field")
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise AlignmentError(f"manifest {path}: entry {i} needs a string 'path' field")
         p = Path(entry["path"])
         if not p.is_absolute():
             p = path.parent / p
-        scaling = float(entry.get("scaling", 1.0))
-        if not math.isfinite(scaling):
+        scaling = entry.get("scaling", 1.0)
+        # type(), not isinstance: JSON true/false load as bool, an int subclass
+        if type(scaling) not in (int, float) or not 0 < scaling <= sys.float_info.max:
             raise AlignmentError(
-                f"manifest {path}: entry {i} ({p}) has non-finite scaling {scaling}"
+                f"manifest {path}: entry {i} ({p}) has scaling {scaling!r}; "
+                "it must be a positive, finite number"
             )
         paths.append(p)
         names.append(str(entry.get("name", p.stem)))
-        scalings.append(scaling)
+        scalings.append(float(scaling))
     return paths, names, scalings

@@ -24,7 +24,6 @@ from .checkpoint import (
     TensorRecord,
     _match_factors,
     extract_adapters,
-    load_base,
     load_checkpoint,
     load_manifest,
     save_checkpoint,
@@ -43,7 +42,7 @@ from .experiments import (
     run_decoupling_suite,
 )
 from .linalg import MAGNITUDE_MODES
-from .merge import METHODS, MergeConfig, merge_adapter_set, resolve_base_key
+from .merge import METHODS, MergeConfig, layer_outputs, merge_adapter_set
 from .ortho import OrthoConfig
 
 EXIT_USAGE = 2
@@ -87,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="lam",
         type=float,
         default=None,
-        help="merged-delta scale; default 1/n^2 for n adapters",
+        help="merged-delta scale; default 1/n^2 for n adapters (average always uses 1/n)",
     )
     m.add_argument("--magnitude-mode", choices=MAGNITUDE_MODES, default="column")
     m.add_argument("--no-ortho", action="store_true", help="skip factor orthogonalization")
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="layer parallelism; falls back to DO_MERGE_THREADS, then 1",
+        help="layer parallelism of the factor merge; falls back to DO_MERGE_THREADS, then 1",
     )
     m.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
     m.set_defaults(func=cmd_merge)
@@ -236,38 +235,27 @@ def cmd_merge(args) -> int:
             method=args.method,
             ortho=ortho,
             decouple_enabled=not args.no_decouple,
-            output_mode=mode,
-            lowrank_rank=rank,
         )
     except ValueError as e:
         raise _CliError(EXIT_USAGE, "usage", str(e)) from None
 
     paths, names, scalings = _gather_sources(args)
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=args.strict)
-    base = load_base(args.base) if args.base else None
-    merged = merge_adapter_set(adapters, base=base, config=config, threads=threads)
+    base = load_checkpoint(args.base) if args.base else None
+    merged = merge_adapter_set(adapters, config=config, threads=threads)
 
     records: dict[str, TensorRecord] = {}
-    for key, layer in merged.items():
-        if mode == "delta":
-            records[key] = TensorRecord.from_array(key, layer.delta, "f32")
-        elif mode == "fused":
-            out_key = resolve_base_key(base, key)
-            records[out_key] = TensorRecord.from_array(out_key, layer.fused, "f32")
-        else:
-            b, a = layer.lowrank
-            b_key = key + ".lora_B.weight"
-            a_key = key + ".lora_A.weight"
-            records[b_key] = TensorRecord.from_array(b_key, b, "f32")
-            records[a_key] = TensorRecord.from_array(a_key, a, "f32")
-    for key, record in records.items():
-        if not np.isfinite(np.frombuffer(record.raw, dtype="<f4")).all():
-            raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
+    for layer in merged.values():
+        for key, arr in layer_outputs(layer, mode, rank, base).items():
+            record = TensorRecord.from_array(key, arr, "f32")
+            if not np.isfinite(np.frombuffer(record.raw, dtype="<f4")).all():
+                raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
+            records[key] = record
     save_checkpoint(records, out_path, overwrite=True)
 
     layer_stats = {}
     for key, layer in merged.items():
-        entry: dict = {"shape": list(layer.delta.shape)}
+        entry: dict = {"shape": list(layer.shape)}
         if layer.ortho_stats is not None:
             entry["ortho"] = {g: _stats_dict(s) for g, s in sorted(layer.ortho_stats.items())}
         layer_stats[key] = entry
@@ -278,7 +266,7 @@ def cmd_merge(args) -> int:
         "method": config.method,
         "lambda": config.resolve_lam(adapters.n),
         "magnitude_mode": config.magnitude_mode,
-        "ortho_enabled": ortho is not None,
+        "ortho_enabled": config.ortho is not None,
         "decouple_enabled": config.decouple_enabled,
         "adapters": list(adapters.names),
         "layers": layer_stats,

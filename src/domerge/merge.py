@@ -13,7 +13,8 @@ task-arithmetic code path.
 
 Every method works on factors: the merged delta is one product of an
 m x R and an R x n stack, R = sum_i rank_i, unit norms come from rank_i x
-rank_i Grams, and no per-adapter m x n matrix is formed.
+rank_i Grams, and no per-adapter m x n matrix is formed. A MergedLayer keeps
+the two factors, and layer_outputs renders them for each output mode.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import AdapterSet, AlignmentError, LoraLayer
+from .checkpoint import AdapterSet, AlignmentError, LoraLayer, TensorRecord
 from .linalg import MAGNITUDE_MODES
 from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
 
 METHODS = ("do_merging", "task_arithmetic", "average")
-OUTPUT_MODES = ("delta", "fused", "lowrank")
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,11 @@ class MergeConfig:
     lam: merging coefficient applied to the combined delta. None resolves to
         1 / n^2 at merge time, which makes the magnitude-sum convention
         equivalent to averaging both components (and reduces to 1/4 for two
-        adapters). Explicit values override.
+        adapters). Explicit values override; average always applies 1 / n.
     ortho: factor-group orthogonalization settings, or None to disable.
     decouple_enabled: when False, directions and magnitudes are not split
         and the merged delta is lam * sum of task matrices.
-    output_mode: "delta" emits the merged delta, "fused" adds it onto base
-        weights, "lowrank" refactors it to rank lowrank_rank.
+    The baselines run neither stage, so their config reads ortho=None, decouple_enabled=False.
     """
 
     lam: float | None = None
@@ -51,8 +50,6 @@ class MergeConfig:
     method: str = "do_merging"
     ortho: OrthoConfig | None = field(default_factory=OrthoConfig)
     decouple_enabled: bool = True
-    output_mode: str = "delta"
-    lowrank_rank: int | None = None
 
     def __post_init__(self):
         if self.lam is not None and self.lam <= 0:
@@ -61,22 +58,36 @@ class MergeConfig:
             raise ValueError(f"unknown magnitude mode {self.magnitude_mode!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.output_mode not in OUTPUT_MODES:
-            raise ValueError(f"unknown output mode {self.output_mode!r}")
-        if self.output_mode == "lowrank" and (self.lowrank_rank is None or self.lowrank_rank < 1):
-            raise ValueError("lowrank output mode needs lowrank_rank >= 1")
+        if self.method == "average" and self.lam is not None:
+            raise ValueError("the average method applies 1/n and takes no lambda")
+        if self.method != "do_merging":
+            object.__setattr__(self, "ortho", None)
+            object.__setattr__(self, "decouple_enabled", False)
 
     def resolve_lam(self, n: int) -> float:
+        """The scale the merge applies to n adapters."""
+        if self.method == "average":
+            return 1.0 / n
         return self.lam if self.lam is not None else 1.0 / (n * n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MergedLayer:
+    """One merged layer as the rank-R product left @ right, R = sum of adapter ranks."""
+
     layer_key: str
-    delta: np.ndarray
-    fused: np.ndarray | None = None
-    lowrank: tuple[np.ndarray, np.ndarray] | None = None
+    left: np.ndarray  # (m, R)
+    right: np.ndarray  # (R, n)
     ortho_stats: dict[str, OrthoStats] | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left.shape[0], self.right.shape[1])
+
+    @property
+    def delta(self) -> np.ndarray:
+        """The dense merged delta, formed on each access."""
+        return self.left @ self.right
 
 
 def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
@@ -138,16 +149,13 @@ def _decoupled_factors(bs, as_, mode: str):
 def _merged_factors(layers, config: MergeConfig):
     """(L, R, ortho stats) with merged delta L @ R. Every method ends in this one
     stacking, so the fully ablated main method is bit-identical to task_arithmetic."""
-    n = len(layers)
-    lam = 1.0 / n if config.method == "average" else config.resolve_lam(n)
     bs, as_ = _factors(layers)
     stats = None
-    if config.method == "do_merging":
-        if config.ortho is not None:
-            bs, as_, stats = _orthogonalized_factors(bs, as_, config.ortho)
-        if config.decouple_enabled:
-            bs, as_ = _decoupled_factors(bs, as_, config.magnitude_mode)
-    return np.hstack(bs), lam * np.vstack(as_), stats
+    if config.ortho is not None:
+        bs, as_, stats = _orthogonalized_factors(bs, as_, config.ortho)
+    if config.decouple_enabled:
+        bs, as_ = _decoupled_factors(bs, as_, config.magnitude_mode)
+    return np.hstack(bs), config.resolve_lam(len(layers)) * np.vstack(as_), stats
 
 
 def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -166,20 +174,17 @@ def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
-    """Merge one aligned layer group into a MergedLayer carrying the delta (and lowrank factors)."""
+    """Merge one aligned layer group into the factors of its merged delta."""
     if not layers:
         raise ValueError("empty layer group")
     shapes = {layer.full_shape for layer in layers}
     if len(shapes) > 1:
         raise AlignmentError(f"layer group has conflicting shapes {sorted(shapes)}")
     left, right, stats = _merged_factors(layers, config)
-    merged = MergedLayer(layer_key=layers[0].layer_key, delta=left @ right, ortho_stats=stats)
-    if config.output_mode == "lowrank":
-        merged.lowrank = _truncated_factors(left, right, config.lowrank_rank)
-    return merged
+    return MergedLayer(layers[0].layer_key, left, right, stats)
 
 
-def resolve_base_key(base: dict[str, np.ndarray], layer_key: str) -> str:
+def resolve_base_key(base: dict, layer_key: str) -> str:
     """Base-checkpoint key holding this layer's pretrained weights.
 
     Accepts the layer key verbatim or with a trailing ".weight", matching
@@ -191,15 +196,36 @@ def resolve_base_key(base: dict[str, np.ndarray], layer_key: str) -> str:
     raise AlignmentError(f"base checkpoint has no weights for layer {layer_key!r}")
 
 
-def _resolve_base(base: dict[str, np.ndarray], layer_key: str) -> np.ndarray:
-    return np.asarray(base[resolve_base_key(base, layer_key)], dtype=np.float64)
+def layer_outputs(
+    merged: MergedLayer, mode: str, rank: int | None = None, base: dict[str, TensorRecord] | None = None
+) -> dict[str, np.ndarray]:
+    """The tensors one merged layer contributes to an output checkpoint, by key.
+
+    "delta": the merged delta under the bare layer key. "fused": base weights
+    plus the delta, under the base's key for the layer; base is a
+    load_checkpoint record map. "lowrank": the best rank-`rank` factors as a
+    lora_B / lora_A weight pair.
+    """
+    key = merged.layer_key
+    if mode == "delta":
+        return {key: merged.delta}
+    if mode == "fused":
+        if base is None:
+            raise ValueError("fused output mode requires a base checkpoint")
+        base_key = resolve_base_key(base, key)
+        fused = base[base_key].to_array()
+        if fused.shape != merged.shape:
+            raise AlignmentError(f"base {base_key!r} has shape {fused.shape}, delta has {merged.shape}")
+        fused += merged.delta
+        return {base_key: fused}
+    if mode == "lowrank":
+        b, a = _truncated_factors(merged.left, merged.right, rank)
+        return {key + ".lora_B.weight": b, key + ".lora_A.weight": a}
+    raise ValueError(f"unknown output mode {mode!r}")
 
 
 def merge_adapter_set(
-    adapters: AdapterSet,
-    base: dict[str, np.ndarray] | None = None,
-    config: MergeConfig | None = None,
-    threads: int = 1,
+    adapters: AdapterSet, config: MergeConfig | None = None, threads: int = 1
 ) -> dict[str, MergedLayer]:
     """Merge every aligned layer; returns layer_key -> MergedLayer, sorted.
 
@@ -208,27 +234,12 @@ def merge_adapter_set(
     """
     if config is None:
         config = MergeConfig()
-    if config.output_mode == "fused" and base is None:
-        raise ValueError("fused output mode requires a base checkpoint")
     if adapters.n < 1:
         raise ValueError("need at least one adapter")
-    keys = adapters.layer_keys
-
-    def one(key: str) -> MergedLayer:
-        merged = merge_layer(adapters.group(key), config)
-        if config.output_mode == "fused":
-            w_pre = _resolve_base(base, key)
-            if w_pre.shape != merged.delta.shape:
-                raise AlignmentError(
-                    f"base weights for {key!r} have shape {w_pre.shape}, "
-                    f"delta has {merged.delta.shape}"
-                )
-            merged.fused = w_pre + merged.delta
-        return merged
-
-    if threads > 1 and len(keys) > 1:
+    groups = [adapters.group(key) for key in adapters.layer_keys]
+    if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, keys))
+            results = list(pool.map(merge_layer, groups, [config] * len(groups)))
     else:
-        results = [one(k) for k in keys]
-    return {k: m for k, m in zip(keys, results)}
+        results = [merge_layer(group, config) for group in groups]
+    return {m.layer_key: m for m in results}

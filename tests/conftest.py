@@ -6,12 +6,18 @@ save/load tautology.
 """
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from domerge import TensorRecord, save_checkpoint
+
+# tests that start `python -m domerge.cli` children need the sources there too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 DTYPE_NUMPY = {"F64": "<f8", "F32": "<f4", "F16": "<f2"}
 

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -16,7 +17,6 @@ from domerge.checkpoint import (
     TruncatedPayloadError,
     UnknownDtypeError,
     extract_adapters,
-    load_base,
     load_checkpoint,
     load_manifest,
     save_checkpoint,
@@ -286,12 +286,6 @@ def test_extract_adapters_rejects_non_finite(tmp_path):
         extract_adapters([path])
 
 
-def test_load_base(base_file):
-    base = load_base(base_file)
-    assert all(arr.dtype == np.float64 for arr in base.values())
-    assert all(arr.shape == (16, 12) for arr in base.values())
-
-
 def test_load_manifest_relative_paths(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(
@@ -317,10 +311,16 @@ def test_load_manifest_rejects_bad_entries(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(AlignmentError):
         load_manifest(bad)
-    for scaling in ("NaN", "-Infinity"):
+    where = re.escape(f"manifest {bad}: entry 1")
+    bad_scalings = ("NaN", "-Infinity", '"x"', '"1.5"', "[1]", "null", "true", "false", "0", "-2.5", "9" * 400)
+    for scaling in bad_scalings:
         entries = f'{{"path": "ok.safetensors"}}, {{"path": "a.safetensors", "scaling": {scaling}}}'
         bad.write_text(f"[{entries}]")
-        with pytest.raises(AlignmentError, match=r"entry 1 .*a\.safetensors"):
+        with pytest.raises(AlignmentError, match=rf"{where} .*a\.safetensors.* scaling"):
+            load_manifest(bad)
+    for path in ("5", "null", '["a.safetensors"]'):
+        bad.write_text(f'[{{"path": "ok.safetensors"}}, {{"path": {path}}}]')
+        with pytest.raises(AlignmentError, match=rf"{where} needs a string 'path'"):
             load_manifest(bad)
 
 

@@ -6,7 +6,7 @@ import pytest
 from domerge.checkpoint import TensorRecord, load_checkpoint, save_checkpoint
 from domerge.cli import main
 
-from conftest import make_adapter_records
+from conftest import LAYER_KEYS, make_adapter_records
 
 
 def run(capsys, *argv):
@@ -30,6 +30,33 @@ def test_merge_defaults_and_summary(adapter_files, tmp_path, capsys):
     assert len(summary["layers"]) == 4
     for entry in summary["layers"].values():
         assert entry["ortho"]["B"]["final_lo"] <= entry["ortho"]["B"]["initial_lo"]
+
+
+@pytest.mark.parametrize(
+    "method, stages, lam",
+    [("do_merging", True, 1 / 9), ("task_arithmetic", False, 1 / 9), ("average", False, 1 / 3)],
+)
+def test_merge_summary_reports_applied_stages(adapter_files, tmp_path, capsys, method, stages, lam):
+    out = tmp_path / "m.safetensors"
+    code, stdout, _ = run(
+        capsys, "merge", *(str(p) for p in adapter_files), "--method", method, "--output", str(out)
+    )
+    assert code == 0
+    summary = json.loads(stdout)
+    assert summary["ortho_enabled"] is stages and summary["decouple_enabled"] is stages
+    assert summary["lambda"] == lam
+    assert all(("ortho" in entry) is stages for entry in summary["layers"].values())
+
+
+def test_merge_average_rejects_lambda(adapter_files, tmp_path, capsys):
+    out = tmp_path / "m.safetensors"
+    code, _, err = run(
+        capsys, "merge", *(str(p) for p in adapter_files), "--method", "average",
+        "--lambda", "5", "--output", str(out),
+    )
+    assert code == 2
+    assert "average" in err
+    assert not out.exists()
 
 
 def test_merge_rerun_byte_identical(adapter_files, tmp_path, capsys):
@@ -74,6 +101,23 @@ def test_merge_fused_keys_follow_base(adapter_files, base_file, tmp_path, capsys
     assert code == 0
     keys = set(load_checkpoint(out))
     assert keys == {k for k in load_checkpoint(base_file)}
+
+
+def test_merge_fused_base_shape_conflict_exit_3(adapter_files, tmp_path, capsys, rng):
+    shapes = {key + ".weight": (16, 12) for key in LAYER_KEYS}
+    shapes["enc.0.attn.v.weight"] = (12, 16)
+    base = tmp_path / "base.safetensors"
+    save_checkpoint(
+        {k: TensorRecord.from_array(k, rng.standard_normal(s), "f32") for k, s in shapes.items()}, base
+    )
+    out = tmp_path / "fused.safetensors"
+    code, _, err = run(
+        capsys, "merge", *(str(p) for p in adapter_files), "--base", str(base),
+        "--output-mode", "fused", "--output", str(out),
+    )
+    assert code == 3
+    assert "'enc.0.attn.v.weight'" in err and "(12, 16)" in err
+    assert not out.exists()
 
 
 def test_merge_lowrank_emits_factor_pairs(adapter_files, tmp_path, capsys):
@@ -197,6 +241,17 @@ def test_merge_non_finite_scaling_exit_3(adapter_files, tmp_path, capsys, flags)
     code, _, err = run(capsys, "merge", "--manifest", str(manifest), *flags, "--output", str(out))
     assert code == 3
     assert "entry 1" in err and adapter_files[1].name in err
+    assert not out.exists()
+
+
+def test_merge_non_numeric_scaling_exit_3(adapter_files, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    entries = [{"path": str(adapter_files[0])}, {"path": str(adapter_files[1]), "scaling": "x"}]
+    manifest.write_text(json.dumps(entries))
+    out = tmp_path / "o.safetensors"
+    code, _, err = run(capsys, "merge", "--manifest", str(manifest), "--output", str(out))
+    assert code == 3
+    assert "entry 1" in err and adapter_files[1].name in err and "'x'" in err
     assert not out.exists()
 
 

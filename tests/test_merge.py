@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from domerge.checkpoint import AlignmentError, LoraLayer, extract_adapters
+from domerge.checkpoint import AdapterSet, AlignmentError, LoraLayer, TensorRecord, extract_adapters
 from domerge.merge import (
     MergeConfig,
     assemble_full_rank,
+    layer_outputs,
     merge_adapter_set,
     merge_layer,
     resolve_base_key,
@@ -32,6 +33,13 @@ def test_config_defaults():
     assert cfg.resolve_lam(2) == 0.25
     assert cfg.resolve_lam(3) == pytest.approx(1 / 9)
     assert MergeConfig(lam=0.7).resolve_lam(5) == 0.7
+    assert MergeConfig(method="average").resolve_lam(4) == 0.25
+
+
+def test_baseline_config_reports_no_stages():
+    for method in ("task_arithmetic", "average"):
+        cfg = MergeConfig(method=method, ortho=OrthoConfig(), decouple_enabled=True)
+        assert cfg.ortho is None and not cfg.decouple_enabled
 
 
 def test_config_validation():
@@ -39,8 +47,8 @@ def test_config_validation():
         MergeConfig(method="git_rebase")
     with pytest.raises(ValueError):
         MergeConfig(magnitude_mode="banana")
-    with pytest.raises(ValueError):
-        MergeConfig(output_mode="lowrank")  # needs a rank
+    with pytest.raises(ValueError, match="average"):
+        MergeConfig(method="average", lam=0.5)  # average applies 1/n
     with pytest.raises(ValueError):
         MergeConfig(lam=0.0)
 
@@ -136,25 +144,54 @@ def test_merge_adapter_set_sorted_and_thread_independent(adapter_files):
         assert np.array_equal(serial[key].delta, parallel[key].delta)
 
 
+def base_records(keys, shape, rng):
+    """A load_checkpoint-style base record map with one f64 weight per layer."""
+    return {
+        key + ".weight": TensorRecord.from_array(key + ".weight", rng.standard_normal(shape), "f64")
+        for key in keys
+    }
+
+
 def test_fused_output_requires_base(adapter_files):
-    adapters = extract_adapters(adapter_files)
+    merged = merge_adapter_set(extract_adapters(adapter_files))
     with pytest.raises(ValueError):
-        merge_adapter_set(adapters, base=None, config=MergeConfig(output_mode="fused"))
+        layer_outputs(next(iter(merged.values())), "fused")
 
 
 def test_fused_output_adds_base(adapter_files, rng):
     adapters = extract_adapters(adapter_files)
-    base = {key + ".weight": rng.standard_normal((16, 12)) for key in adapters.layer_keys}
-    merged = merge_adapter_set(adapters, base=base, config=MergeConfig(output_mode="fused"))
-    for key, layer in merged.items():
-        assert np.array_equal(layer.fused, base[key + ".weight"] + layer.delta)
+    base = base_records(adapters.layer_keys, (16, 12), rng)
+    for key, layer in merge_adapter_set(adapters).items():
+        out = layer_outputs(layer, "fused", base=base)
+        assert list(out) == [key + ".weight"]
+        assert np.array_equal(out[key + ".weight"], base[key + ".weight"].to_array() + layer.delta)
 
 
 def test_fused_output_shape_conflict_rejected(adapter_files, rng):
     adapters = extract_adapters(adapter_files)
-    base = {key + ".weight": rng.standard_normal((3, 3)) for key in adapters.layer_keys}
-    with pytest.raises(AlignmentError):
-        merge_adapter_set(adapters, base=base, config=MergeConfig(output_mode="fused"))
+    base = base_records(adapters.layer_keys, (3, 3), rng)
+    for layer in merge_adapter_set(adapters).values():
+        with pytest.raises(AlignmentError):
+            layer_outputs(layer, "fused", base=base)
+
+
+def test_merge_adapter_set_returns_rank_sum_factors(rng):
+    layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
+    adapters = AdapterSet([{"l": layer} for layer in layers], ["a", "b"])
+    for cfg in (MergeConfig(), MergeConfig(method="task_arithmetic")):
+        merged = merge_adapter_set(adapters, config=cfg)["l"]
+        assert merged.left.shape == (10, 5) and merged.right.shape == (5, 8)
+        assert merged.shape == (10, 8)
+        delta = layer_outputs(merged, "delta")
+        assert list(delta) == ["l"]
+        assert np.array_equal(delta["l"], merged.left @ merged.right)
+
+
+def lowrank_factors(merged, rank):
+    out = layer_outputs(merged, "lowrank", rank)
+    key = merged.layer_key
+    assert list(out) == [key + ".lora_B.weight", key + ".lora_A.weight"]
+    return out[key + ".lora_B.weight"], out[key + ".lora_A.weight"]
 
 
 def test_resolve_base_key_variants():
@@ -167,10 +204,9 @@ def test_resolve_base_key_variants():
 
 def test_lowrank_output_refactorizes(adapter_files):
     adapters = extract_adapters(adapter_files)
-    cfg = MergeConfig(output_mode="lowrank", lowrank_rank=12, ortho=None)
-    merged = merge_adapter_set(adapters, config=cfg)
+    merged = merge_adapter_set(adapters, config=MergeConfig(ortho=None))
     for layer in merged.values():
-        b, a = layer.lowrank
+        b, a = lowrank_factors(layer, 12)
         assert b.shape == (16, 12) and a.shape == (12, 12)
         # full column rank requested, so the refactorization is exact
         assert np.linalg.norm(b @ a - layer.delta) <= 1e-9 * np.linalg.norm(layer.delta)
@@ -219,8 +255,8 @@ def lowrank_layers(rng):
 @pytest.mark.parametrize("rank", [9, 10, 14])
 def test_lowrank_exact_at_or_beyond_combined_rank(rank):
     layers = lowrank_layers(np.random.default_rng(5))
-    out = merge_layer(layers, MergeConfig(output_mode="lowrank", lowrank_rank=rank))
-    b, a = out.lowrank
+    out = merge_layer(layers, MergeConfig())
+    b, a = lowrank_factors(out, rank)
     assert b.shape == (20, rank) and a.shape == (rank, 14)
     assert np.all(b[:, 9:] == 0.0) and np.all(a[9:] == 0.0)
     assert np.linalg.norm(b @ a - out.delta) <= 1e-12 * np.linalg.norm(out.delta)
@@ -229,8 +265,8 @@ def test_lowrank_exact_at_or_beyond_combined_rank(rank):
 @pytest.mark.parametrize("rank", [1, 4, 8])
 def test_lowrank_matches_dense_truncation_error(rank):
     layers = lowrank_layers(np.random.default_rng(6))
-    out = merge_layer(layers, MergeConfig(output_mode="lowrank", lowrank_rank=rank))
-    b, a = out.lowrank
+    out = merge_layer(layers, MergeConfig())
+    b, a = lowrank_factors(out, rank)
     db, da = svd_truncate(out.delta, rank)
     err = np.linalg.norm(b @ a - out.delta)
     dense_err = np.linalg.norm(db @ da - out.delta)
@@ -241,5 +277,6 @@ def test_lowrank_matches_dense_truncation_error(rank):
 
 def test_lowrank_rank_beyond_shape_rejected():
     layers = lowrank_layers(np.random.default_rng(7))
+    out = merge_layer(layers, MergeConfig())
     with pytest.raises(ValueError, match="out of range"):
-        merge_layer(layers, MergeConfig(output_mode="lowrank", lowrank_rank=15))
+        layer_outputs(out, "lowrank", 15)

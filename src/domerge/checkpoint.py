@@ -9,12 +9,18 @@ producers) is tolerated and ignored.
 Parsing is strict: every declared tensor must land inside the buffer, byte
 ranges must not overlap, and each range must match shape x dtype width.
 Failures raise distinct error types carrying the file byte position.
+
+Loaded records are zero-copy views of a read-only map of the file, so a
+checkpoint costs memory only for the pages that are read. Saving writes the
+header first and then each tensor at its offset, so tensors can be produced
+and written one at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import re
 import sys
@@ -68,7 +74,7 @@ class TensorRecord:
     key: str
     dtype: str  # one of f64, f32, f16, bf16
     shape: tuple[int, ...]
-    raw: bytes  # little-endian payload, row-major
+    raw: bytes | memoryview  # little-endian payload, row-major
 
     def __post_init__(self):
         if self.dtype not in _DTYPES:
@@ -90,6 +96,16 @@ class TensorRecord:
             code = {"f64": "<f8", "f32": "<f4", "f16": "<f2"}[self.dtype]
             data = np.frombuffer(self.raw, dtype=code).astype(np.float64)
         return data.reshape(self.shape)
+
+    def release(self) -> None:
+        """Drop the pages of the file map this record views from memory.
+
+        The pages belong to the whole map, not just this tensor; later reads
+        fault them back in from the file. A no-op for in-memory records.
+        """
+        owner = getattr(self.raw, "obj", None)
+        if isinstance(owner, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
+            owner.madvise(mmap.MADV_DONTNEED)
 
     @classmethod
     def from_array(cls, key: str, arr, dtype: str = "f32") -> "TensorRecord":
@@ -129,17 +145,25 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_checkpoint(path) -> dict[str, TensorRecord]:
-    """Parse a container file into records, header order preserved."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 8:
-        raise MalformedHeaderError("file too short for header length field", 0)
+    """Parse a container file into records, header order preserved.
+
+    Each record's raw is a memoryview of one read-only map of the file. The
+    map lives as long as any record does, and stays valid when the path is
+    replaced or unlinked; truncating the file in place while its records
+    are alive makes reading them crash the process (SIGBUS).
+    """
+    with open(path, "rb") as fh:
+        # mmap refuses an empty file, so short files are rejected first
+        if os.fstat(fh.fileno()).st_size < 8:
+            raise MalformedHeaderError("file too short for header length field", 0)
+        blob = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
     header_len = int.from_bytes(blob[:8], "little")
     if 8 + header_len > len(blob):
         raise MalformedHeaderError(
             f"header length {header_len} exceeds file size {len(blob)}", 0
         )
     try:
-        header = json.loads(blob[8 : 8 + header_len], object_pairs_hook=_unique_keys)
+        header = json.loads(bytes(blob[8 : 8 + header_len]), object_pairs_hook=_unique_keys)
     except ValueError as e:  # JSONDecodeError, or bytes that are not text
         raise MalformedHeaderError(f"header is not valid JSON: {e}", 8) from e
     if not isinstance(header, dict):
@@ -192,35 +216,61 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
     return records
 
 
-def save_checkpoint(records: dict[str, TensorRecord], path, overwrite: bool = True) -> None:
-    """Serialize records deterministically (sorted keys) and atomically.
+def save_checkpoint(records, path, overwrite: bool = True, layout=None) -> None:
+    """Serialize tensors deterministically (sorted keys) and atomically.
 
-    Two calls with equal record maps produce byte-identical files. The JSON
-    header is padded with spaces so the byte buffer starts 8-byte aligned.
+    records is a key -> TensorRecord map. Given layout, a key -> (dtype,
+    shape) map, records is instead an iterable of (key, TensorRecord) pairs
+    in any order, which is consumed one pair at a time. The header comes
+    from the layout alone and is padded with spaces so the byte buffer
+    starts 8-byte aligned; each tensor is then written at its offset as it
+    arrives. A tensor missing from the layout, repeated, of another dtype
+    or shape, or never produced is a ValueError. On any error the temporary
+    file is removed and path is left as it was. Equal tensors give
+    byte-identical files in either form.
     """
     path = Path(path)
     if path.exists() and not overwrite:
         raise FileExistsError(f"{path} exists (pass force/overwrite to replace)")
+    if layout is None:
+        layout = {key: (rec.dtype, rec.shape) for key, rec in records.items()}
+        records = records.items()
     header: dict[str, dict] = {}
     begin = 0
-    for key in sorted(records):
-        rec = records[key]
+    for key in sorted(layout):
+        dtype, shape = layout[key]
+        if dtype not in _DTYPES:
+            raise ValueError(f"{key}: unsupported dtype {dtype!r}")
+        end = begin + math.prod(shape) * _DTYPES[dtype][1]
         header[key] = {
-            "dtype": _DTYPES[rec.dtype][0],
-            "shape": list(rec.shape),
-            "data_offsets": [begin, begin + len(rec.raw)],
+            "dtype": _DTYPES[dtype][0],
+            "shape": list(shape),
+            "data_offsets": [begin, end],
         }
-        begin += len(rec.raw)
+        begin = end
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     pad = -(8 + len(body)) % 8
     body += b" " * pad
+    buf_start = 8 + len(body)
+    pending = dict(layout)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(len(body).to_bytes(8, "little"))
             fh.write(body)
-            for key in header:  # sorted, like the offsets
-                fh.write(records[key].raw)
+            for key, rec in records:
+                if key not in pending:
+                    raise ValueError(f"{key}: not in the layout, or written twice")
+                dtype, shape = pending.pop(key)
+                if (rec.dtype, rec.shape) != (dtype, tuple(shape)):
+                    raise ValueError(
+                        f"{key}: got {rec.dtype} {rec.shape}, layout says {dtype} {tuple(shape)}"
+                    )
+                fh.seek(buf_start + header[key]["data_offsets"][0])
+                fh.write(rec.raw)
+                del rec  # let the tensor go before the next one is produced
+            if pending:
+                raise ValueError(f"tensors {sorted(pending)} were never written")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -79,7 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("merge", help="merge adapter checkpoints into one delta")
     m.add_argument("adapters", nargs="*", help="adapter checkpoint paths")
     m.add_argument("--manifest", help="JSON manifest listing adapter paths/names/scalings")
-    m.add_argument("--base", help="base checkpoint; required for fused output")
+    m.add_argument(
+        "--base", help="base checkpoint; required for fused output and read only for it"
+    )
     m.add_argument("--method", choices=METHODS, default="do_merging")
     m.add_argument(
         "--lambda",
@@ -210,6 +212,21 @@ def _stats_dict(stats) -> dict:
     }
 
 
+def _f32_records(layers, mode: str, rank: int | None, base, out_path: Path):
+    """(key, f32 record) pairs of the layers' output tensors, each checked finite.
+
+    Layers are rendered one at a time, and a layer's arrays are released
+    before the next one is rendered.
+    """
+    for layer in layers:
+        for key, arr in layer_outputs(layer, mode, rank, base).items():
+            record = TensorRecord.from_array(key, arr, "f32")
+            if not np.isfinite(np.frombuffer(record.raw, dtype="<f4")).all():
+                raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
+            yield key, record
+        del arr, record
+
+
 def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
@@ -241,17 +258,23 @@ def cmd_merge(args) -> int:
 
     paths, names, scalings = _gather_sources(args)
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=args.strict)
-    base = load_checkpoint(args.base) if args.base else None
+    base = load_checkpoint(args.base) if mode == "fused" else None
     merged = merge_adapter_set(adapters, config=config, threads=threads)
 
-    records: dict[str, TensorRecord] = {}
+    # the header is laid out before any tensor is rendered
+    layout: dict[str, tuple[str, tuple[int, ...]]] = {}
+    owners: dict[str, str] = {}
     for layer in merged.values():
-        for key, arr in layer_outputs(layer, mode, rank, base).items():
-            record = TensorRecord.from_array(key, arr, "f32")
-            if not np.isfinite(np.frombuffer(record.raw, dtype="<f4")).all():
-                raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
-            records[key] = record
-    save_checkpoint(records, out_path, overwrite=True)
+        for key, shape in layer_outputs(layer, mode, rank, base, shapes_only=True).items():
+            if key in owners:
+                raise AlignmentError(
+                    f"layers {owners[key]!r} and {layer.layer_key!r} "
+                    f"both write output tensor {key!r}"
+                )
+            owners[key] = layer.layer_key
+            layout[key] = ("f32", shape)
+    records = _f32_records(merged.values(), mode, rank, base, out_path)
+    save_checkpoint(records, out_path, overwrite=True, layout=layout)
 
     layer_stats = {}
     for key, layer in merged.items():

@@ -159,11 +159,9 @@ def _merged_factors(layers, config: MergeConfig):
 
 
 def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """svd_truncate(left @ right, r) from QRs of the stacks and an SVD of the
-    R x R core; components past the product's rank are zero."""
-    m, n = left.shape[0], right.shape[1]
-    if not (1 <= r <= min(m, n)):
-        raise ValueError(f"rank {r} out of range for shape {(m, n)}")
+    """svd_truncate(left @ right, r), 1 <= r <= min(m, n), from QRs of the
+    stacks and an SVD of the R x R core; components past the product's rank
+    are zero."""
     q_l, r_l = np.linalg.qr(left)
     q_r, r_r = np.linalg.qr(right.T)
     u, s, vt = np.linalg.svd(r_l @ r_r.T, full_matrices=False)
@@ -197,30 +195,46 @@ def resolve_base_key(base: dict, layer_key: str) -> str:
 
 
 def layer_outputs(
-    merged: MergedLayer, mode: str, rank: int | None = None, base: dict[str, TensorRecord] | None = None
-) -> dict[str, np.ndarray]:
+    merged: MergedLayer,
+    mode: str,
+    rank: int | None = None,
+    base: dict[str, TensorRecord] | None = None,
+    shapes_only: bool = False,
+) -> dict:
     """The tensors one merged layer contributes to an output checkpoint, by key.
 
     "delta": the merged delta under the bare layer key. "fused": base weights
     plus the delta, under the base's key for the layer; base is a
     load_checkpoint record map. "lowrank": the best rank-`rank` factors as a
-    lora_B / lora_A weight pair.
+    lora_B / lora_A weight pair. With shapes_only the values are the
+    tensors' shapes and nothing is rendered, so a writer can lay out the
+    file first; both forms raise the same errors.
     """
     key = merged.layer_key
     if mode == "delta":
-        return {key: merged.delta}
+        return {key: merged.shape if shapes_only else merged.delta}
     if mode == "fused":
         if base is None:
             raise ValueError("fused output mode requires a base checkpoint")
         base_key = resolve_base_key(base, key)
-        fused = base[base_key].to_array()
-        if fused.shape != merged.shape:
-            raise AlignmentError(f"base {base_key!r} has shape {fused.shape}, delta has {merged.shape}")
+        record = base[base_key]
+        if record.shape != merged.shape:
+            raise AlignmentError(f"base {base_key!r} has shape {record.shape}, delta has {merged.shape}")
+        if shapes_only:
+            return {base_key: merged.shape}
+        fused = record.to_array()
+        record.release()  # a mapped base keeps only the layer being merged resident
         fused += merged.delta
         return {base_key: fused}
     if mode == "lowrank":
+        m, n = merged.shape
+        if not (1 <= rank <= min(m, n)):
+            raise ValueError(f"rank {rank} out of range for shape {(m, n)}")
+        b_key, a_key = key + ".lora_B.weight", key + ".lora_A.weight"
+        if shapes_only:
+            return {b_key: (m, rank), a_key: (rank, n)}
         b, a = _truncated_factors(merged.left, merged.right, rank)
-        return {key + ".lora_B.weight": b, key + ".lora_A.weight": a}
+        return {b_key: b, a_key: a}
     raise ValueError(f"unknown output mode {mode!r}")
 
 

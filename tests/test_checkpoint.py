@@ -131,6 +131,78 @@ def test_failed_save_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["isdir"]
 
 
+def _streamed(records):
+    """The (key, record) pairs of a record map in reverse key order."""
+    return [(key, records[key]) for key in sorted(records, reverse=True)]
+
+
+def _layout(records):
+    return {key: (rec.dtype, rec.shape) for key, rec in records.items()}
+
+
+def test_streamed_save_matches_dict_save(tmp_path, rng):
+    records = {
+        key: TensorRecord.from_array(key, rng.standard_normal(shape), dtype)
+        for key, shape, dtype in [("w1", (4, 5), "f32"), ("b", (3,), "bf16"), ("z", (2, 3), "f64")]
+    }
+    whole, streamed = tmp_path / "whole.safetensors", tmp_path / "streamed.safetensors"
+    save_checkpoint(records, whole)
+    save_checkpoint(iter(_streamed(records)), streamed, layout=_layout(records))
+    assert whole.read_bytes() == streamed.read_bytes()
+
+
+def _bad_streams(records):
+    extra = TensorRecord.from_array("extra", np.ones(2), "f32")
+    wrong_shape = TensorRecord.from_array("a", np.ones((3, 2)), "f32")
+    wrong_dtype = TensorRecord.from_array("a", np.ones((2, 3)), "f64")
+    pairs = _streamed(records)
+    return {
+        "missing": pairs[1:],
+        "extra": pairs + [("extra", extra)],
+        "duplicate": pairs + pairs[:1],
+        "wrong_shape": [("a", wrong_shape), ("b", records["b"])],
+        "wrong_dtype": [("a", wrong_dtype), ("b", records["b"])],
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "extra", "duplicate", "wrong_shape", "wrong_dtype"])
+def test_streamed_save_rejects_bad_streams(tmp_path, case):
+    records = {
+        "a": TensorRecord.from_array("a", np.ones((2, 3)), "f32"),
+        "b": TensorRecord.from_array("b", np.ones(4), "f32"),
+    }
+    path = tmp_path / "s.safetensors"
+    with pytest.raises(ValueError):
+        save_checkpoint(_bad_streams(records)[case], path, layout=_layout(records))
+    assert list(tmp_path.iterdir()) == []  # neither the output nor a .s.safetensors.* temp file
+    path.write_bytes(b"occupied")
+    with pytest.raises(ValueError):
+        save_checkpoint(_bad_streams(records)[case], path, layout=_layout(records))
+    assert [p.name for p in tmp_path.iterdir()] == ["s.safetensors"]
+    assert path.read_bytes() == b"occupied"
+
+
+def test_loaded_records_view_a_file_map(tmp_path, rng):
+    records = {"w": TensorRecord.from_array("w", rng.standard_normal((3, 4)), "f32")}
+    path = tmp_path / "m.safetensors"
+    save_checkpoint(records, path)
+    back = load_checkpoint(path)["w"]
+    assert isinstance(back.raw, memoryview) and back.raw.readonly
+    expected = records["w"].to_array()
+    path.unlink()  # the map outlives the path
+    back.release()  # and faults its pages back in after a release
+    assert np.array_equal(back.to_array(), expected)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7])
+def test_short_file_rejected_at_byte_0(tmp_path, size):
+    path = tmp_path / "short.safetensors"
+    path.write_bytes(b"\x01" * size)
+    with pytest.raises(MalformedHeaderError) as exc:
+        load_checkpoint(path)
+    assert exc.value.position == 0
+
+
 def test_truncated_file_rejected_with_position(tmp_path):
     blob = raw_safetensors([("x", "F32", np.ones(4, dtype=np.float32))])
     path = tmp_path / "t.safetensors"

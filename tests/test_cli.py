@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +121,92 @@ def test_merge_fused_base_shape_conflict_exit_3(adapter_files, tmp_path, capsys,
     assert code == 3
     assert "'enc.0.attn.v.weight'" in err and "(12, 16)" in err
     assert not out.exists()
+
+
+def test_merge_fused_output_key_collision_exit_3(tmp_path, capsys, rng):
+    # layers "a" and "a.weight" both resolve to the base's "a.weight"
+    adapter = tmp_path / "ad.safetensors"
+    save_checkpoint(make_adapter_records(["a", "a.weight"], 2, (6, 5), rng), adapter)
+    base = tmp_path / "base.safetensors"
+    weight = TensorRecord.from_array("a.weight", rng.standard_normal((6, 5)), "f32")
+    save_checkpoint({"a.weight": weight}, base)
+    out = tmp_path / "fused.safetensors"
+    code, _, err = run(
+        capsys, "merge", str(adapter), "--base", str(base), "--output-mode", "fused",
+        "--output", str(out),
+    )
+    assert code == 3
+    assert "'a'" in err and "'a.weight'" in err and "both write output tensor 'a.weight'" in err
+    assert not out.exists()
+
+
+def test_merge_delta_ignores_corrupt_base(adapter_files, tmp_path, capsys):
+    corrupt = tmp_path / "corrupt.safetensors"
+    corrupt.write_bytes(b"garbage bytes here")
+    plain, with_base = tmp_path / "plain.safetensors", tmp_path / "with_base.safetensors"
+    args = [str(p) for p in adapter_files]
+    assert run(capsys, "merge", *args, "--output", str(plain))[0] == 0
+    assert run(capsys, "merge", *args, "--base", str(corrupt), "--output", str(with_base))[0] == 0
+    assert plain.read_bytes() == with_base.read_bytes()
+
+
+def test_merge_fused_output_may_replace_base(adapter_files, base_file, tmp_path, capsys):
+    elsewhere = tmp_path / "fused.safetensors"
+    args = [*(str(p) for p in adapter_files), "--output-mode", "fused"]
+    assert run(capsys, "merge", *args, "--base", str(base_file), "--output", str(elsewhere))[0] == 0
+    # the base is read through a map, which survives the output replacing its path
+    code, _, _ = run(
+        capsys, "merge", *args, "--base", str(base_file), "--output", str(base_file), "--force"
+    )
+    assert code == 0
+    assert base_file.read_bytes() == elsewhere.read_bytes()
+
+
+_PEAK_RSS_CHILD = """
+import sys
+import domerge.cli
+if sys.argv[1:]:
+    assert domerge.cli.main(sys.argv[1:]) == 0
+print([line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")][0])
+"""
+
+
+def _peak_rss_kb(*argv) -> int:
+    """VmHWM of a child that imports the CLI and runs argv, read by the child itself."""
+    child = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True, text=True, check=True
+    )
+    return int(child.stdout.split()[-1])
+
+
+def _has_vmhwm() -> bool:
+    try:
+        return "VmHWM:" in Path("/proc/self/status").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_merge_fused_peak_memory_is_bounded(tmp_path, rng):
+    # a 16 MB bf16 base of 8 layers of 1024 x 1024; peak RSS above the
+    # import's may hold the base once plus a few layers' f64 arrays
+    keys, shape = [f"layer{i}" for i in range(8)], (1024, 1024)
+    adapters = []
+    for i in range(2):
+        adapters.append(tmp_path / f"adapter{i}.safetensors")
+        save_checkpoint(make_adapter_records(keys, 4, shape, rng), adapters[-1])
+    base = tmp_path / "base.safetensors"
+    weights = [k + ".weight" for k in keys]
+    save_checkpoint(
+        {k: TensorRecord.from_array(k, rng.standard_normal(shape), "bf16") for k in weights}, base
+    )
+    merged_kb = _peak_rss_kb(
+        "merge", *map(str, adapters), "--base", str(base), "--method", "task_arithmetic",
+        "--output-mode", "fused", "--output", str(tmp_path / "fused.safetensors"),
+    )
+    growth = (merged_kb - _peak_rss_kb()) * 1024
+    layer_f64 = 8 * shape[0] * shape[1]
+    assert growth <= base.stat().st_size + 4 * layer_f64
 
 
 def test_merge_lowrank_emits_factor_pairs(adapter_files, tmp_path, capsys):
@@ -257,18 +346,23 @@ def test_merge_non_numeric_scaling_exit_3(adapter_files, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
 def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
-    # finite f64 factors whose merged delta overflows the f32 output
-    records = make_adapter_records(["l"], rank=2, full_shape=(4, 3), rng=rng, dtype="f64")
+    # finite f64 factors whose merged delta overflows the f32 output; layer
+    # "a" (all zeros) is written before "l" fails, so the failure is mid-stream
+    records = make_adapter_records(["a", "l"], rank=2, full_shape=(4, 3), rng=rng, dtype="f64")
+    records["a.lora_B.weight"] = TensorRecord.from_array("a.lora_B.weight", np.zeros((4, 2)), "f64")
     path = tmp_path / "big.safetensors"
     save_checkpoint(records, path)
     out = tmp_path / "o.safetensors"
-    code, _, err = run(
-        capsys, "merge", str(path), "--method", "task_arithmetic", "--lambda", "1e300",
-        "--output", str(out),
-    )
+    argv = ["merge", str(path), "--method", "task_arithmetic", "--lambda", "1e300", "--output", str(out)]
+    code, _, err = run(capsys, *argv)
     assert code == 2
     assert "'l'" in err and "not finite" in err
     assert not out.exists()
+    out.write_bytes(b"occupied")
+    code, _, err = run(capsys, *argv, "--force")
+    assert code == 2 and "'l'" in err
+    assert out.read_bytes() == b"occupied"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]
 
 
 def test_merge_ablation_flags(adapter_files, tmp_path, capsys):

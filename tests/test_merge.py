@@ -175,6 +175,27 @@ def test_fused_output_shape_conflict_rejected(adapter_files, rng):
             layer_outputs(layer, "fused", base=base)
 
 
+@pytest.mark.parametrize("mode, rank", [("delta", None), ("fused", None), ("lowrank", 3)])
+def test_layer_outputs_shapes_only_matches_rendered(adapter_files, rng, mode, rank):
+    adapters = extract_adapters(adapter_files)
+    base = base_records(adapters.layer_keys, (16, 12), rng)
+    for layer in merge_adapter_set(adapters).values():
+        shapes = layer_outputs(layer, mode, rank, base, shapes_only=True)
+        rendered = layer_outputs(layer, mode, rank, base)
+        assert list(shapes) == list(rendered)
+        assert all(shapes[key] == arr.shape for key, arr in rendered.items())
+
+
+def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
+    adapters = extract_adapters(adapter_files)
+    layer = next(iter(merge_adapter_set(adapters).values()))
+    conflict = base_records(adapters.layer_keys, (3, 3), rng)
+    with pytest.raises(AlignmentError):
+        layer_outputs(layer, "fused", base=conflict, shapes_only=True)
+    with pytest.raises(ValueError, match="out of range"):
+        layer_outputs(layer, "lowrank", 13, shapes_only=True)
+
+
 def test_merge_adapter_set_returns_rank_sum_factors(rng):
     layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
     adapters = AdapterSet([{"l": layer} for layer in layers], ["a", "b"])

@@ -39,15 +39,7 @@ from .experiments import (
     magnitude_weighted_loss,
     sign_conflict_rate,
 )
-from .linalg import (
-    Decoupled,
-    column_norms,
-    cross_gram_norm,
-    decouple,
-    frobenius_norm,
-    recompose,
-    svd_truncate,
-)
+from .linalg import Decoupled, decouple, recompose
 from .merge import (
     MergeConfig,
     MergedLayer,
@@ -77,15 +69,12 @@ __all__ = [
     "assemble_full_rank",
     "balance_sweep",
     "build_report",
-    "column_norms",
-    "cross_gram_norm",
     "decouple",
     "decoupling_comparison",
     "dumps_deterministic",
     "emit_report",
     "extract_adapters",
     "factor_crossterm_trial",
-    "frobenius_norm",
     "layer_outputs",
     "load_checkpoint",
     "load_manifest",
@@ -101,7 +90,6 @@ __all__ = [
     "recompose",
     "save_checkpoint",
     "sign_conflict_rate",
-    "svd_truncate",
 ]
 
 __version__ = "0.1.0"

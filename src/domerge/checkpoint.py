@@ -18,11 +18,11 @@ and written one at a time.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
 import os
-import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -30,13 +30,18 @@ from pathlib import Path
 
 import numpy as np
 
+# dtype -> (wire name, width, numpy storage code); bf16 is stored as raw 16-bit words
 _DTYPES = {
-    "f64": ("F64", 8),
-    "f32": ("F32", 4),
-    "f16": ("F16", 2),
-    "bf16": ("BF16", 2),
+    "f64": ("F64", 8, "<f8"),
+    "f32": ("F32", 4, "<f4"),
+    "f16": ("F16", 2, "<f2"),
+    "bf16": ("BF16", 2, "<u2"),
 }
-_WIRE_TO_DTYPE = {wire: name for name, (wire, _) in _DTYPES.items()}
+_WIRE_TO_DTYPE = {wire: name for name, (wire, _, _) in _DTYPES.items()}
+
+# a LoRA factor pair is stored under <layer key><suffix>
+LORA_A_SUFFIX = ".lora_A.weight"
+LORA_B_SUFFIX = ".lora_B.weight"
 
 
 class CheckpointError(Exception):
@@ -89,13 +94,10 @@ class TensorRecord:
 
     def to_array(self) -> np.ndarray:
         """Decode to float64 regardless of storage precision."""
+        data = np.frombuffer(self.raw, dtype=_DTYPES[self.dtype][2])
         if self.dtype == "bf16":
-            u16 = np.frombuffer(self.raw, dtype="<u2").astype(np.uint32)
-            data = (u16 << 16).view("<f4").astype(np.float64)
-        else:
-            code = {"f64": "<f8", "f32": "<f4", "f16": "<f2"}[self.dtype]
-            data = np.frombuffer(self.raw, dtype=code).astype(np.float64)
-        return data.reshape(self.shape)
+            data = (data.astype(np.uint32) << 16).view("<f4")
+        return data.astype(np.float64).reshape(self.shape)
 
     def release(self) -> None:
         """Drop the pages of the file map this record views from memory.
@@ -109,28 +111,23 @@ class TensorRecord:
 
     @classmethod
     def from_array(cls, key: str, arr, dtype: str = "f32") -> "TensorRecord":
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        if dtype == "bf16":
-            raw = _encode_bf16(arr)
-        elif dtype == "f16":
-            raw = arr.astype("<f2").tobytes()
-        elif dtype == "f32":
-            raw = arr.astype("<f4").tobytes()
-        elif dtype == "f64":
-            raw = arr.astype("<f8").tobytes()
-        else:
+        """Encode arr; the record's raw is a read-only view of the one encoded copy."""
+        if dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}")
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        encoded = _encode_bf16(arr) if dtype == "bf16" else arr.astype(_DTYPES[dtype][2])
+        raw = memoryview(encoded.reshape(-1).view(np.uint8)).toreadonly()
         return cls(key=key, dtype=dtype, shape=arr.shape, raw=raw)
 
 
-def _encode_bf16(arr: np.ndarray) -> bytes:
+def _encode_bf16(arr: np.ndarray) -> np.ndarray:
     # round-to-nearest-even truncation of the f32 bit pattern
     u = arr.astype("<f4").view("<u4")
     rounded = ((u.astype(np.uint64) + 0x7FFF + ((u >> 16) & 1)) >> 16).astype(np.uint16)
     nan = np.isnan(arr)
     if nan.any():  # keep NaN payloads from rounding up into infinity
         rounded = np.where(nan, ((u >> 16) | 0x0040).astype(np.uint16), rounded)
-    return rounded.astype("<u2").tobytes()
+    return rounded.astype("<u2")
 
 
 def _unique_keys(pairs) -> dict:
@@ -182,11 +179,12 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
         if not isinstance(wire, str) or wire not in _WIRE_TO_DTYPE:
             raise UnknownDtypeError(f"tensor {key!r}: unknown dtype {wire!r}", 8)
         dtype = _WIRE_TO_DTYPE[wire]
+        # type(), not isinstance: JSON true/false load as bool, an int subclass
         shape = entry["shape"]
-        if not isinstance(shape, list) or any(not isinstance(d, int) or d < 0 for d in shape):
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
             raise MalformedHeaderError(f"tensor {key!r}: bad shape {shape!r}", 8)
         offs = entry["data_offsets"]
-        if not (isinstance(offs, list) and len(offs) == 2 and all(isinstance(o, int) for o in offs)):
+        if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
             raise MalformedHeaderError(f"tensor {key!r}: bad data_offsets {offs!r}", 8)
         begin, end = offs
         width = _DTYPES[dtype][1]
@@ -216,7 +214,23 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
     return records
 
 
-def save_checkpoint(records, path, overwrite: bool = True, layout=None) -> None:
+@contextlib.contextmanager
+def atomic_file(path, mode: str = "wb"):
+    """Yield a sibling temp file opened with mode; it replaces path on a clean
+    exit, and on any error it is removed and path is left as it was."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def save_checkpoint(records, path, layout=None) -> None:
     """Serialize tensors deterministically (sorted keys) and atomically.
 
     records is a key -> TensorRecord map. Given layout, a key -> (dtype,
@@ -225,13 +239,9 @@ def save_checkpoint(records, path, overwrite: bool = True, layout=None) -> None:
     from the layout alone and is padded with spaces so the byte buffer
     starts 8-byte aligned; each tensor is then written at its offset as it
     arrives. A tensor missing from the layout, repeated, of another dtype
-    or shape, or never produced is a ValueError. On any error the temporary
-    file is removed and path is left as it was. Equal tensors give
-    byte-identical files in either form.
+    or shape, or never produced is a ValueError. On any error path is left
+    as it was. Equal tensors give byte-identical files in either form.
     """
-    path = Path(path)
-    if path.exists() and not overwrite:
-        raise FileExistsError(f"{path} exists (pass force/overwrite to replace)")
     if layout is None:
         layout = {key: (rec.dtype, rec.shape) for key, rec in records.items()}
         records = records.items()
@@ -253,29 +263,22 @@ def save_checkpoint(records, path, overwrite: bool = True, layout=None) -> None:
     body += b" " * pad
     buf_start = 8 + len(body)
     pending = dict(layout)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(len(body).to_bytes(8, "little"))
-            fh.write(body)
-            for key, rec in records:
-                if key not in pending:
-                    raise ValueError(f"{key}: not in the layout, or written twice")
-                dtype, shape = pending.pop(key)
-                if (rec.dtype, rec.shape) != (dtype, tuple(shape)):
-                    raise ValueError(
-                        f"{key}: got {rec.dtype} {rec.shape}, layout says {dtype} {tuple(shape)}"
-                    )
-                fh.seek(buf_start + header[key]["data_offsets"][0])
-                fh.write(rec.raw)
-                del rec  # let the tensor go before the next one is produced
-            if pending:
-                raise ValueError(f"tensors {sorted(pending)} were never written")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_file(path) as fh:
+        fh.write(len(body).to_bytes(8, "little"))
+        fh.write(body)
+        for key, rec in records:
+            if key not in pending:
+                raise ValueError(f"{key}: not in the layout, or written twice")
+            dtype, shape = pending.pop(key)
+            if (rec.dtype, rec.shape) != (dtype, tuple(shape)):
+                raise ValueError(
+                    f"{key}: got {rec.dtype} {rec.shape}, layout says {dtype} {tuple(shape)}"
+                )
+            fh.seek(buf_start + header[key]["data_offsets"][0])
+            fh.write(rec.raw)
+            del rec  # let the tensor go before the next one is produced
+        if pending:
+            raise ValueError(f"tensors {sorted(pending)} were never written")
 
 
 @dataclass(frozen=True)
@@ -330,41 +333,19 @@ class AdapterSet:
         return [adapter[key] for adapter in self.adapters]
 
 
-def _pattern_regex(pattern: str) -> re.Pattern:
-    # '*' spans become capture groups; their concatenation is the layer key
-    parts = pattern.split("*")
-    return re.compile("(.*)".join(re.escape(p) for p in parts) + r"\Z")
+def _match_factors(records, suffix: str) -> dict[str, str]:
+    """Layer key -> record key, for each record key that ends in suffix."""
+    return {key[: -len(suffix)]: key for key in records if key.endswith(suffix)}
 
 
-def _match_factors(records, pattern) -> dict[str, str]:
-    rx = _pattern_regex(pattern)
-    out = {}
-    for key in records:
-        m = rx.match(key)
-        if m:
-            out["".join(m.groups())] = key
-    return out
-
-
-DEFAULT_A_PATTERN = "*.lora_A.weight"
-DEFAULT_B_PATTERN = "*.lora_B.weight"
-
-
-def extract_adapters(
-    files,
-    a_pattern: str = DEFAULT_A_PATTERN,
-    b_pattern: str = DEFAULT_B_PATTERN,
-    scalings=None,
-    names=None,
-    strict: bool = True,
-) -> AdapterSet:
+def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> AdapterSet:
     """Build an aligned AdapterSet from checkpoint files.
 
-    Layer identity is the key with the factor pattern's literal parts
-    stripped (the '*' spans). Each matched layer needs exactly one A and one
-    B tensor. In strict mode every adapter must carry the same layer keys
-    with the same full-rank shapes; in lenient mode unmatched or conflicting
-    keys are dropped with a recorded warning. Ranks may differ per adapter.
+    Layer identity is the key with LORA_A_SUFFIX or LORA_B_SUFFIX stripped.
+    Each matched layer needs exactly one A and one B tensor. In strict mode
+    every adapter must carry the same layer keys with the same full-rank
+    shapes; in lenient mode unmatched or conflicting keys are dropped with a
+    recorded warning. Ranks may differ per adapter.
     """
     files = [Path(f) for f in files]
     if not files:
@@ -379,8 +360,8 @@ def extract_adapters(
     adapters: list[dict[str, LoraLayer]] = []
     for f, scale in zip(files, scalings):
         records = load_checkpoint(f)
-        a_keys = _match_factors(records, a_pattern)
-        b_keys = _match_factors(records, b_pattern)
+        a_keys = _match_factors(records, LORA_A_SUFFIX)
+        b_keys = _match_factors(records, LORA_B_SUFFIX)
         if set(a_keys) != set(b_keys):
             lonely = sorted(set(a_keys) ^ set(b_keys))
             raise AlignmentError(f"{f.name}: unmatched factor pair for layer(s) {lonely}")

@@ -4,21 +4,21 @@ Exit codes for merge/inspect/diagnose: 0 success, 2 usage, 3 checkpoint
 parse or adapter alignment failure, 4 I/O failure. verify exits 0 when
 every selected suite's property holds, 1 when one is violated, 2 on usage
 errors. Identical invocations with the same seed produce byte-identical
-outputs and reports.
+outputs and reports. The merge draws no random numbers: only verify uses
+--seed, and merge accepts the flag and ignores it.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import (
-    DEFAULT_A_PATTERN,
-    DEFAULT_B_PATTERN,
+    LORA_A_SUFFIX,
+    LORA_B_SUFFIX,
     AlignmentError,
     ParseError,
     TensorRecord,
@@ -103,7 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="delta",
         help="delta (default), fused, or lowrank:R for a rank-R refactorization",
     )
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="ignored: the merge draws no random numbers (only verify uses a seed)",
+    )
     strictness = m.add_mutually_exclusive_group()
     strictness.add_argument(
         "--strict",
@@ -120,10 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     m.add_argument("--force", action="store_true", help="overwrite an existing output file")
     m.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="layer parallelism of the factor merge; falls back to DO_MERGE_THREADS, then 1",
+        "--threads", type=int, default=1, help="layer parallelism of the factor merge"
     )
     m.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
     m.set_defaults(func=cmd_merge)
@@ -186,23 +188,6 @@ def _parse_output_mode(text: str) -> tuple[str, int | None]:
     raise _CliError(EXIT_USAGE, "usage", f"unknown output mode {text!r}")
 
 
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        env = os.environ.get("DO_MERGE_THREADS")
-        if env:
-            try:
-                value = int(env)
-            except ValueError:
-                raise _CliError(
-                    EXIT_USAGE, "usage", f"DO_MERGE_THREADS must be an integer, got {env!r}"
-                ) from None
-        else:
-            value = 1
-    if value < 1:
-        raise _CliError(EXIT_USAGE, "usage", "--threads must be >= 1")
-    return value
-
-
 def _stats_dict(stats) -> dict:
     return {
         "initial_lo": stats.initial_lo,
@@ -231,7 +216,8 @@ def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
         raise _CliError(EXIT_USAGE, "usage", "--output-mode fused requires --base")
-    threads = _resolve_threads(args.threads)
+    if args.threads < 1:
+        raise _CliError(EXIT_USAGE, "usage", "--threads must be >= 1")
     out_path = Path(args.output)
     if out_path.exists() and not args.force:
         raise _CliError(EXIT_IO, "io", f"{out_path} exists; pass --force to overwrite")
@@ -259,7 +245,7 @@ def cmd_merge(args) -> int:
     paths, names, scalings = _gather_sources(args)
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=args.strict)
     base = load_checkpoint(args.base) if mode == "fused" else None
-    merged = merge_adapter_set(adapters, config=config, threads=threads)
+    merged = merge_adapter_set(adapters, config=config, threads=args.threads)
 
     # the header is laid out before any tensor is rendered
     layout: dict[str, tuple[str, tuple[int, ...]]] = {}
@@ -274,7 +260,7 @@ def cmd_merge(args) -> int:
             owners[key] = layer.layer_key
             layout[key] = ("f32", shape)
     records = _f32_records(merged.values(), mode, rank, base, out_path)
-    save_checkpoint(records, out_path, overwrite=True, layout=layout)
+    save_checkpoint(records, out_path, layout=layout)
 
     layer_stats = {}
     for key, layer in merged.items():
@@ -304,8 +290,8 @@ def cmd_inspect(args) -> int:
     tensors = [
         {"key": k, "dtype": r.dtype, "shape": list(r.shape)} for k, r in sorted(records.items())
     ]
-    a_keys = _match_factors(records, DEFAULT_A_PATTERN)
-    b_keys = _match_factors(records, DEFAULT_B_PATTERN)
+    a_keys = _match_factors(records, LORA_A_SUFFIX)
+    b_keys = _match_factors(records, LORA_B_SUFFIX)
     pairs = []
     for prefix in sorted(set(a_keys) & set(b_keys)):
         a = records[a_keys[prefix]]

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import AdapterSet
+from .checkpoint import AdapterSet, atomic_file
 from .merge import MergeConfig, _factors, _orthogonalized_factors, _unit_magnitudes
 from .ortho import _owner_mask
 
@@ -23,18 +20,8 @@ def format_float(x: float) -> str:
 def atomic_write_text(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partially written file."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_file(path, "w") as fh:
+        fh.write(text)
 
 
 def dumps_deterministic(obj) -> str:
@@ -183,7 +170,6 @@ def build_report(
 
 def emit_report(report: DiagnosticsReport, path, format: str = "json") -> None:
     """Write the report; equal reports produce byte-identical files."""
-    path = Path(path)
     if format == "json":
         payload = {
             "magnitude_variance": report.magnitude_variance,

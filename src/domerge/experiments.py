@@ -190,22 +190,19 @@ class ConflictReduction(NamedTuple):
 CONFLICT_TRIAL_ORTHO = OrthoConfig(step_size=1.0, max_rel_perturbation=0.10)
 
 
-def conflict_reduction_trial(
-    spec: SyntheticSpec, ortho_config: OrthoConfig | None = None, trial: int = 0
-) -> ConflictReduction:
-    """Orthogonalize one deliberately conflicted pair; report conflict rates.
+def conflict_reduction_trial(spec: SyntheticSpec, trial: int = 0) -> ConflictReduction:
+    """Orthogonalize one deliberately conflicted pair under CONFLICT_TRIAL_ORTHO;
+    report conflict rates.
 
     The pair is built anti-correlated (W2 = -0.7 W1 + 0.7 G) so roughly
     three quarters of the positions start in sign conflict.
     """
-    if ortho_config is None:
-        ortho_config = CONFLICT_TRIAL_ORTHO
     rng = np.random.default_rng((spec.seed, trial))
     w1 = rng.standard_normal((spec.m, spec.n))
     noise = rng.standard_normal((spec.m, spec.n))
     w2 = -0.7 * w1 + 0.7 * noise
     initial = sign_conflict_rate(w1, w2)
-    (p1, p2), stats = orthogonalize_group([w1, w2], ortho_config)
+    (p1, p2), stats = orthogonalize_group([w1, w2], CONFLICT_TRIAL_ORTHO)
     final = sign_conflict_rate(p1, p2)
     return ConflictReduction(initial, final, stats.lo_trajectory)
 

@@ -1,4 +1,4 @@
-"""Dense-matrix primitives: magnitude/direction decoupling, Gram measures, SVD truncation.
+"""Dense-matrix primitives: magnitude/direction decoupling and its inverse.
 
 Everything here works on plain 2-D float64 numpy arrays and is pure. Matrices
 coming from half-precision checkpoints are upcast before they reach this layer.
@@ -22,14 +22,13 @@ def _as_matrix(w, name="W"):
     return w
 
 
-def frobenius_norm(w) -> float:
-    return float(np.linalg.norm(np.asarray(w, dtype=np.float64)))
+def _floor_degenerate(norms: np.ndarray) -> np.ndarray:
+    """The unit norms of one matrix with its degenerate units set to 0.
 
-
-def column_norms(w) -> np.ndarray:
-    """Per-column Euclidean norms of ``w``, as a 1-D array of length cols."""
-    w = _as_matrix(w)
-    return np.linalg.norm(w, axis=0)
+    A unit is degenerate when its norm is at or below
+    tau = 1e-12 * ||W||_F / sqrt(units); ||W||_F is the norm of ``norms``.
+    """
+    return np.where(norms > 1e-12 * np.linalg.norm(norms) / np.sqrt(norms.size), norms, 0.0)
 
 
 @dataclass(frozen=True)
@@ -60,26 +59,14 @@ def decouple(w, mode: str = "column") -> Decoupled:
     w = _as_matrix(w)
     if mode not in MAGNITUDE_MODES:
         raise ValueError(f"unknown magnitude mode {mode!r}")
-    total = np.linalg.norm(w)
-    if mode == "column":
-        norms = np.linalg.norm(w, axis=0)
-        tau = 1e-12 * total / np.sqrt(w.shape[1])
-        keep = norms > tau
-        direction = np.where(keep[None, :], w / np.where(keep, norms, 1.0)[None, :], 0.0)
-        magnitude = np.where(keep, norms, 0.0)
-    elif mode == "row":
-        norms = np.linalg.norm(w, axis=1)
-        tau = 1e-12 * total / np.sqrt(w.shape[0])
-        keep = norms > tau
-        direction = np.where(keep[:, None], w / np.where(keep, norms, 1.0)[:, None], 0.0)
-        magnitude = np.where(keep, norms, 0.0)
+    if mode == "matrix":
+        norms = np.array([np.linalg.norm(w)])
     else:
-        if total > 0.0:
-            magnitude = np.array([total])
-            direction = w / total
-        else:
-            magnitude = np.array([0.0])
-            direction = np.zeros_like(w)
+        norms = np.linalg.norm(w, axis=0 if mode == "column" else 1)
+    magnitude = _floor_degenerate(norms)
+    unit_shape = {"column": (1, -1), "row": (-1, 1), "matrix": (1, 1)}[mode]
+    keep = (magnitude > 0).reshape(unit_shape)
+    direction = np.where(keep, w / np.where(keep, magnitude.reshape(unit_shape), 1.0), 0.0)
     return Decoupled(magnitude=magnitude, direction=direction, mode=mode)
 
 
@@ -98,29 +85,3 @@ def recompose(d: Decoupled) -> np.ndarray:
     if magnitude.shape != (1,):
         raise ValueError("matrix mode expects a single magnitude value")
     return direction * magnitude[0]
-
-
-def cross_gram_norm(w1, w2) -> float:
-    """Squared Frobenius norm of w1.T @ w2.
-
-    Zero exactly when every column of w1 is orthogonal to every column of w2;
-    this is the pairwise interference measure the orthogonalizer drives down.
-    """
-    w1 = _as_matrix(w1, "W1")
-    w2 = _as_matrix(w2, "W2")
-    if w1.shape[0] != w2.shape[0]:
-        raise ValueError(f"row counts differ: {w1.shape[0]} vs {w2.shape[0]}")
-    return float(np.linalg.norm(w1.T @ w2) ** 2)
-
-
-def svd_truncate(w, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-r factorization of ``w`` in the Frobenius sense.
-
-    Returns (B, A) with B of shape (m, r) and A of shape (r, n); the singular
-    values are folded into B. B @ A is the optimal rank-r approximation.
-    """
-    w = _as_matrix(w)
-    if not (1 <= r <= min(w.shape)):
-        raise ValueError(f"rank {r} out of range for shape {w.shape}")
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    return u[:, :r] * s[:r], vt[:r]

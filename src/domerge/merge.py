@@ -24,8 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import AdapterSet, AlignmentError, LoraLayer, TensorRecord
-from .linalg import MAGNITUDE_MODES
+from .checkpoint import (
+    LORA_A_SUFFIX,
+    LORA_B_SUFFIX,
+    AdapterSet,
+    AlignmentError,
+    LoraLayer,
+    TensorRecord,
+)
+from .linalg import MAGNITUDE_MODES, _floor_degenerate
 from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
 
 METHODS = ("do_merging", "task_arithmetic", "average")
@@ -118,8 +125,8 @@ def _unit_magnitudes(bs, as_, mode: str) -> list[np.ndarray]:
     """decouple()'s magnitudes of each W_i = B_i A_i, without forming W_i.
 
     Column, row or whole-matrix norms are quadratic forms in the r_i x r_i
-    Grams B_i^T B_i and A_i A_i^T. As in decouple(), units with norm at or
-    below 1e-12 ||W_i||_F / sqrt(units) are degenerate and get magnitude 0.
+    Grams B_i^T B_i and A_i A_i^T; degenerate units get magnitude 0 by
+    decouple()'s floor.
     """
     if mode == "column":
         sq = [np.einsum("ij,ij->j", a, (b.T @ b) @ a) for b, a in zip(bs, as_)]
@@ -127,8 +134,7 @@ def _unit_magnitudes(bs, as_, mode: str) -> list[np.ndarray]:
         sq = [np.einsum("ij,ij->i", b, b @ (a @ a.T)) for b, a in zip(bs, as_)]
     else:
         sq = [np.array([np.vdot(b.T @ b, a @ a.T)]) for b, a in zip(bs, as_)]
-    norms = [np.sqrt(np.maximum(s, 0.0)) for s in sq]
-    return [np.where(c > 1e-12 * np.linalg.norm(c) / np.sqrt(c.size), c, 0.0) for c in norms]
+    return [_floor_degenerate(np.sqrt(np.maximum(s, 0.0))) for s in sq]
 
 
 def _decoupled_factors(bs, as_, mode: str):
@@ -159,9 +165,9 @@ def _merged_factors(layers, config: MergeConfig):
 
 
 def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """svd_truncate(left @ right, r), 1 <= r <= min(m, n), from QRs of the
-    stacks and an SVD of the R x R core; components past the product's rank
-    are zero."""
+    """Best rank-r factors (B, A) of left @ right, 1 <= r <= min(m, n), singular
+    values folded into B, from QRs of the stacks and an SVD of the R x R core;
+    components past the product's rank are zero."""
     q_l, r_l = np.linalg.qr(left)
     q_r, r_r = np.linalg.qr(right.T)
     u, s, vt = np.linalg.svd(r_l @ r_r.T, full_matrices=False)
@@ -230,7 +236,7 @@ def layer_outputs(
         m, n = merged.shape
         if not (1 <= rank <= min(m, n)):
             raise ValueError(f"rank {rank} out of range for shape {(m, n)}")
-        b_key, a_key = key + ".lora_B.weight", key + ".lora_A.weight"
+        b_key, a_key = key + LORA_B_SUFFIX, key + LORA_A_SUFFIX
         if shapes_only:
             return {b_key: (m, rank), a_key: (rank, n)}
         b, a = _truncated_factors(merged.left, merged.right, rank)

@@ -16,15 +16,14 @@ from .linalg import _as_matrix
 
 # line-search halvings before a step is declared stuck
 _MAX_BACKTRACKS = 30
+# the descent stops once an accepted step lowers the loss by less than this share
+_REL_LOSS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class OrthoConfig:
     """Tunables for the perturbation descent.
 
-    mu: weight on the perturbation-size penalty. None picks
-        initial_Lo / sum_i ||W_i||_F^2 so both loss terms start at
-        comparable scale.
     step_size: initial trial step; internally scaled by
         1 / (sum_j ||W_j||_F^2 + mu) as a crude curvature estimate, then
         backtracked. The default is conservative; experiments that need the
@@ -33,18 +32,16 @@ class OrthoConfig:
     max_rel_perturbation: hard cap on ||delta_i||_F / ||W_i||_F, enforced by
         projection every step, never just at convergence.
 
-    The descent is deterministic (zero-initialized, no sampling).
+    The penalty weight mu is initial_Lo / sum_i ||W_i||_F^2, so both loss
+    terms start at comparable scale. The descent is deterministic
+    (zero-initialized, no sampling).
     """
 
-    mu: float | None = None
     max_steps: int = 200
     step_size: float = 1e-2
-    rel_loss_tol: float = 1e-6
     max_rel_perturbation: float = 0.05
 
     def __post_init__(self):
-        if self.mu is not None and self.mu < 0:
-            raise ValueError("mu must be non-negative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
         if self.step_size <= 0:
@@ -100,6 +97,11 @@ def _member_sq(x, starts) -> np.ndarray:
     return np.add.reduceat(np.einsum("ij,ij->j", x, x), starts)
 
 
+def _grad(x, g, d, mu):
+    """2 X G_off + 2 mu D: the loss gradient for the stacked perturbed group X = W + D."""
+    return 2.0 * x @ g + 2.0 * mu * d
+
+
 def ortho_loss(mats, deltas, mu: float) -> float:
     """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
     mats, deltas = _check_group(mats, deltas)
@@ -121,7 +123,7 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
     g, _ = _off_gram(x, _owner_mask(mats))
-    return np.hsplit(2.0 * x @ g + 2.0 * mu * d, np.cumsum([w.shape[1] for w in mats[:-1]]))
+    return np.hsplit(_grad(x, g, d, mu), np.cumsum([w.shape[1] for w in mats[:-1]]))
 
 
 def orthogonalize_group(mats, config: OrthoConfig | None = None):
@@ -152,9 +154,7 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
     q, c = np.linalg.qr(w) if w.shape[0] > w.shape[1] else (None, w)
 
     total_sq = float(member_norms @ member_norms)
-    mu = config.mu
-    if mu is None:
-        mu = initial_lo / total_sq if total_sq > 0 else 0.0
+    mu = initial_lo / total_sq if total_sq > 0 else 0.0
     # target a hair inside the budget so the measured ratio ||d||/||W||
     # stays <= max_rel_perturbation after its own rounding
     caps = config.max_rel_perturbation * (1.0 - 1e-12) * member_norms
@@ -164,7 +164,7 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
     cur = cur_lo = initial_lo  # deltas are zero so the penalty term starts at 0
     trajectory = [initial_lo]
     for _ in range(config.max_steps):
-        grad = 2.0 * (c + d) @ g + 2.0 * mu * d
+        grad = _grad(c + d, g, d, mu)
         t = t_base
         for _ in range(_MAX_BACKTRACKS):
             trial = d - t * grad
@@ -181,7 +181,7 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
         rel_change = (cur - new) / cur if cur > 0 else 0.0
         d, g, cur, cur_lo = trial, new_g, new, new_lo
         trajectory.append(cur_lo)
-        if rel_change < config.rel_loss_tol:
+        if rel_change < _REL_LOSS_TOL:
             break
 
     rels = np.sqrt(_member_sq(d, starts)) / np.where(member_norms > 0, member_norms, np.inf)

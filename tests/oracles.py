@@ -1,16 +1,16 @@
 """Dense reference formulations the factored engine is checked against.
 
-These are the original pairwise-loop orthogonalizer and the dense
-decouple-and-sum layer merge. They form every m x n task matrix and loop
-over member pairs, which is exactly what the package code avoids; tests
-compare the two at stated tolerances.
+These are the original pairwise-loop orthogonalizer, the dense
+decouple-and-sum layer merge and a dense truncated SVD. They form every
+m x n task matrix and loop over member pairs, which is exactly what the
+package code avoids; tests compare the two at stated tolerances.
 """
 
 import numpy as np
 
 from domerge.linalg import Decoupled, decouple, recompose
 from domerge.merge import assemble_full_rank
-from domerge.ortho import _MAX_BACKTRACKS, OrthoStats
+from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
 
 
 def cross_gram_sum(mats) -> float:
@@ -52,9 +52,7 @@ def descend(mats, config):
         return [w.copy() for w in mats], OrthoStats(0.0, 0.0, 0, [0.0], [0.0])
 
     total_sq = sum(v * v for v in member_norms)
-    mu = config.mu
-    if mu is None:
-        mu = initial_lo / total_sq if total_sq > 0 else 0.0
+    mu = initial_lo / total_sq if total_sq > 0 else 0.0
     caps = [config.max_rel_perturbation * (1.0 - 1e-12) * v for v in member_norms]
     t_base = config.step_size / (total_sq + mu) if (total_sq + mu) > 0 else config.step_size
 
@@ -84,7 +82,7 @@ def descend(mats, config):
         rel_change = (cur - new) / cur if cur > 0 else 0.0
         deltas, cur, cur_lo = trial, new, new_lo
         trajectory.append(cur_lo)
-        if rel_change < config.rel_loss_tol:
+        if rel_change < _REL_LOSS_TOL:
             break
 
     rels = [float(np.linalg.norm(d) / v) if v > 0 else 0.0 for d, v in zip(deltas, member_norms)]
@@ -112,3 +110,12 @@ def dense_merge_delta(layers, config) -> np.ndarray:
     alpha = sum(p.magnitude for p in parts)
     direction = sum(p.direction for p in parts)
     return lam * recompose(Decoupled(alpha, direction, config.magnitude_mode))
+
+
+def svd_truncate(w, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best rank-r factorization (B, A) of the dense matrix w, singular values in B."""
+    w = np.asarray(w, dtype=np.float64)
+    if not (1 <= r <= min(w.shape)):
+        raise ValueError(f"rank {r} out of range for shape {w.shape}")
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    return u[:, :r] * s[:r], vt[:r]

@@ -114,14 +114,6 @@ def test_saved_buffer_is_8_byte_aligned(tmp_path):
     assert (8 + header_len) % 8 == 0
 
 
-def test_save_refuses_existing_without_overwrite(tmp_path):
-    path = tmp_path / "x.safetensors"
-    rec = TensorRecord.from_array("x", np.ones(1), "f32")
-    save_checkpoint({"x": rec}, path)
-    with pytest.raises(FileExistsError):
-        save_checkpoint({"x": rec}, path, overwrite=False)
-
-
 def test_failed_save_leaves_no_temp_files(tmp_path):
     target = tmp_path / "isdir"
     target.mkdir()
@@ -213,11 +205,14 @@ def test_truncated_file_rejected_with_position(tmp_path):
 
 
 def test_header_json_garbage_rejected(tmp_path):
-    payload = b"not json at all!"
+    # JSON true is a Python bool, an int subclass; it is no dimension or offset
+    bool_shape = {"x": {"dtype": "F32", "shape": [True, 4], "data_offsets": [0, 16]}}
+    bool_offset = {"x": {"dtype": "F32", "shape": [1], "data_offsets": [False, 4]}}
     path = tmp_path / "g.safetensors"
-    path.write_bytes(struct.pack("<Q", len(payload)) + payload)
-    with pytest.raises(MalformedHeaderError):
-        load_checkpoint(path)
+    for payload in (b"not json at all!", json.dumps(bool_shape).encode(), json.dumps(bool_offset).encode()):
+        path.write_bytes(struct.pack("<Q", len(payload)) + payload + b"\0" * 16)
+        with pytest.raises(MalformedHeaderError):
+            load_checkpoint(path)
 
 
 def test_header_longer_than_file_rejected(tmp_path):

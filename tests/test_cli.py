@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from domerge.checkpoint import TensorRecord, load_checkpoint, save_checkpoint
-from domerge.cli import main
+from domerge.cli import build_parser, main
 
 from conftest import LAYER_KEYS, make_adapter_records
 
@@ -269,11 +269,23 @@ def test_merge_manifest_scaling_applied(adapter_files, tmp_path, capsys):
         assert np.allclose(rec.to_array(), 2.0 * plain, rtol=1e-6)
 
 
+def _bool_shape_adapter(path):
+    """An adapter whose B factor declares its shape as [true, 4]."""
+    header = json.dumps({
+        "l.lora_B.weight": {"dtype": "F32", "shape": [True, 4], "data_offsets": [0, 16]},
+        "l.lora_A.weight": {"dtype": "F32", "shape": [4, 3], "data_offsets": [16, 64]},
+    }).encode()
+    path.write_bytes(len(header).to_bytes(8, "little") + header + b"\0" * 64)
+    return path
+
+
 def test_merge_parse_failure_exit_3(tmp_path, capsys):
     bad = tmp_path / "bad.safetensors"
     bad.write_bytes(b"garbage bytes here")
-    code, _, _ = run(capsys, "merge", str(bad), "--output", str(tmp_path / "o.safetensors"))
-    assert code == 3
+    for adapter in (bad, _bool_shape_adapter(tmp_path / "bool.safetensors")):
+        code, _, err = run(capsys, "merge", str(adapter), "--output", str(tmp_path / "o.safetensors"))
+        assert code == 3, err
+    assert "bad shape [True, 4]" in err
 
 
 def test_merge_missing_file_exit_4(tmp_path, capsys):
@@ -296,24 +308,23 @@ def test_merge_json_errors_are_structured(tmp_path, capsys):
     assert payload["error"]["message"]
 
 
-def test_merge_threads_env_fallback(adapter_files, tmp_path, capsys, monkeypatch):
-    out1, out2 = tmp_path / "t1.safetensors", tmp_path / "t2.safetensors"
+def test_merge_any_thread_count_is_byte_identical(adapter_files, tmp_path, capsys):
+    out1, out3 = tmp_path / "t1.safetensors", tmp_path / "t3.safetensors"
     args = [str(p) for p in adapter_files]
-    monkeypatch.setenv("DO_MERGE_THREADS", "3")
-    assert run(capsys, "merge", *args, "--output", str(out1))[0] == 0
-    monkeypatch.setenv("DO_MERGE_THREADS", "1")
-    assert run(capsys, "merge", *args, "--output", str(out2))[0] == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    monkeypatch.setenv("DO_MERGE_THREADS", "zero")
-    assert run(capsys, "merge", *args, "--output", str(tmp_path / "t3.safetensors"))[0] == 2
+    code, stdout1, _ = run(capsys, "merge", *args, "--output", str(out1))
+    assert code == 0
+    code, stdout3, _ = run(capsys, "merge", *args, "--threads", "3", "--output", str(out3))
+    assert code == 0
+    assert out1.read_bytes() == out3.read_bytes()
+    assert stdout1.replace(str(out1), str(out3)) == stdout3
+    out0 = tmp_path / "t0.safetensors"
+    assert run(capsys, "merge", *args, "--threads", "0", "--output", str(out0))[0] == 2
+    assert not out0.exists()
 
 
-def test_merge_threads_default_to_one(monkeypatch):
-    from domerge.cli import _resolve_threads
-
-    monkeypatch.delenv("DO_MERGE_THREADS", raising=False)
-    assert _resolve_threads(None) == 1
-    assert _resolve_threads(3) == 3
+def test_merge_threads_default_to_one():
+    args = build_parser().parse_args(["merge", "a.safetensors", "--output", "o.safetensors"])
+    assert args.threads == 1
 
 
 @pytest.mark.parametrize(
@@ -398,8 +409,9 @@ def test_inspect_json_parses(adapter_files, capsys):
 def test_inspect_parse_failure_exit_3(tmp_path, capsys):
     bad = tmp_path / "junk.safetensors"
     bad.write_bytes(b"\x00" * 20)
-    code, _, _ = run(capsys, "inspect", str(bad))
-    assert code == 3
+    for path in (bad, _bool_shape_adapter(tmp_path / "bool.safetensors")):
+        code, _, _ = run(capsys, "inspect", str(path))
+        assert code == 3
 
 
 def test_diagnose_writes_report(adapter_files, tmp_path, capsys):

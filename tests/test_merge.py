@@ -10,10 +10,9 @@ from domerge.merge import (
     merge_layer,
     resolve_base_key,
 )
-from domerge.linalg import svd_truncate
 from domerge.ortho import OrthoConfig
 
-from oracles import dense_merge_delta
+from oracles import dense_merge_delta, svd_truncate
 
 
 def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):

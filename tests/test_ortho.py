@@ -10,7 +10,6 @@ from oracles import cross_gram_sum, descend, pairwise_grad, pairwise_loss
 
 def test_config_defaults_and_validation():
     cfg = OrthoConfig()
-    assert cfg.mu is None
     assert cfg.max_steps == 200
     assert cfg.max_rel_perturbation == 0.05
     with pytest.raises(ValueError):
@@ -21,8 +20,6 @@ def test_config_defaults_and_validation():
         OrthoConfig(max_rel_perturbation=1.0)
     with pytest.raises(ValueError):
         OrthoConfig(step_size=0.0)
-    with pytest.raises(ValueError):
-        OrthoConfig(mu=-1.0)
 
 
 def test_loss_with_zero_deltas_is_cross_gram_sum(rng):
@@ -115,8 +112,8 @@ def test_random_group_actually_improves(rng):
 
 def test_max_steps_honored(rng):
     mats = [rng.standard_normal((8, 6)) for _ in range(3)]
-    _, stats = orthogonalize_group(mats, OrthoConfig(max_steps=3, rel_loss_tol=0.0))
-    assert stats.steps_taken <= 3
+    _, stats = orthogonalize_group(mats, OrthoConfig(max_steps=3))
+    assert stats.steps_taken == 3
 
 
 def test_deterministic_given_config(rng):
@@ -144,13 +141,6 @@ def test_mixed_column_counts_allowed(rng):
 def test_row_count_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         orthogonalize_group([rng.standard_normal((6, 3)), rng.standard_normal((7, 3))], OrthoConfig())
-
-
-def test_explicit_mu_dampens_movement(rng):
-    mats = [rng.standard_normal((8, 5)) for _ in range(2)]
-    _, light = orthogonalize_group(mats, OrthoConfig(mu=1e-6))
-    _, heavy = orthogonalize_group(mats, OrthoConfig(mu=1e6))
-    assert max(heavy.per_member_rel_perturbation) <= max(light.per_member_rel_perturbation)
 
 
 @settings(max_examples=25, deadline=None)

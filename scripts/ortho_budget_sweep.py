@@ -16,6 +16,7 @@ budgets:
 """
 
 import argparse
+from collections import Counter
 
 import numpy as np
 
@@ -53,7 +54,9 @@ def main() -> int:
     parser.add_argument("--members", type=int, default=4)
     parser.add_argument("--eps", type=float, default=0.05, help="planted contamination level")
     parser.add_argument("--trials", type=int, default=5)
-    parser.add_argument("--step-size", type=float, default=1.0)
+    parser.add_argument(
+        "--step-size", type=float, default=OrthoConfig.step_size, help="first trial step"
+    )
     parser.add_argument("--max-steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
@@ -62,7 +65,9 @@ def main() -> int:
         "dense": lambda rng: dense_group(rng, args.size, args.members),
         "planted": lambda rng: planted_group(rng, args.size, args.rank, args.members, args.eps),
     }
-    header = f"{'family':<8} {'budget':>7} {'reduction':>10} {'max_rel':>8} {'steps':>6}"
+    header = (
+        f"{'family':<8} {'budget':>7} {'reduction':>10} {'max_rel':>8} {'steps':>6}  stop reasons"
+    )
     print(header)
     print("-" * len(header))
     for family, build in families.items():
@@ -72,7 +77,7 @@ def main() -> int:
                 max_steps=args.max_steps,
                 max_rel_perturbation=budget,
             )
-            reductions, rels, steps = [], [], []
+            reductions, rels, steps, reasons = [], [], [], Counter()
             for t in range(args.trials):
                 rng = np.random.default_rng((args.seed, t))
                 mats = build(rng)
@@ -81,9 +86,11 @@ def main() -> int:
                 reductions.append(1.0 - cross_gram_mass(out) / before)
                 rels.append(max(stats.per_member_rel_perturbation))
                 steps.append(stats.steps_taken)
+                reasons[stats.stop_reason] += 1
             print(
                 f"{family:<8} {budget:>7.3f} {np.mean(reductions):>10.4f} "
-                f"{max(rels):>8.4f} {int(np.mean(steps)):>6d}"
+                f"{max(rels):>8.4f} {int(np.mean(steps)):>6d}  "
+                + ",".join(f"{r}:{c}" for r, c in sorted(reasons.items()))
             )
     return 0
 

@@ -114,7 +114,7 @@ class TensorRecord:
         """Encode arr; the record's raw is a read-only view of the one encoded copy."""
         if dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}")
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype=np.float64, order="C")
         encoded = _encode_bf16(arr) if dtype == "bf16" else arr.astype(_DTYPES[dtype][2])
         raw = memoryview(encoded.reshape(-1).view(np.uint8)).toreadonly()
         return cls(key=key, dtype=dtype, shape=arr.shape, raw=raw)

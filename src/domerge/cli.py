@@ -193,6 +193,8 @@ def _stats_dict(stats) -> dict:
         "initial_lo": stats.initial_lo,
         "final_lo": stats.final_lo,
         "steps_taken": stats.steps_taken,
+        "trials": stats.trials,
+        "stop_reason": stats.stop_reason,
         "max_rel_perturbation": max(stats.per_member_rel_perturbation, default=0.0),
     }
 

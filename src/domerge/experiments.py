@@ -183,11 +183,8 @@ class ConflictReduction(NamedTuple):
     lo_trajectory: list[float]
 
 
-# Experiment-grade optimizer settings for the conflict trials: the pair needs
-# enough perturbation room to actually decorrelate (a 5% budget mostly
-# shrinks), and a unit trial step so 200 iterations converge. Backtracking
-# keeps the large step safe.
-CONFLICT_TRIAL_ORTHO = OrthoConfig(step_size=1.0, max_rel_perturbation=0.10)
+# the conflicted pair needs a 10% budget to actually decorrelate (5% mostly shrinks)
+CONFLICT_TRIAL_ORTHO = OrthoConfig(max_rel_perturbation=0.10)
 
 
 def conflict_reduction_trial(spec: SyntheticSpec, trial: int = 0) -> ConflictReduction:

@@ -8,7 +8,7 @@ groups of a layer before merging; also runs directly on full-rank matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,10 @@ _REL_LOSS_TOL = 1e-6
 class OrthoConfig:
     """Tunables for the perturbation descent.
 
-    step_size: initial trial step; internally scaled by
-        1 / (sum_j ||W_j||_F^2 + mu) as a crude curvature estimate, then
-        backtracked. The default is conservative; experiments that need the
-        optimizer to actually converge on nearly-orthogonal groups should
-        raise it (backtracking keeps any value safe).
+    step_size: first trial step, scaled by 1 / (sum_j ||W_j||_F^2 + mu) as a
+        crude curvature estimate; the step then doubles after each accepted
+        step and halves on each rejected trial, so any value reaches the same
+        budgeted optimum.
     max_rel_perturbation: hard cap on ||delta_i||_F / ||W_i||_F, enforced by
         projection every step, never just at convergence.
 
@@ -55,10 +54,13 @@ class OrthoStats:
     initial_lo: float
     final_lo: float
     steps_taken: int
+    trials: int  # loss evaluations, accepted or not
+    # "converged" (no Lo, or a step gained < _REL_LOSS_TOL), "step_cap" or "stalled"
+    stop_reason: str
     per_member_rel_perturbation: list[float]
     # cross-Gram part of the loss after every accepted step, starting at the
     # initial value; non-increasing by construction of the acceptance rule
-    lo_trajectory: list[float] = field(default_factory=list)
+    lo_trajectory: list[float]
 
 
 def _check_group(mats, deltas=None):
@@ -85,16 +87,11 @@ def _owner_mask(mats) -> np.ndarray:
     return owner[:, None] != owner[None, :]
 
 
-def _off_gram(x, off):
-    """(G_off, Lo): X^T X of the stacked group with same-member blocks zeroed, and
+def _off_gram(gram, off):
+    """(G_off, Lo): the stacked group's Gram X^T X with same-member blocks zeroed, and
     Lo = sum_{i<j} ||X_i^T X_j||_F^2 = ||G_off||_F^2 / 2, as G_off holds each cross block twice."""
-    g = np.where(off, x.T @ x, 0.0)
+    g = np.where(off, gram, 0.0)
     return g, 0.5 * float(np.vdot(g, g))
-
-
-def _member_sq(x, starts) -> np.ndarray:
-    """Squared Frobenius norm of each member's column block of x."""
-    return np.add.reduceat(np.einsum("ij,ij->j", x, x), starts)
 
 
 def _grad(x, g, d, mu):
@@ -106,7 +103,8 @@ def ortho_loss(mats, deltas, mu: float) -> float:
     """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
     mats, deltas = _check_group(mats, deltas)
     d = np.hstack(deltas)
-    _, lo = _off_gram(np.hstack(mats) + d, _owner_mask(mats))
+    x = np.hstack(mats) + d
+    _, lo = _off_gram(x.T @ x, _owner_mask(mats))
     return lo + mu * float(np.vdot(d, d))
 
 
@@ -122,7 +120,7 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     mats, deltas = _check_group(mats, deltas)
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
-    g, _ = _off_gram(x, _owner_mask(mats))
+    g, _ = _off_gram(x.T @ x, _owner_mask(mats))
     return np.hsplit(_grad(x, g, d, mu), np.cumsum([w.shape[1] for w in mats[:-1]]))
 
 
@@ -133,64 +131,67 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
     cross-Gram part does not increase, so the reported lo trajectory is
     non-increasing and final_lo <= initial_lo holds unconditionally. Each
     accepted iterate is projected member-wise onto the perturbation ball
-    ||delta_i||_F <= max_rel_perturbation * ||W_i||_F.
+    ||delta_i||_F <= max_rel_perturbation * ||W_i||_F. The trial step
+    doubles after each accepted step and halves on each rejected trial.
 
-    Every gradient 2 X G_off + 2 mu D and projection keeps D in the span of
-    the stacked group W = [W_1 ... W_n], so when W has more rows than its R
-    columns the descent runs on C in W = Q C, at R x R cost per trial, and
-    maps back once. The perturbed members are column blocks of one array.
+    D stays in the span of the stacked group W = [W_1 ... W_n], so when W has
+    more rows than its R columns the descent runs on R x R coordinates E, D = W E,
+    weighed by the Gram G = W^T W (nothing is factorized), and maps back once.
+    The perturbed members are column blocks of one array.
     """
     if config is None:
         config = OrthoConfig()
     mats, _ = _check_group(mats)
-    if len(mats) == 1:
-        return [mats[0].copy()], OrthoStats(0.0, 0.0, 0, [0.0], [0.0])
     widths = [w.shape[1] for w in mats]
     starts = np.cumsum([0] + widths[:-1])
     off = _owner_mask(mats)
     w = np.hstack(mats)
-    member_norms = np.sqrt(_member_sq(w, starts))
-    g, initial_lo = _off_gram(w, off)
-    q, c = np.linalg.qr(w) if w.shape[0] > w.shape[1] else (None, w)
-
+    gram = w.T @ w
+    g, initial_lo = _off_gram(gram, off)
+    if initial_lo == 0.0:  # nothing to remove, as in every one-member group
+        stats = OrthoStats(0.0, 0.0, 0, 0, "converged", [0.0] * len(mats), [0.0])
+        return np.hsplit(w.copy(), starts[1:]), stats
+    member_norms = np.sqrt(np.add.reduceat(np.diag(gram), starts))
     total_sq = float(member_norms @ member_norms)
-    mu = initial_lo / total_sq if total_sq > 0 else 0.0
+    mu = initial_lo / total_sq
     # target a hair inside the budget so the measured ratio ||d||/||W||
     # stays <= max_rel_perturbation after its own rounding
     caps = config.max_rel_perturbation * (1.0 - 1e-12) * member_norms
-    t_base = config.step_size / (total_sq + mu) if (total_sq + mu) > 0 else config.step_size
-
-    d = np.zeros_like(c)
+    t = config.step_size / (total_sq + mu)
+    metric = gram if w.shape[0] > w.shape[1] else None
+    x = base = w if metric is None else np.eye(w.shape[1])
+    z, z_norms = np.zeros_like(base), np.zeros(len(mats))
     cur = cur_lo = initial_lo  # deltas are zero so the penalty term starts at 0
-    trajectory = [initial_lo]
+    trajectory, trials, stop_reason = [initial_lo], 0, "step_cap"
     for _ in range(config.max_steps):
-        grad = _grad(c + d, g, d, mu)
-        t = t_base
+        grad = _grad(x, g, z, mu)
         for _ in range(_MAX_BACKTRACKS):
-            trial = d - t * grad
-            norms = np.sqrt(_member_sq(trial, starts))
+            trials += 1
+            trial = z - t * grad
+            m_trial = trial if metric is None else metric @ trial
+            # member norms of the perturbation, m_trial weighing it by the metric
+            norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", trial, m_trial), starts))
             shrink = np.divide(caps, norms, out=np.ones_like(norms), where=norms > caps)
-            trial *= np.repeat(shrink, widths)
-            new_g, new_lo = _off_gram(c + trial, off)
-            new = new_lo + mu * float(np.vdot(trial, trial))
+            cols = np.repeat(shrink, widths)
+            trial, m_trial = trial * cols, m_trial * cols
+            new_x = base + trial
+            new_g, new_lo = _off_gram(new_x.T @ (new_x if metric is None else gram + m_trial), off)
+            new = new_lo + mu * float(np.vdot(trial, m_trial))
             if new < cur and new_lo <= cur_lo:
                 break
             t *= 0.5
         else:
+            stop_reason = "stalled"
             break
-        rel_change = (cur - new) / cur if cur > 0 else 0.0
-        d, g, cur, cur_lo = trial, new_g, new, new_lo
+        rel_change = (cur - new) / cur
+        x, z, z_norms, g, cur, cur_lo = new_x, trial, norms * shrink, new_g, new, new_lo
         trajectory.append(cur_lo)
+        t *= 2.0
         if rel_change < _REL_LOSS_TOL:
+            stop_reason = "converged"
             break
 
-    rels = np.sqrt(_member_sq(d, starts)) / np.where(member_norms > 0, member_norms, np.inf)
-    stats = OrthoStats(
-        initial_lo=initial_lo,
-        final_lo=cur_lo,
-        steps_taken=len(trajectory) - 1,
-        per_member_rel_perturbation=rels.tolist(),
-        lo_trajectory=trajectory,
-    )
-    out = w + (d if q is None else q @ d)
-    return np.hsplit(out, starts[1:]), stats
+    rels = z_norms / np.where(member_norms > 0, member_norms, np.inf)
+    steps = len(trajectory) - 1
+    stats = OrthoStats(initial_lo, cur_lo, steps, trials, stop_reason, rels.tolist(), trajectory)
+    return np.hsplit(w + (z if metric is None else w @ z), starts[1:]), stats

@@ -42,27 +42,30 @@ def pairwise_grad(mats, deltas, mu: float) -> list[np.ndarray]:
 
 
 def descend(mats, config):
-    """The projected, backtracking descent on full-size member matrices."""
+    """The projected, backtracking descent on full-size member matrices, with
+    the package's step rule: double after an accepted step, halve on a rejected trial."""
     mats = [np.asarray(w, dtype=np.float64) for w in mats]
-    n = len(mats)
     member_norms = [float(np.linalg.norm(w)) for w in mats]
     deltas = [np.zeros_like(w) for w in mats]
     initial_lo = cross_gram_sum(mats)
-    if n == 1:
-        return [w.copy() for w in mats], OrthoStats(0.0, 0.0, 0, [0.0], [0.0])
+    if initial_lo == 0.0:
+        zeros = [0.0] * len(mats)
+        return [w.copy() for w in mats], OrthoStats(0.0, 0.0, 0, 0, "converged", zeros, [0.0])
 
     total_sq = sum(v * v for v in member_norms)
-    mu = initial_lo / total_sq if total_sq > 0 else 0.0
+    mu = initial_lo / total_sq
     caps = [config.max_rel_perturbation * (1.0 - 1e-12) * v for v in member_norms]
-    t_base = config.step_size / (total_sq + mu) if (total_sq + mu) > 0 else config.step_size
+    t = config.step_size / (total_sq + mu)
 
     cur_lo = cur = initial_lo
     trajectory = [initial_lo]
+    trials = 0
+    stop_reason = "step_cap"
     for _ in range(config.max_steps):
         grads = pairwise_grad(mats, deltas, mu)
-        t = t_base
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
+            trials += 1
             trial = []
             for d, g, cap in zip(deltas, grads, caps):
                 nd = d - t * g
@@ -77,16 +80,21 @@ def descend(mats, config):
                 break
             t *= 0.5
         if accepted is None:
+            stop_reason = "stalled"
             break
         trial, new, new_lo = accepted
-        rel_change = (cur - new) / cur if cur > 0 else 0.0
+        rel_change = (cur - new) / cur
         deltas, cur, cur_lo = trial, new, new_lo
         trajectory.append(cur_lo)
+        t *= 2.0
         if rel_change < _REL_LOSS_TOL:
+            stop_reason = "converged"
             break
 
     rels = [float(np.linalg.norm(d) / v) if v > 0 else 0.0 for d, v in zip(deltas, member_norms)]
-    stats = OrthoStats(initial_lo, cur_lo, len(trajectory) - 1, rels, trajectory)
+    stats = OrthoStats(
+        initial_lo, cur_lo, len(trajectory) - 1, trials, stop_reason, rels, trajectory
+    )
     return [w + d for w, d in zip(mats, deltas)], stats
 
 

@@ -97,6 +97,28 @@ def test_save_load_bit_identity(tmp_path, rng):
         assert back[key].raw == rec.raw
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64", "bf16"])
+def test_scalar_tensor_round_trips(tmp_path, dtype):
+    # a "shape": [] tensor keeps its 0-d shape through decode, encode, save and load
+    src = tmp_path / "in.safetensors"
+    src.write_bytes(raw_safetensors([("s", "F32", np.array(2.5, dtype=np.float32))]))
+    loaded = load_checkpoint(src)["s"]
+    assert loaded.shape == () and loaded.to_array().shape == ()
+    records = {
+        "s": TensorRecord.from_array("s", loaded.to_array(), dtype),
+        "k": TensorRecord.from_array("k", np.float64(-2.0), dtype),
+    }
+    assert records["s"].shape == records["k"].shape == ()
+    out = tmp_path / "out.safetensors"
+    save_checkpoint(records, out)
+    header = json.loads(out.read_bytes()[8 : 8 + struct.unpack("<Q", out.read_bytes()[:8])[0]])
+    assert header["s"]["shape"] == header["k"]["shape"] == []
+    back = load_checkpoint(out)
+    assert back["s"].shape == back["k"].shape == ()
+    assert back["s"].to_array() == 2.5 and back["k"].to_array() == -2.0
+    assert back["s"].raw == records["s"].raw
+
+
 def test_save_is_deterministic_and_order_independent(tmp_path, rng):
     a = TensorRecord.from_array("a", rng.standard_normal(3), "f32")
     b = TensorRecord.from_array("b", rng.standard_normal(3), "f32")

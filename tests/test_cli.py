@@ -35,6 +35,21 @@ def test_merge_defaults_and_summary(adapter_files, tmp_path, capsys):
         assert entry["ortho"]["B"]["final_lo"] <= entry["ortho"]["B"]["initial_lo"]
 
 
+def test_merge_summary_reports_stop_reasons(adapter_files, tmp_path, capsys):
+    out = tmp_path / "m.safetensors"
+    argv = ["merge", *(str(p) for p in adapter_files), "--output", str(out), "--force"]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    groups = [g for entry in json.loads(stdout)["layers"].values() for g in entry["ortho"].values()]
+    assert len(groups) == 2 * len(LAYER_KEYS)
+    for g in groups:
+        assert g["stop_reason"] in {"converged", "step_cap", "stalled"}
+        assert g["trials"] >= g["steps_taken"]
+    code, again, _ = run(capsys, *argv)
+    assert code == 0
+    assert again == stdout
+
+
 @pytest.mark.parametrize(
     "method, stages, lam",
     [("do_merging", True, 1 / 9), ("task_arithmetic", False, 1 / 9), ("average", False, 1 / 3)],

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domerge.ortho import OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
+from domerge.ortho import _MAX_BACKTRACKS, OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
 
 from oracles import cross_gram_sum, descend, pairwise_grad, pairwise_loss
 
@@ -71,6 +71,7 @@ def test_orthogonal_group_is_left_alone():
     out, stats = orthogonalize_group([w1, w2], OrthoConfig())
     assert stats.initial_lo == 0.0
     assert stats.final_lo == 0.0
+    assert (stats.stop_reason, stats.steps_taken, stats.trials) == ("converged", 0, 0)
     assert np.array_equal(out[0], w1)
     assert np.array_equal(out[1], w2)
 
@@ -114,6 +115,32 @@ def test_max_steps_honored(rng):
     mats = [rng.standard_normal((8, 6)) for _ in range(3)]
     _, stats = orthogonalize_group(mats, OrthoConfig(max_steps=3))
     assert stats.steps_taken == 3
+    assert stats.stop_reason == "step_cap"
+    assert stats.trials >= 3
+
+
+def test_stalls_when_the_budget_pins_the_loss():
+    # two equal scalars: once both sit on the budget edge, every trial projects
+    # back onto the same point, so no halving lowers the loss
+    w = np.array([[2.0]])
+    out, stats = orthogonalize_group([w, w], OrthoConfig())
+    assert stats.stop_reason == "stalled"
+    assert stats.trials == stats.steps_taken + _MAX_BACKTRACKS
+    assert stats.final_lo == pytest.approx(cross_gram_sum(out), rel=1e-12)
+    assert stats.final_lo < stats.initial_lo
+
+
+def test_default_descent_converges_on_tall_group():
+    # regression guard: the default first step must adapt its way to the
+    # budgeted optimum that a large fixed first step also reaches
+    rng = np.random.default_rng(0)
+    mats = [rng.standard_normal((256, 16)) for _ in range(4)]
+    cfg = OrthoConfig()
+    _, stats = orthogonalize_group(mats, cfg)
+    _, big = orthogonalize_group(mats, OrthoConfig(step_size=100.0))
+    assert stats.stop_reason == "converged"
+    assert stats.steps_taken < cfg.max_steps
+    assert stats.final_lo == pytest.approx(big.final_lo, rel=1e-3)
 
 
 def test_deterministic_given_config(rng):
@@ -159,6 +186,8 @@ def test_budget_and_monotonicity_properties(seed, members, budget, step):
     assert stats.final_lo <= stats.initial_lo
     traj = stats.lo_trajectory
     assert all(b <= a for a, b in zip(traj, traj[1:]))
+    assert stats.stop_reason in {"converged", "step_cap", "stalled"}
+    assert stats.trials >= stats.steps_taken
     for w, p in zip(mats, out):
         norm = np.linalg.norm(w)
         if norm > 0:
@@ -175,20 +204,10 @@ def test_loss_and_gradient_match_pairwise_oracle(rng):
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize(
-    "rows, widths",
-    [(40, (3, 5, 4)), (9, (4, 3, 5)), (6, (2, 2))],
-    ids=["tall", "wide", "square"],
-)
-@pytest.mark.parametrize("step", [1e-2, 1.0])
-def test_descent_matches_pairwise_oracle(rows, widths, step):
-    # tall groups descend on the R x R factor of a QR, the others on the stack itself
-    rng = np.random.default_rng((rows, len(widths)))
-    mats = [rng.standard_normal((rows, w)) for w in widths]
-    cfg = OrthoConfig(step_size=step)
-    out, stats = orthogonalize_group(mats, cfg)
+def _assert_matches_oracle(mats, cfg, out, stats):
     ref_out, ref = descend(mats, cfg)
     assert stats.steps_taken == ref.steps_taken > 0
+    assert (stats.trials, stats.stop_reason) == (ref.trials, ref.stop_reason)
     assert len(stats.lo_trajectory) == len(ref.lo_trajectory)
     for got, want in zip(stats.lo_trajectory, ref.lo_trajectory):
         assert got == pytest.approx(want, rel=1e-12)
@@ -198,3 +217,54 @@ def test_descent_matches_pairwise_oracle(rows, widths, step):
     for got, want in zip(out, ref_out):
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize(
+    "rows, widths",
+    [(40, (3, 5, 4)), (9, (4, 3, 5)), (6, (2, 2))],
+    ids=["tall", "wide", "square"],
+)
+@pytest.mark.parametrize("step", [1e-2, 1.0])
+def test_descent_matches_pairwise_oracle(rows, widths, step):
+    # tall groups descend in R x R Gram coordinates, the others on the stack itself
+    rng = np.random.default_rng((rows, len(widths)))
+    mats = [rng.standard_normal((rows, w)) for w in widths]
+    cfg = OrthoConfig(step_size=step)
+    out, stats = orthogonalize_group(mats, cfg)
+    _assert_matches_oracle(mats, cfg, out, stats)
+
+
+def _zero_column(rng):
+    mats = [rng.standard_normal((30, w)) for w in (3, 4, 2)]
+    mats[1][:, 2] = 0.0
+    return mats
+
+
+def _duplicate_member(rng):
+    w = rng.standard_normal((30, 3))
+    return [w, rng.standard_normal((30, 4)), w.copy()]
+
+
+def _ill_conditioned_member(rng):
+    u, _ = np.linalg.qr(rng.standard_normal((30, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    bad = u @ np.diag(np.logspace(0, -6, 4)) @ v
+    return [rng.standard_normal((30, 3)), bad, rng.standard_normal((30, 2))]
+
+
+@pytest.mark.parametrize(
+    "build", [_zero_column, _duplicate_member, _ill_conditioned_member],
+    ids=["zero_column", "duplicate_member", "cond_1e6"],
+)
+@pytest.mark.parametrize("step", [1e-2, 1.0])
+def test_gram_coordinates_on_degenerate_tall_groups(build, step):
+    # a singular or badly conditioned metric G = W^T W: nothing is factorized,
+    # so the descent needs no fallback and still holds the budget exactly
+    mats = build(np.random.default_rng(11))
+    assert mats[0].shape[0] > sum(w.shape[1] for w in mats)
+    cfg = OrthoConfig(step_size=step)
+    out, stats = orthogonalize_group(mats, cfg)
+    measured = [np.linalg.norm(p - w) / np.linalg.norm(w) for p, w in zip(out, mats)]
+    assert max(measured) <= cfg.max_rel_perturbation
+    assert stats.per_member_rel_perturbation == pytest.approx(measured, rel=1e-9)
+    _assert_matches_oracle(mats, cfg, out, stats)

@@ -37,3 +37,7 @@ def test_ortho_budget_sweep_runs(tmp_path):
     assert sweep.returncode == 0, sweep.stderr
     rows = sweep.stdout.splitlines()[2:]
     assert [row.split()[:2] for row in rows] == [["dense", "0.050"], ["planted", "0.050"]]
+    # one trial per row, so the stop-reason column counts one descent
+    for row in rows:
+        reason, count = row.split()[-1].split(":")
+        assert reason in {"converged", "step_cap", "stalled"} and count == "1"

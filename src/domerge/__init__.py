@@ -26,7 +26,6 @@ from .diagnostics import (
     dumps_deterministic,
     emit_report,
     magnitude_distribution_variance,
-    norm_average_accuracy,
     orthogonality_report,
 )
 from .experiments import (
@@ -82,7 +81,6 @@ __all__ = [
     "magnitude_weighted_loss",
     "merge_adapter_set",
     "merge_layer",
-    "norm_average_accuracy",
     "ortho_grad",
     "ortho_loss",
     "orthogonalize_group",

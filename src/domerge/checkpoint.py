@@ -342,10 +342,11 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
     """Build an aligned AdapterSet from checkpoint files.
 
     Layer identity is the key with LORA_A_SUFFIX or LORA_B_SUFFIX stripped.
-    Each matched layer needs exactly one A and one B tensor. In strict mode
-    every adapter must carry the same layer keys with the same full-rank
-    shapes; in lenient mode unmatched or conflicting keys are dropped with a
-    recorded warning. Ranks may differ per adapter.
+    Each matched layer needs exactly one A and one B tensor, and each file
+    at least one such pair. In strict mode every adapter must carry the
+    same layer keys with the same full-rank shapes; in lenient mode
+    unmatched or conflicting keys are dropped with a recorded warning.
+    Ranks may differ per adapter.
     """
     files = [Path(f) for f in files]
     if not files:
@@ -365,6 +366,10 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
         if set(a_keys) != set(b_keys):
             lonely = sorted(set(a_keys) ^ set(b_keys))
             raise AlignmentError(f"{f.name}: unmatched factor pair for layer(s) {lonely}")
+        if not a_keys:
+            raise AlignmentError(
+                f"{f}: no {LORA_A_SUFFIX!r}/{LORA_B_SUFFIX!r} factor pairs; not a LoRA adapter"
+            )
         layers = {}
         for layer_key in a_keys:
             a = records[a_keys[layer_key]].to_array()

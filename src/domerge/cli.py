@@ -5,7 +5,7 @@ parse or adapter alignment failure, 4 I/O failure. verify exits 0 when
 every selected suite's property holds, 1 when one is violated, 2 on usage
 errors. Identical invocations with the same seed produce byte-identical
 outputs and reports. The merge draws no random numbers: only verify uses
---seed, and merge accepts the flag and ignores it.
+--seed, and merge accepts the flag and ignores it, as it does --threads.
 """
 
 from __future__ import annotations
@@ -125,7 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     m.add_argument("--force", action="store_true", help="overwrite an existing output file")
     m.add_argument(
-        "--threads", type=int, default=1, help="layer parallelism of the factor merge"
+        "--threads",
+        type=int,
+        default=1,
+        help="ignored: layers are merged one at a time (kept so existing commands still parse)",
     )
     m.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
     m.set_defaults(func=cmd_merge)
@@ -218,8 +221,6 @@ def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
         raise _CliError(EXIT_USAGE, "usage", "--output-mode fused requires --base")
-    if args.threads < 1:
-        raise _CliError(EXIT_USAGE, "usage", "--threads must be >= 1")
     out_path = Path(args.output)
     if out_path.exists() and not args.force:
         raise _CliError(EXIT_IO, "io", f"{out_path} exists; pass --force to overwrite")
@@ -247,7 +248,7 @@ def cmd_merge(args) -> int:
     paths, names, scalings = _gather_sources(args)
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=args.strict)
     base = load_checkpoint(args.base) if mode == "fused" else None
-    merged = merge_adapter_set(adapters, config=config, threads=args.threads)
+    merged = merge_adapter_set(adapters, config=config)
 
     # the header is laid out before any tensor is rendered
     layout: dict[str, tuple[str, tuple[int, ...]]] = {}

@@ -210,46 +210,33 @@ class CrosstermResult(NamedTuple):
     cross_term_norm: float
 
 
-def factor_crossterm_trial(m: int, n: int, rank: int, adapters: int = 2, seed=0) -> CrosstermResult:
-    """Compare product-space merging against separate factor merging.
+def factor_crossterm_trial(m: int, n: int, rank: int, seed=0) -> CrosstermResult:
+    """Compare product-space merging against separate factor merging, for two adapters.
 
     Concatenated merging averages the per-adapter products:
-        W_cat = (1/k) sum_i B_i A_i
+        W_cat = (B_1 A_1 + B_2 A_2) / 2
     Separate merging averages each factor first:
-        W_sep = (1/k^2) (sum_i B_i)(sum_j A_j)
-              = (1/k^2) sum_i B_i A_i + (1/k^2) sum_{i != j} B_i A_j
+        W_sep = (B_1 + B_2)(A_1 + A_2) / 4
+              = (B_1 A_1 + B_2 A_2) / 4 + (B_1 A_2 + B_2 A_1) / 4
     The trailing sum is the factor cross term; its Frobenius norm is
-    reported unsquared. Both merges are scored by the magnitude-weighted
-    reconstruction loss against the individual task matrices. For identical
-    adapters both formulas reproduce the common product exactly.
+    reported unsquared. Both merges are scored by magnitude_weighted_loss
+    against the two task matrices, with their Frobenius norms as the
+    magnitude norms. For identical adapters both formulas reproduce the
+    common product exactly.
     """
     if not (1 <= rank <= min(m, n)):
         raise ValueError(f"rank {rank} out of range for {m}x{n}")
-    if adapters < 2:
-        raise ValueError("need at least two adapters")
     rng = np.random.default_rng(seed)
-    bs = [rng.standard_normal((m, rank)) for _ in range(adapters)]
-    as_ = [rng.standard_normal((rank, n)) for _ in range(adapters)]
-    products = [b @ a for b, a in zip(bs, as_)]
-    k = adapters
-    concat = sum(products[1:], start=products[0]) / k
-    b_sum = sum(bs[1:], start=bs[0])
-    a_sum = sum(as_[1:], start=as_[0])
-    separate = (b_sum @ a_sum) / (k * k)
-    cross = separate - sum(products[1:], start=products[0]) / (k * k)
-
-    norms = [float(np.linalg.norm(w)) for w in products]
-    total = sum(norms)
-
-    def loss(merged) -> float:
-        return sum(
-            (total / a) * float(np.linalg.norm(merged - w) ** 2)
-            for a, w in zip(norms, products)
-        )
-
+    b1, b2 = (rng.standard_normal((m, rank)) for _ in range(2))
+    a1, a2 = (rng.standard_normal((rank, n)) for _ in range(2))
+    w1, w2 = b1 @ a1, b2 @ a2
+    concat = (w1 + w2) / 2
+    separate = ((b1 + b2) @ (a1 + a2)) / 4
+    cross = separate - (w1 + w2) / 4
+    norms = (float(np.linalg.norm(w1)), float(np.linalg.norm(w2)))
     return CrosstermResult(
-        concat_loss=loss(concat),
-        separate_loss=loss(separate),
+        concat_loss=magnitude_weighted_loss(concat, w1, w2, *norms),
+        separate_loss=magnitude_weighted_loss(separate, w1, w2, *norms),
         cross_term_norm=float(np.linalg.norm(cross)),
     )
 
@@ -344,7 +331,7 @@ def run_conflict_suite(trials: int = 100, seed=0, m: int = 32, n: int = 8) -> di
 def run_crossterm_suite(trials: int = 200, seed=0, m: int = 64, n: int = 64, rank: int = 8) -> dict:
     wins = 0
     for t in range(trials):
-        res = factor_crossterm_trial(m, n, rank, adapters=2, seed=(seed, t))
+        res = factor_crossterm_trial(m, n, rank, seed=(seed, t))
         if res.concat_loss < res.separate_loss:
             wins += 1
     ok = wins >= int(np.ceil(0.95 * trials))

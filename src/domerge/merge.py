@@ -19,7 +19,7 @@ the two factors, and layer_outputs renders them for each output mode.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +59,8 @@ class MergeConfig:
     decouple_enabled: bool = True
 
     def __post_init__(self):
-        if self.lam is not None and self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if self.lam is not None and not 0 < self.lam < math.inf:
+            raise ValueError("lam must be positive and finite")
         if self.magnitude_mode not in MAGNITUDE_MODES:
             raise ValueError(f"unknown magnitude mode {self.magnitude_mode!r}")
         if self.method not in METHODS:
@@ -244,22 +244,10 @@ def layer_outputs(
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def merge_adapter_set(
-    adapters: AdapterSet, config: MergeConfig | None = None, threads: int = 1
-) -> dict[str, MergedLayer]:
-    """Merge every aligned layer; returns layer_key -> MergedLayer, sorted.
-
-    Layers are independent, so they may be processed on a thread pool; the
-    result does not depend on the thread count.
-    """
+def merge_adapter_set(adapters: AdapterSet, config: MergeConfig | None = None) -> dict[str, MergedLayer]:
+    """Merge every aligned layer; returns layer_key -> MergedLayer, sorted."""
     if config is None:
         config = MergeConfig()
     if adapters.n < 1:
         raise ValueError("need at least one adapter")
-    groups = [adapters.group(key) for key in adapters.layer_keys]
-    if threads > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(merge_layer, groups, [config] * len(groups)))
-    else:
-        results = [merge_layer(group, config) for group in groups]
-    return {m.layer_key: m for m in results}
+    return {key: merge_layer(adapters.group(key), config) for key in adapters.layer_keys}

@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +77,42 @@ def test_merge_average_rejects_lambda(adapter_files, tmp_path, capsys):
     assert code == 2
     assert "average" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_merge_rejects_non_finite_lambda_before_reading(tmp_path, capsys, lam):
+    out = tmp_path / "m.safetensors"
+    # the adapter does not exist: a usage error must come before any read
+    code, _, err = run(
+        capsys, "merge", str(tmp_path / "absent.safetensors"), "--lambda", lam, "--output", str(out)
+    )
+    assert code == 2, err
+    assert "lam" in err
+    assert not out.exists()
+
+
+def test_merge_checkpoint_without_lora_pairs_exit_3(adapter_files, base_file, tmp_path, capsys):
+    # a base checkpoint passed as an adapter by mistake
+    out = tmp_path / "m.safetensors"
+    for inputs in ([base_file], [adapter_files[0], base_file]):
+        code, _, err = run(capsys, "merge", *(str(p) for p in inputs), "--output", str(out))
+        assert code == 3, err
+        assert str(base_file) in err and "lora_A" in err
+        assert not out.exists()
+
+
+def test_readme_documents_every_long_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [
+        f"{name} {option}"
+        for name in ("merge", "diagnose", "verify")
+        for action in commands.choices[name]._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+        if option.startswith("--") and not re.search(re.escape(option) + r"(?![\w-])", readme)
+    ]
+    assert not missing, f"options missing from README.md: {missing}"
 
 
 def test_merge_rerun_byte_identical(adapter_files, tmp_path, capsys):
@@ -333,8 +371,10 @@ def test_merge_any_thread_count_is_byte_identical(adapter_files, tmp_path, capsy
     assert out1.read_bytes() == out3.read_bytes()
     assert stdout1.replace(str(out1), str(out3)) == stdout3
     out0 = tmp_path / "t0.safetensors"
-    assert run(capsys, "merge", *args, "--threads", "0", "--output", str(out0))[0] == 2
-    assert not out0.exists()
+    code, stdout0, _ = run(capsys, "merge", *args, "--threads", "0", "--output", str(out0))
+    assert code == 0  # accepted and ignored
+    assert out1.read_bytes() == out0.read_bytes()
+    assert stdout1.replace(str(out1), str(out0)) == stdout0
 
 
 def test_merge_threads_default_to_one():

@@ -13,11 +13,8 @@ from domerge.diagnostics import (
     emit_report,
     format_float,
     magnitude_distribution_variance,
-    norm_average_accuracy,
     orthogonality_report,
 )
-from domerge.merge import MergeConfig
-from domerge.ortho import OrthoConfig
 
 
 def test_dumps_sorted_keys_and_roundtrip():
@@ -85,17 +82,6 @@ def test_magnitude_variance_hand_value(tmp_path, rng):
     assert magnitude_distribution_variance(adapters) == pytest.approx(norms.var(), rel=1e-12)
 
 
-def test_norm_average_accuracy_hand_value():
-    assert norm_average_accuracy([0.9, 0.8], [0.85, 0.8]) == pytest.approx(1.65 / 1.7)
-
-
-def test_norm_average_accuracy_errors():
-    with pytest.raises(ValueError):
-        norm_average_accuracy([0.9], [0.8, 0.7])
-    with pytest.raises(ValueError):
-        norm_average_accuracy([0.0, 0.0], [0.5, 0.5])
-
-
 def test_orthogonality_report_symmetric_unsquared(adapter_files):
     adapters = extract_adapters(adapter_files)
     report = orthogonality_report(adapters)
@@ -111,41 +97,9 @@ def test_orthogonality_report_symmetric_unsquared(adapter_files):
         assert gram[0, 0] == pytest.approx(np.linalg.norm(w0.T @ w0), rel=1e-12)
 
 
-def test_orthogonality_report_after_ortho_not_worse(adapter_files):
-    adapters = extract_adapters(adapter_files)
-    cfg = MergeConfig(ortho=OrthoConfig())
-    before = orthogonality_report(adapters)
-    after = orthogonality_report(adapters, after_ortho=True, config=cfg)
-    def off_sq(gram):
-        n = gram.shape[0]
-        return sum(gram[i, j] ** 2 for i in range(n) for j in range(i + 1, n))
-    for key in before:
-        assert off_sq(after[key]) <= off_sq(before[key]) + 1e-9
-
-
-def test_orthogonality_report_after_ortho_matches_dense_oracle(adapter_files):
-    # the report runs merge's factor groups (B, and A transposed) through the
-    # descent, then measures the products those factors form
-    from oracles import descend
-
-    adapters = extract_adapters(adapter_files)
-    cfg = MergeConfig(ortho=OrthoConfig(max_rel_perturbation=0.2))
-    report = orthogonality_report(adapters, after_ortho=True, config=cfg)
-    for key, gram in report.items():
-        group = adapters.group(key)
-        b_hat, _ = descend([l.scaling * l.B for l in group], cfg.ortho)
-        a_hat_t, _ = descend([l.A.T for l in group], cfg.ortho)
-        mats = [b @ a.T for b, a in zip(b_hat, a_hat_t)]
-        for i in range(len(mats)):
-            for j in range(len(mats)):
-                want = np.linalg.norm(mats[i].T @ mats[j])
-                assert gram[i, j] == pytest.approx(want, rel=1e-10)
-
-
 def test_build_report_fields(adapter_files):
     adapters = extract_adapters(adapter_files)
-    report = build_report(adapters, finetuned=[0.9, 0.8, 0.7], merged=[0.8, 0.8, 0.6])
-    assert report.norm_average_accuracy == pytest.approx(2.2 / 2.4)
+    report = build_report(adapters)
     assert report.adapter_names == ["adapter0", "adapter1", "adapter2"]
     for key, norms in report.per_layer_magnitude_stats.items():
         assert len(norms) == 3
@@ -200,5 +154,4 @@ def test_report_dataclass_holds_given_values():
         per_layer_cross_gram={"l": gram},
         per_layer_magnitude_stats={"l": [1.0, 2.0]},
     )
-    assert report.norm_average_accuracy is None
     assert report.per_layer_cross_gram["l"][0, 1] == 0.5

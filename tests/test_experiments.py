@@ -119,7 +119,7 @@ def test_conflict_trial_reduces_conflicts():
 
 
 def test_crossterm_trial_matches_direct_formula():
-    res = factor_crossterm_trial(12, 10, 3, adapters=2, seed=(9, 1))
+    res = factor_crossterm_trial(12, 10, 3, seed=(9, 1))
     rng = np.random.default_rng((9, 1))
     bs = [rng.standard_normal((12, 3)) for _ in range(2)]
     as_ = [rng.standard_normal((3, 10)) for _ in range(2)]
@@ -186,8 +186,6 @@ def test_crossterm_disjoint_subspaces_structure():
 def test_crossterm_trial_validation():
     with pytest.raises(ValueError):
         factor_crossterm_trial(4, 4, 5)
-    with pytest.raises(ValueError):
-        factor_crossterm_trial(8, 8, 2, adapters=1)
 
 
 def test_suites_pass_at_reduced_counts():

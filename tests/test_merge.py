@@ -48,8 +48,9 @@ def test_config_validation():
         MergeConfig(magnitude_mode="banana")
     with pytest.raises(ValueError, match="average"):
         MergeConfig(method="average", lam=0.5)  # average applies 1/n
-    with pytest.raises(ValueError):
-        MergeConfig(lam=0.0)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam"):
+            MergeConfig(lam=lam)
 
 
 def test_assemble_full_rank_applies_scaling(rng):
@@ -132,15 +133,16 @@ def test_decoupling_changes_result_for_imbalanced_scalings(rng):
     assert not np.allclose(coupled, decoupled)
 
 
-def test_merge_adapter_set_sorted_and_thread_independent(adapter_files):
-    adapters = extract_adapters(adapter_files)
-    cfg = MergeConfig()
-    serial = merge_adapter_set(adapters, config=cfg, threads=1)
-    parallel = merge_adapter_set(adapters, config=cfg, threads=4)
-    assert list(serial) == sorted(serial)
-    assert list(serial) == list(parallel)
-    for key in serial:
-        assert np.array_equal(serial[key].delta, parallel[key].delta)
+def test_merge_adapter_set_sorted_by_layer_key(rng):
+    adapters = AdapterSet(
+        [{"b": make_layer(rng, key="b"), "a": make_layer(rng, key="a")} for _ in range(2)], ["x", "y"]
+    )
+    merged = merge_adapter_set(adapters)
+    assert list(merged) == ["a", "b"]
+    for key, layer in merged.items():
+        alone = merge_layer(adapters.group(key), MergeConfig())
+        assert layer.layer_key == key
+        assert np.array_equal(layer.delta, alone.delta)
 
 
 def base_records(keys, shape, rng):

@@ -92,12 +92,17 @@ class TensorRecord:
                 f"shape {self.shape} x {self.dtype} needs {expected}"
             )
 
-    def to_array(self) -> np.ndarray:
-        """Decode to float64 regardless of storage precision."""
+    def values(self) -> np.ndarray:
+        """The stored numbers, exactly: a read-only view of raw in the stored
+        precision, except bf16, which is widened to a new f32 array."""
         data = np.frombuffer(self.raw, dtype=_DTYPES[self.dtype][2])
         if self.dtype == "bf16":
-            data = (data.astype(np.uint32) << 16).view("<f4")
-        return data.astype(np.float64).reshape(self.shape)
+            data = np.left_shift(data, 16, dtype=np.uint32).view("<f4")
+        return data.reshape(self.shape)
+
+    def to_array(self) -> np.ndarray:
+        """Decode to a new float64 array regardless of storage precision."""
+        return self.values().astype(np.float64)
 
     def release(self) -> None:
         """Drop the pages of the file map this record views from memory.
@@ -111,11 +116,18 @@ class TensorRecord:
 
     @classmethod
     def from_array(cls, key: str, arr, dtype: str = "f32") -> "TensorRecord":
-        """Encode arr; the record's raw is a read-only view of the one encoded copy."""
+        """Encode arr; the record's raw is a read-only view of the one encoded copy.
+
+        f32 and f64 input is encoded as it is, anything else is widened to
+        f64 first. A C-ordered f32 arr encoded to f32 is not copied: raw
+        views arr itself.
+        """
         if dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}")
-        arr = np.asarray(arr, dtype=np.float64, order="C")
-        encoded = _encode_bf16(arr) if dtype == "bf16" else arr.astype(_DTYPES[dtype][2])
+        arr = np.asarray(arr, order="C")
+        if arr.dtype not in (np.float32, np.float64):
+            arr = arr.astype(np.float64)
+        encoded = _encode_bf16(arr) if dtype == "bf16" else arr.astype(_DTYPES[dtype][2], copy=False)
         raw = memoryview(encoded.reshape(-1).view(np.uint8)).toreadonly()
         return cls(key=key, dtype=dtype, shape=arr.shape, raw=raw)
 
@@ -402,6 +414,8 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
             warnings.append(f"dropped: {msg}")
         else:
             aligned.add(key)
+    if not aligned:
+        raise AlignmentError("no layer is aligned across the adapters; " + "; ".join(warnings))
 
     return AdapterSet(
         adapters=[{k: a[k] for k in sorted(aligned)} for a in adapters],

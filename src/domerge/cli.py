@@ -205,16 +205,15 @@ def _stats_dict(stats) -> dict:
 def _f32_records(layers, mode: str, rank: int | None, base, out_path: Path):
     """(key, f32 record) pairs of the layers' output tensors, each checked finite.
 
-    Layers are rendered one at a time, and a layer's arrays are released
-    before the next one is rendered.
+    Layers are rendered one at a time, each record views its rendered array,
+    and a layer's arrays are released before the next one is rendered.
     """
     for layer in layers:
         for key, arr in layer_outputs(layer, mode, rank, base).items():
-            record = TensorRecord.from_array(key, arr, "f32")
-            if not np.isfinite(np.frombuffer(record.raw, dtype="<f4")).all():
+            if not np.isfinite(arr).all():
                 raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
-            yield key, record
-        del arr, record
+            yield key, TensorRecord.from_array(key, arr, "f32")
+        del arr
 
 
 def cmd_merge(args) -> int:

@@ -14,7 +14,8 @@ task-arithmetic code path.
 Every method works on factors: the merged delta is one product of an
 m x R and an R x n stack, R = sum_i rank_i, unit norms come from rank_i x
 rank_i Grams, and no per-adapter m x n matrix is formed. A MergedLayer keeps
-the two factors, and layer_outputs renders them for each output mode.
+the two factors, and layer_outputs renders them for each output mode as the
+f32 tensors that are written, a row block at a time, with no m x n f64 array.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ from .linalg import MAGNITUDE_MODES, _floor_degenerate
 from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
 
 METHODS = ("do_merging", "task_arithmetic", "average")
+
+_RENDER_BLOCK_BYTES = 4 << 20  # size of the f64 scratch one row block is rendered in
+
+# Hugging Face PEFT saves adapter keys under this prefix; the base model's keys lack it
+_PEFT_PREFIX = "base_model.model."
 
 
 @dataclass(frozen=True)
@@ -192,12 +198,35 @@ def resolve_base_key(base: dict, layer_key: str) -> str:
     """Base-checkpoint key holding this layer's pretrained weights.
 
     Accepts the layer key verbatim or with a trailing ".weight", matching
-    how checkpoints usually name the module weight the adapter targets.
+    how checkpoints usually name the module weight the adapter targets,
+    and then both again with a leading PEFT "base_model.model." removed.
     """
-    for candidate in (layer_key, layer_key + ".weight"):
+    module = layer_key.removeprefix(_PEFT_PREFIX)
+    for candidate in (layer_key, layer_key + ".weight", module, module + ".weight"):
         if candidate in base:
             return candidate
     raise AlignmentError(f"base checkpoint has no weights for layer {layer_key!r}")
+
+
+def _render_f32(left, right, addend=None) -> np.ndarray:
+    """(left @ right + addend) as a new f32 array, each entry rounded once from f64.
+
+    The product is formed a row block at a time in one f64 scratch of about
+    _RENDER_BLOCK_BYTES, addend (any m x n array, such as a base record's
+    values()) is added to the block in f64, and the block is then rounded
+    into the output, so no m x n f64 array exists.
+    """
+    m, n = left.shape[0], right.shape[1]
+    out = np.empty((m, n), dtype=np.float32)
+    rows = max(1, _RENDER_BLOCK_BYTES // (8 * max(n, 1)))
+    scratch = np.empty((min(rows, m), n))
+    for i in range(0, m, rows):
+        block = scratch[: min(rows, m - i)]
+        np.matmul(left[i : i + rows], right, out=block)
+        if addend is not None:
+            block += addend[i : i + rows]
+        out[i : i + rows] = block
+    return out
 
 
 def layer_outputs(
@@ -207,18 +236,19 @@ def layer_outputs(
     base: dict[str, TensorRecord] | None = None,
     shapes_only: bool = False,
 ) -> dict:
-    """The tensors one merged layer contributes to an output checkpoint, by key.
+    """The f32 tensors one merged layer contributes to an output checkpoint, by key.
 
     "delta": the merged delta under the bare layer key. "fused": base weights
     plus the delta, under the base's key for the layer; base is a
     load_checkpoint record map. "lowrank": the best rank-`rank` factors as a
-    lora_B / lora_A weight pair. With shapes_only the values are the
-    tensors' shapes and nothing is rendered, so a writer can lay out the
-    file first; both forms raise the same errors.
+    lora_B / lora_A weight pair. Each tensor is computed in f64 and rounded
+    to f32 once. With shapes_only the values are the tensors' shapes and
+    nothing is rendered, so a writer can lay out the file first; both forms
+    raise the same errors.
     """
     key = merged.layer_key
     if mode == "delta":
-        return {key: merged.shape if shapes_only else merged.delta}
+        return {key: merged.shape if shapes_only else _render_f32(merged.left, merged.right)}
     if mode == "fused":
         if base is None:
             raise ValueError("fused output mode requires a base checkpoint")
@@ -228,9 +258,8 @@ def layer_outputs(
             raise AlignmentError(f"base {base_key!r} has shape {record.shape}, delta has {merged.shape}")
         if shapes_only:
             return {base_key: merged.shape}
-        fused = record.to_array()
+        fused = _render_f32(merged.left, merged.right, record.values())
         record.release()  # a mapped base keeps only the layer being merged resident
-        fused += merged.delta
         return {base_key: fused}
     if mode == "lowrank":
         m, n = merged.shape
@@ -240,7 +269,7 @@ def layer_outputs(
         if shapes_only:
             return {b_key: (m, rank), a_key: (rank, n)}
         b, a = _truncated_factors(merged.left, merged.right, rank)
-        return {b_key: b, a_key: a}
+        return {b_key: b.astype(np.float32), a_key: a.astype(np.float32)}
     raise ValueError(f"unknown output mode {mode!r}")
 
 

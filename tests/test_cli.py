@@ -193,6 +193,31 @@ def test_merge_fused_output_key_collision_exit_3(tmp_path, capsys, rng):
     assert not out.exists()
 
 
+def test_merge_fused_peft_keys_follow_base(base_file, tmp_path, capsys, rng):
+    # PEFT names adapter keys base_model.model.<module>.lora_A.weight; the base has <module>.weight
+    peft, plain = [], []
+    for i in range(2):
+        records = make_adapter_records(LAYER_KEYS, rank=4, full_shape=(16, 12), rng=rng)
+        prefixed = {
+            "base_model.model." + k: TensorRecord("base_model.model." + k, r.dtype, r.shape, r.raw)
+            for k, r in records.items()
+        }
+        plain.append(tmp_path / f"plain{i}.safetensors")
+        peft.append(tmp_path / f"peft{i}.safetensors")
+        save_checkpoint(records, plain[-1])
+        save_checkpoint(prefixed, peft[-1])
+    outs = []
+    for paths in (peft, plain):
+        outs.append(tmp_path / f"fused-{paths[0].stem}.safetensors")
+        code, _, err = run(
+            capsys, "merge", *map(str, paths), "--base", str(base_file),
+            "--output-mode", "fused", "--output", str(outs[-1]),
+        )
+        assert code == 0, err
+    assert set(load_checkpoint(outs[0])) == set(load_checkpoint(base_file))
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_merge_delta_ignores_corrupt_base(adapter_files, tmp_path, capsys):
     corrupt = tmp_path / "corrupt.safetensors"
     corrupt.write_bytes(b"garbage bytes here")
@@ -260,6 +285,24 @@ def test_merge_fused_peak_memory_is_bounded(tmp_path, rng):
     growth = (merged_kb - _peak_rss_kb()) * 1024
     layer_f64 = 8 * shape[0] * shape[1]
     assert growth <= base.stat().st_size + 4 * layer_f64
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_merge_delta_peak_memory_is_bounded(tmp_path, rng):
+    # 4 layers of 2048 x 2048 at rank 4; peak RSS above the import's may
+    # hold two f32 layers, which leaves no room for an m x n f64 array
+    keys, shape = [f"layer{i}" for i in range(4)], (2048, 2048)
+    adapters = []
+    for i in range(2):
+        adapters.append(tmp_path / f"adapter{i}.safetensors")
+        save_checkpoint(make_adapter_records(keys, 4, shape, rng), adapters[-1])
+    merged_kb = _peak_rss_kb(
+        "merge", *map(str, adapters), "--method", "task_arithmetic",
+        "--output", str(tmp_path / "delta.safetensors"),
+    )
+    growth = (merged_kb - _peak_rss_kb()) * 1024
+    layer_f32 = 4 * shape[0] * shape[1]
+    assert growth <= 2 * layer_f32
 
 
 def test_merge_lowrank_emits_factor_pairs(adapter_files, tmp_path, capsys):
@@ -555,3 +598,16 @@ def test_merge_lenient_drops_misaligned(tmp_path, capsys, rng):
     summary = json.loads(stdout)
     assert list(summary["layers"]) == ["x"]
     assert summary["warnings"]
+
+
+def test_merge_lenient_with_no_aligned_layer_exit_3(tmp_path, capsys, rng):
+    p1 = tmp_path / "one.safetensors"
+    p2 = tmp_path / "two.safetensors"
+    save_checkpoint(make_adapter_records(["x"], 2, (6, 5), rng), p1)
+    save_checkpoint(make_adapter_records(["x"], 2, (7, 5), rng), p2)
+    out = tmp_path / "l.safetensors"
+    code, stdout, err = run(capsys, "merge", str(p1), str(p2), "--lenient", "--output", str(out))
+    assert code == 3
+    assert "no layer is aligned" in err and "'x'" in err and "(6, 5), (7, 5)" in err
+    assert stdout == ""
+    assert not out.exists()

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from domerge import merge as merge_module
 from domerge.checkpoint import AdapterSet, AlignmentError, LoraLayer, TensorRecord, extract_adapters
 from domerge.merge import (
     MergeConfig,
+    _render_f32,
+    _truncated_factors,
     assemble_full_rank,
     layer_outputs,
     merge_adapter_set,
@@ -165,7 +168,9 @@ def test_fused_output_adds_base(adapter_files, rng):
     for key, layer in merge_adapter_set(adapters).items():
         out = layer_outputs(layer, "fused", base=base)
         assert list(out) == [key + ".weight"]
-        assert np.array_equal(out[key + ".weight"], base[key + ".weight"].to_array() + layer.delta)
+        fused = out[key + ".weight"]
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused, (base[key + ".weight"].to_array() + layer.delta).astype(np.float32))
 
 
 def test_fused_output_shape_conflict_rejected(adapter_files, rng):
@@ -206,14 +211,38 @@ def test_merge_adapter_set_returns_rank_sum_factors(rng):
         assert merged.shape == (10, 8)
         delta = layer_outputs(merged, "delta")
         assert list(delta) == ["l"]
-        assert np.array_equal(delta["l"], merged.left @ merged.right)
+        assert delta["l"].dtype == np.float32
+        assert np.array_equal(delta["l"], (merged.left @ merged.right).astype(np.float32))
+
+
+@pytest.mark.parametrize("dtype", [None, "f64", "f32", "f16", "bf16"])
+@pytest.mark.parametrize("rows", [None, 5, 1], ids=["one_block", "ragged_blocks", "row_blocks"])
+@pytest.mark.parametrize("m", [23, 0])
+def test_render_f32_is_the_f32_of_the_f64_product(monkeypatch, rng, dtype, rows, m):
+    n, r = 12, 9
+    if rows is not None:  # 23 rows: four blocks of 5 and one of 3, or 23 blocks of 1
+        monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 8 * n * rows)
+    left, right = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+    want = left @ right
+    base = None
+    if dtype is not None:
+        base = TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)
+        want = want + base.to_array()
+    got = _render_f32(left, right, None if base is None else base.values())
+    assert got.dtype == np.float32 and got.shape == (m, n)
+    assert np.array_equal(got, want.astype(np.float32))
 
 
 def lowrank_factors(merged, rank):
+    """The f64 rank-`rank` factors, checked to be what layer_outputs writes in f32."""
     out = layer_outputs(merged, "lowrank", rank)
     key = merged.layer_key
     assert list(out) == [key + ".lora_B.weight", key + ".lora_A.weight"]
-    return out[key + ".lora_B.weight"], out[key + ".lora_A.weight"]
+    b, a = _truncated_factors(merged.left, merged.right, rank)
+    for written, factor in ((out[key + ".lora_B.weight"], b), (out[key + ".lora_A.weight"], a)):
+        assert written.dtype == np.float32
+        assert np.array_equal(written, factor.astype(np.float32))
+    return b, a
 
 
 def test_resolve_base_key_variants():
@@ -222,6 +251,16 @@ def test_resolve_base_key_variants():
     assert resolve_base_key(base, "y") == "y"
     with pytest.raises(AlignmentError):
         resolve_base_key(base, "z")
+
+
+def test_resolve_base_key_strips_peft_prefix():
+    base = {"x.weight": 1, "y": 2, "base_model.model.z": 3, "z": 4}
+    assert resolve_base_key(base, "base_model.model.x") == "x.weight"
+    assert resolve_base_key(base, "base_model.model.y") == "y"
+    assert resolve_base_key(base, "base_model.model.z") == "base_model.model.z"  # verbatim wins
+    for key in ("model.x", "base_model.x", "base_model.model.w"):
+        with pytest.raises(AlignmentError, match=key):
+            resolve_base_key(base, key)
 
 
 def test_lowrank_output_refactorizes(adapter_files):

@@ -46,6 +46,7 @@ from .merge import (
     layer_outputs,
     merge_adapter_set,
     merge_layer,
+    output_shapes,
 )
 from .ortho import OrthoConfig, OrthoStats, ortho_grad, ortho_loss, orthogonalize_group
 
@@ -84,6 +85,7 @@ __all__ = [
     "ortho_grad",
     "ortho_loss",
     "orthogonalize_group",
+    "output_shapes",
     "orthogonality_report",
     "recompose",
     "save_checkpoint",

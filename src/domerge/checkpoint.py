@@ -369,6 +369,8 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
         raise AlignmentError("scalings length must match file count")
     if names is None:
         names = [f.stem for f in files]
+    if len(names) != len(files):
+        raise AlignmentError("names length must match file count")
 
     adapters: list[dict[str, LoraLayer]] = []
     for f, scale in zip(files, scalings):

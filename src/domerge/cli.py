@@ -42,7 +42,7 @@ from .experiments import (
     run_decoupling_suite,
 )
 from .linalg import MAGNITUDE_MODES
-from .merge import METHODS, MergeConfig, layer_outputs, merge_adapter_set
+from .merge import METHODS, MergeConfig, layer_outputs, merge_layer, output_shapes
 from .ortho import OrthoConfig
 
 EXIT_USAGE = 2
@@ -202,18 +202,23 @@ def _stats_dict(stats) -> dict:
     }
 
 
-def _f32_records(layers, mode: str, rank: int | None, base, out_path: Path):
-    """(key, f32 record) pairs of the layers' output tensors, each checked finite.
+def _f32_records(adapters, config, mode: str, rank: int | None, base, layer_stats, out_path: Path):
+    """(key, f32 record) pairs of every layer's output tensors, each checked finite.
 
-    Layers are rendered one at a time, each record views its rendered array,
-    and a layer's arrays are released before the next one is rendered.
+    One layer at a time: merge it, add its summary entry to layer_stats, render
+    it and yield its records; it is released before the next layer is merged.
     """
-    for layer in layers:
+    for layer_key in adapters.layer_keys:
+        layer = merge_layer(adapters.group(layer_key), config)
+        entry: dict = {"shape": list(layer.shape)}
+        if layer.ortho_stats is not None:
+            entry["ortho"] = {g: _stats_dict(s) for g, s in sorted(layer.ortho_stats.items())}
+        layer_stats[layer_key] = entry
         for key, arr in layer_outputs(layer, mode, rank, base).items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
             yield key, TensorRecord.from_array(key, arr, "f32")
-        del arr
+        del layer, arr
 
 
 def cmd_merge(args) -> int:
@@ -226,50 +231,35 @@ def cmd_merge(args) -> int:
 
     ortho = None
     if not args.no_ortho:
-        try:
-            ortho = OrthoConfig(
-                max_steps=args.ortho_steps,
-                max_rel_perturbation=args.ortho_budget,
-            )
-        except ValueError as e:
-            raise _CliError(EXIT_USAGE, "usage", str(e)) from None
-    try:
-        config = MergeConfig(
-            lam=args.lam,
-            magnitude_mode=args.magnitude_mode,
-            method=args.method,
-            ortho=ortho,
-            decouple_enabled=not args.no_decouple,
-        )
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, "usage", str(e)) from None
+        ortho = OrthoConfig(max_steps=args.ortho_steps, max_rel_perturbation=args.ortho_budget)
+    config = MergeConfig(
+        lam=args.lam,
+        magnitude_mode=args.magnitude_mode,
+        method=args.method,
+        ortho=ortho,
+        decouple_enabled=not args.no_decouple,
+    )
 
     paths, names, scalings = _gather_sources(args)
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=args.strict)
     base = load_checkpoint(args.base) if mode == "fused" else None
-    merged = merge_adapter_set(adapters, config=config)
 
-    # the header is laid out before any tensor is rendered
+    # the header is laid out from the inputs, so a bad base or rank fails before any merge
     layout: dict[str, tuple[str, tuple[int, ...]]] = {}
     owners: dict[str, str] = {}
-    for layer in merged.values():
-        for key, shape in layer_outputs(layer, mode, rank, base, shapes_only=True).items():
+    for layer_key in adapters.layer_keys:
+        shape = adapters.group(layer_key)[0].full_shape
+        for key, out_shape in output_shapes(layer_key, shape, mode, rank, base).items():
             if key in owners:
                 raise AlignmentError(
-                    f"layers {owners[key]!r} and {layer.layer_key!r} "
-                    f"both write output tensor {key!r}"
+                    f"layers {owners[key]!r} and {layer_key!r} both write output tensor {key!r}"
                 )
-            owners[key] = layer.layer_key
-            layout[key] = ("f32", shape)
-    records = _f32_records(merged.values(), mode, rank, base, out_path)
+            owners[key] = layer_key
+            layout[key] = ("f32", out_shape)
+    layer_stats: dict[str, dict] = {}
+    records = _f32_records(adapters, config, mode, rank, base, layer_stats, out_path)
     save_checkpoint(records, out_path, layout=layout)
 
-    layer_stats = {}
-    for key, layer in merged.items():
-        entry: dict = {"shape": list(layer.shape)}
-        if layer.ortho_stats is not None:
-            entry["ortho"] = {g: _stats_dict(s) for g, s in sorted(layer.ortho_stats.items())}
-        layer_stats[key] = entry
     summary = {
         "command": "merge",
         "output": str(out_path),
@@ -330,9 +320,7 @@ def cmd_diagnose(args) -> int:
     sys.stdout.write(f"magnitude_variance {format_float(report.magnitude_variance)}\n")
     for key in sorted(report.per_layer_cross_gram):
         gram = report.per_layer_cross_gram[key]
-        n = gram.shape[0]
-        off = [gram[i, j] for i in range(n) for j in range(i + 1, n)]
-        peak = max(off) if off else 0.0
+        peak = gram[np.triu_indices(gram.shape[0], 1)].max(initial=0.0)
         sys.stdout.write(f"layer {key} max_cross_gram {format_float(peak)}\n")
     sys.stdout.write(f"report written to {args.report}\n")
     return 0

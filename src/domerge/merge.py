@@ -31,7 +31,6 @@ from .checkpoint import (
     AdapterSet,
     AlignmentError,
     LoraLayer,
-    TensorRecord,
 )
 from .linalg import MAGNITUDE_MODES, _floor_degenerate
 from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
@@ -214,7 +213,12 @@ def _render_f32(left, right, addend=None) -> np.ndarray:
     The product is formed a row block at a time in one f64 scratch of about
     _RENDER_BLOCK_BYTES, addend (any m x n array, such as a base record's
     values()) is added to the block in f64, and the block is then rounded
-    into the output, so no m x n f64 array exists.
+    into the output, so no m x n f64 array exists. BLAS may take another
+    kernel for a block than for one left @ right (4 MB blocks of shapes
+    (3000, 700) and (777, 1500) at R = 16 and 64 differ from it in tens to
+    hundreds of f64 entries, none after rounding): the bytes repeat run to run,
+    but equal the one-shot product's f32 rounding only on the shapes tested,
+    not by construction.
     """
     m, n = left.shape[0], right.shape[1]
     out = np.empty((m, n), dtype=np.float32)
@@ -229,48 +233,50 @@ def _render_f32(left, right, addend=None) -> np.ndarray:
     return out
 
 
-def layer_outputs(
-    merged: MergedLayer,
-    mode: str,
-    rank: int | None = None,
-    base: dict[str, TensorRecord] | None = None,
-    shapes_only: bool = False,
-) -> dict:
-    """The f32 tensors one merged layer contributes to an output checkpoint, by key.
+def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, base=None) -> dict:
+    """The keys and shapes of the tensors a layer of this key and full shape
+    contributes to an output checkpoint, in the order layer_outputs renders them.
 
-    "delta": the merged delta under the bare layer key. "fused": base weights
-    plus the delta, under the base's key for the layer; base is a
-    load_checkpoint record map. "lowrank": the best rank-`rank` factors as a
-    lora_B / lora_A weight pair. Each tensor is computed in f64 and rounded
-    to f32 once. With shapes_only the values are the tensors' shapes and
-    nothing is rendered, so a writer can lay out the file first; both forms
-    raise the same errors.
+    "delta": the bare layer key. "fused": the base's key for the layer, whose
+    record must have the layer's shape; base is a load_checkpoint record map.
+    "lowrank": a lora_B / lora_A weight pair of rank `rank`, 1 <= rank <=
+    min(shape). Nothing is merged, so a writer can lay out the file, and
+    reject a bad base or rank, before the first layer is merged.
     """
-    key = merged.layer_key
+    m, n = shape
     if mode == "delta":
-        return {key: merged.shape if shapes_only else _render_f32(merged.left, merged.right)}
+        return {layer_key: (m, n)}
     if mode == "fused":
         if base is None:
             raise ValueError("fused output mode requires a base checkpoint")
-        base_key = resolve_base_key(base, key)
-        record = base[base_key]
-        if record.shape != merged.shape:
-            raise AlignmentError(f"base {base_key!r} has shape {record.shape}, delta has {merged.shape}")
-        if shapes_only:
-            return {base_key: merged.shape}
+        base_key = resolve_base_key(base, layer_key)
+        if base[base_key].shape != (m, n):
+            raise AlignmentError(f"base {base_key!r} has shape {base[base_key].shape}, delta has {(m, n)}")
+        return {base_key: (m, n)}
+    if mode == "lowrank":
+        if rank is None or not 1 <= rank <= min(m, n):
+            raise ValueError(f"rank {rank} out of range for shape {(m, n)}")
+        return {layer_key + LORA_B_SUFFIX: (m, rank), layer_key + LORA_A_SUFFIX: (rank, n)}
+    raise ValueError(f"unknown output mode {mode!r}")
+
+
+def layer_outputs(merged: MergedLayer, mode: str, rank: int | None = None, base=None) -> dict:
+    """The f32 tensors one merged layer contributes to an output checkpoint, by key.
+
+    Keys, shapes and errors are output_shapes'. "delta": the merged delta;
+    "fused": base weights plus the delta; "lowrank": the best rank-`rank`
+    factors. Each tensor is computed in f64 and rounded to f32 once.
+    """
+    keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
+    if mode == "delta":
+        return {keys[0]: _render_f32(merged.left, merged.right)}
+    if mode == "fused":
+        record = base[keys[0]]
         fused = _render_f32(merged.left, merged.right, record.values())
         record.release()  # a mapped base keeps only the layer being merged resident
-        return {base_key: fused}
-    if mode == "lowrank":
-        m, n = merged.shape
-        if not (1 <= rank <= min(m, n)):
-            raise ValueError(f"rank {rank} out of range for shape {(m, n)}")
-        b_key, a_key = key + LORA_B_SUFFIX, key + LORA_A_SUFFIX
-        if shapes_only:
-            return {b_key: (m, rank), a_key: (rank, n)}
-        b, a = _truncated_factors(merged.left, merged.right, rank)
-        return {b_key: b.astype(np.float32), a_key: a.astype(np.float32)}
-    raise ValueError(f"unknown output mode {mode!r}")
+        return {keys[0]: fused}
+    b, a = _truncated_factors(merged.left, merged.right, rank)
+    return {keys[0]: b.astype(np.float32), keys[1]: a.astype(np.float32)}
 
 
 def merge_adapter_set(adapters: AdapterSet, config: MergeConfig | None = None) -> dict[str, MergedLayer]:

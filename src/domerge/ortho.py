@@ -8,6 +8,7 @@ groups of a layer before merging; also runs directly on full-rank matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class OrthoConfig:
     def __post_init__(self):
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
         if not (0 < self.max_rel_perturbation < 1):
             raise ValueError("max_rel_perturbation must lie in (0, 1)")
 

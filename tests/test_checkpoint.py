@@ -351,6 +351,14 @@ def test_extract_adapters_applies_scaling(adapter_files):
     assert plain.group(key)[0].scaling == 1.0
 
 
+@pytest.mark.parametrize(
+    "field, values", [("names", ["only"]), ("scalings", [1.0])], ids=["names", "scalings"]
+)
+def test_extract_adapters_rejects_per_file_list_of_wrong_length(adapter_files, field, values):
+    with pytest.raises(AlignmentError, match=f"{field} length must match file count"):
+        extract_adapters(adapter_files[:2], **{field: values})
+
+
 def test_extract_adapters_unpaired_factor_rejected(tmp_path, rng):
     records = make_adapter_records(["solo"], rank=2, full_shape=(6, 5), rng=rng)
     del records["solo.lora_A.weight"]

@@ -3,11 +3,13 @@ import json
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from domerge import cli
 from domerge.checkpoint import TensorRecord, load_checkpoint, save_checkpoint
 from domerge.cli import build_parser, main
 
@@ -79,15 +81,23 @@ def test_merge_average_rejects_lambda(adapter_files, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("lam", ["nan", "inf"])
-def test_merge_rejects_non_finite_lambda_before_reading(tmp_path, capsys, lam):
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        pytest.param(["--lambda", "nan"], "lam", id="nan"),
+        pytest.param(["--lambda", "inf"], "lam", id="inf"),
+        pytest.param(["--ortho-budget", "1.5"], "max_rel_perturbation", id="ortho-budget"),
+        pytest.param(["--ortho-steps", "0"], "max_steps", id="ortho-steps"),
+    ],
+)
+def test_merge_rejects_non_finite_lambda_before_reading(tmp_path, capsys, flags, field):
     out = tmp_path / "m.safetensors"
     # the adapter does not exist: a usage error must come before any read
     code, _, err = run(
-        capsys, "merge", str(tmp_path / "absent.safetensors"), "--lambda", lam, "--output", str(out)
+        capsys, "merge", str(tmp_path / "absent.safetensors"), *flags, "--output", str(out)
     )
     assert code == 2, err
-    assert "lam" in err
+    assert field in err
     assert not out.exists()
 
 
@@ -174,6 +184,65 @@ def test_merge_fused_base_shape_conflict_exit_3(adapter_files, tmp_path, capsys,
     assert code == 3
     assert "'enc.0.attn.v.weight'" in err and "(12, 16)" in err
     assert not out.exists()
+
+
+def test_merge_fused_base_missing_layer_exit_3_before_any_merge(
+    adapter_files, tmp_path, capsys, rng, monkeypatch
+):
+    weights = [key + ".weight" for key in LAYER_KEYS if key != "enc.1.ffn.down"]
+    base = tmp_path / "base.safetensors"
+    save_checkpoint(
+        {k: TensorRecord.from_array(k, rng.standard_normal((16, 12)), "f32") for k in weights}, base
+    )
+    merged = []
+    monkeypatch.setattr(cli, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    out = tmp_path / "fused.safetensors"
+    code, _, err = run(
+        capsys, "merge", *(str(p) for p in adapter_files), "--base", str(base),
+        "--output-mode", "fused", "--output", str(out),
+    )
+    assert code == 3
+    assert "'enc.1.ffn.down'" in err
+    assert not out.exists()
+    assert merged == []
+
+
+def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, monkeypatch):
+    keys = ["l0", "l1", "l2"]
+    adapters = []
+    for i in range(2):
+        adapters.append(tmp_path / f"adapter{i}.safetensors")
+        save_checkpoint(make_adapter_records(keys, 2, (6, 5), rng), adapters[-1])
+    events, merged, held = [], [], []
+    real_merge, real_save = cli.merge_layer, cli.save_checkpoint
+
+    def logged_merge(layers, config):
+        held.append(sum(ref() is not None for ref in merged))
+        layer = real_merge(layers, config)
+        merged.append(weakref.ref(layer))
+        events.append(("merge", layer.layer_key))
+        return layer
+
+    def logged_save(records, path, layout=None):
+        def logged():
+            for key, record in records:
+                events.append(("write", key))
+                yield key, record
+
+        real_save(logged(), path, layout=layout)
+
+    monkeypatch.setattr(cli, "merge_layer", logged_merge)
+    monkeypatch.setattr(cli, "save_checkpoint", logged_save)
+    out = tmp_path / "lr.safetensors"
+    code, _, err = run(
+        capsys, "merge", *map(str, adapters), "--output-mode", "lowrank:2", "--output", str(out)
+    )
+    assert code == 0, err
+    expected = []
+    for key in keys:
+        expected += [("merge", key), ("write", key + ".lora_B.weight"), ("write", key + ".lora_A.weight")]
+    assert events == expected
+    assert held == [0, 0, 0]  # no earlier merged layer is alive when the next is merged
 
 
 def test_merge_fused_output_key_collision_exit_3(tmp_path, capsys, rng):

@@ -11,6 +11,7 @@ from domerge.merge import (
     layer_outputs,
     merge_adapter_set,
     merge_layer,
+    output_shapes,
     resolve_base_key,
 )
 from domerge.ortho import OrthoConfig
@@ -186,7 +187,7 @@ def test_layer_outputs_shapes_only_matches_rendered(adapter_files, rng, mode, ra
     adapters = extract_adapters(adapter_files)
     base = base_records(adapters.layer_keys, (16, 12), rng)
     for layer in merge_adapter_set(adapters).values():
-        shapes = layer_outputs(layer, mode, rank, base, shapes_only=True)
+        shapes = output_shapes(layer.layer_key, layer.shape, mode, rank, base)
         rendered = layer_outputs(layer, mode, rank, base)
         assert list(shapes) == list(rendered)
         assert all(shapes[key] == arr.shape for key, arr in rendered.items())
@@ -197,9 +198,10 @@ def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
     layer = next(iter(merge_adapter_set(adapters).values()))
     conflict = base_records(adapters.layer_keys, (3, 3), rng)
     with pytest.raises(AlignmentError):
-        layer_outputs(layer, "fused", base=conflict, shapes_only=True)
-    with pytest.raises(ValueError, match="out of range"):
-        layer_outputs(layer, "lowrank", 13, shapes_only=True)
+        output_shapes(layer.layer_key, layer.shape, "fused", base=conflict)
+    for rank in (13, None):
+        with pytest.raises(ValueError, match="out of range"):
+            output_shapes(layer.layer_key, layer.shape, "lowrank", rank)
 
 
 def test_merge_adapter_set_returns_rank_sum_factors(rng):

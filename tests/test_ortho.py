@@ -18,8 +18,9 @@ def test_config_defaults_and_validation():
         OrthoConfig(max_rel_perturbation=0.0)
     with pytest.raises(ValueError):
         OrthoConfig(max_rel_perturbation=1.0)
-    with pytest.raises(ValueError):
-        OrthoConfig(step_size=0.0)
+    for step_size in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            OrthoConfig(step_size=step_size)
 
 
 def test_loss_with_zero_deltas_is_cross_gram_sum(rng):

@@ -46,6 +46,7 @@ from .merge import (
     layer_outputs,
     merge_adapter_set,
     merge_layer,
+    output_blocks,
     output_shapes,
 )
 from .ortho import OrthoConfig, OrthoStats, ortho_grad, ortho_loss, orthogonalize_group
@@ -85,6 +86,7 @@ __all__ = [
     "ortho_grad",
     "ortho_loss",
     "orthogonalize_group",
+    "output_blocks",
     "output_shapes",
     "orthogonality_report",
     "recompose",

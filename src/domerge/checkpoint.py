@@ -13,7 +13,7 @@ Failures raise distinct error types carrying the file byte position.
 Loaded records are zero-copy views of a read-only map of the file, so a
 checkpoint costs memory only for the pages that are read. Saving writes the
 header first and then each tensor at its offset, so tensors can be produced
-and written one at a time.
+and written one at a time, or one row block at a time.
 """
 
 from __future__ import annotations
@@ -103,6 +103,15 @@ class TensorRecord:
     def to_array(self) -> np.ndarray:
         """Decode to a new float64 array regardless of storage precision."""
         return self.values().astype(np.float64)
+
+    def rows(self, start: int, stop: int) -> "TensorRecord":
+        """Rows [start, stop) of a tensor of one or more dimensions, as a record
+        viewing the same bytes (no copy, and a mapped record stays mapped)."""
+        if not self.shape or not 0 <= start <= stop <= self.shape[0]:
+            raise ValueError(f"{self.key}: no rows [{start}, {stop}) in shape {self.shape}")
+        width = math.prod(self.shape[1:]) * _DTYPES[self.dtype][1]
+        raw = memoryview(self.raw)[start * width : stop * width]
+        return TensorRecord(self.key, self.dtype, (stop - start, *self.shape[1:]), raw)
 
     def release(self) -> None:
         """Drop the pages of the file map this record views from memory.
@@ -249,10 +258,13 @@ def save_checkpoint(records, path, layout=None) -> None:
     shape) map, records is instead an iterable of (key, TensorRecord) pairs
     in any order, which is consumed one pair at a time. The header comes
     from the layout alone and is padded with spaces so the byte buffer
-    starts 8-byte aligned; each tensor is then written at its offset as it
-    arrives. A tensor missing from the layout, repeated, of another dtype
-    or shape, or never produced is a ValueError. On any error path is left
-    as it was. Equal tensors give byte-identical files in either form.
+    starts 8-byte aligned; each record is then written as it arrives. A
+    tensor of one or more dimensions may arrive as consecutive row blocks:
+    records of its dtype and trailing shape whose rows add up to its own. A
+    tensor missing from the layout, repeated, of another dtype or trailing
+    shape, with too many or too few rows, or never produced is a ValueError.
+    On any error path is left as it was. Equal tensors give byte-identical
+    files in either form.
     """
     if layout is None:
         layout = {key: (rec.dtype, rec.shape) for key, rec in records.items()}
@@ -275,22 +287,48 @@ def save_checkpoint(records, path, layout=None) -> None:
     body += b" " * pad
     buf_start = 8 + len(body)
     pending = dict(layout)
+    current, rows_left = None, 0  # the tensor being written and the rows it still needs
     with atomic_file(path) as fh:
         fh.write(len(body).to_bytes(8, "little"))
         fh.write(body)
         for key, rec in records:
-            if key not in pending:
-                raise ValueError(f"{key}: not in the layout, or written twice")
-            dtype, shape = pending.pop(key)
-            if (rec.dtype, rec.shape) != (dtype, tuple(shape)):
+            if key != current or not rows_left:
+                if rows_left:
+                    raise ValueError(f"{current}: {rows_left} rows were never written")
+                if key not in pending:
+                    raise ValueError(f"{key}: not in the layout, or written twice")
+                dtype, shape = pending.pop(key)
+                current, rows_left = key, shape[0] if shape else 1
+                fh.seek(buf_start + header[key]["data_offsets"][0])
+            rows = rec.shape[0] if rec.shape else 1
+            block = (rec.dtype, len(rec.shape), rec.shape[1:])
+            if block != (dtype, len(shape), tuple(shape[1:])) or rows > rows_left:
                 raise ValueError(
-                    f"{key}: got {rec.dtype} {rec.shape}, layout says {dtype} {tuple(shape)}"
+                    f"{key}: got {rec.dtype} {rec.shape}, layout says {dtype} {tuple(shape)} "
+                    f"with {rows_left} rows left"
                 )
-            fh.seek(buf_start + header[key]["data_offsets"][0])
             fh.write(rec.raw)
-            del rec  # let the tensor go before the next one is produced
+            rows_left -= rows
+            del rec  # let the block go before the next one is produced
+        if rows_left:
+            raise ValueError(f"{current}: {rows_left} rows were never written")
         if pending:
             raise ValueError(f"tensors {sorted(pending)} were never written")
+
+
+def _check_factors(layer_key: str, b_shape, a_shape, scaling: float) -> None:
+    """Raise AlignmentError unless B and A chain into a LoRA pair of rank at
+    most min of the full shape, with a positive finite scaling."""
+    if len(b_shape) != 2 or len(a_shape) != 2:
+        raise AlignmentError(f"{layer_key}: factors must be 2-D")
+    if b_shape[1] != a_shape[0]:
+        raise AlignmentError(f"{layer_key}: inner dimensions differ, B is {b_shape}, A is {a_shape}")
+    if b_shape[1] > min(b_shape[0], a_shape[1]):
+        raise AlignmentError(
+            f"{layer_key}: rank {b_shape[1]} exceeds min of full shape {(b_shape[0], a_shape[1])}"
+        )
+    if not 0 < scaling < math.inf:
+        raise AlignmentError(f"{layer_key}: scaling must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -304,21 +342,9 @@ class LoraLayer:
     scaling: float = 1.0
 
     def __post_init__(self):
-        if self.B.ndim != 2 or self.A.ndim != 2:
-            raise AlignmentError(f"{self.layer_key}: factors must be 2-D")
-        if self.B.shape[1] != self.A.shape[0]:
-            raise AlignmentError(
-                f"{self.layer_key}: inner dimensions differ, "
-                f"B is {self.B.shape}, A is {self.A.shape}"
-            )
+        _check_factors(self.layer_key, self.B.shape, self.A.shape, self.scaling)
         if self.rank != self.B.shape[1]:
             raise AlignmentError(f"{self.layer_key}: rank {self.rank} != inner dim {self.B.shape[1]}")
-        if self.rank > min(self.full_shape):
-            raise AlignmentError(
-                f"{self.layer_key}: rank {self.rank} exceeds min of full shape {self.full_shape}"
-            )
-        if not 0 < self.scaling < math.inf:
-            raise AlignmentError(f"{self.layer_key}: scaling must be positive and finite")
 
     @property
     def full_shape(self) -> tuple[int, int]:
@@ -327,10 +353,16 @@ class LoraLayer:
 
 @dataclass
 class AdapterSet:
-    """Adapters aligned by layer key, in input order."""
+    """Adapters aligned by layer key, in input order.
 
-    adapters: list[dict[str, LoraLayer]]
+    Each adapter maps a layer key to its stored (B, A) factor records, whose
+    shapes and values were checked at load; group() decodes one layer when it
+    is asked for, so a merge holds only the factors of the layer it merges.
+    """
+
+    adapters: list[dict[str, tuple[TensorRecord, TensorRecord]]]
     names: list[str]
+    scalings: list[float]
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -341,8 +373,17 @@ class AdapterSet:
     def layer_keys(self) -> list[str]:
         return sorted(self.adapters[0]) if self.adapters else []
 
+    def full_shape(self, key: str) -> tuple[int, int]:
+        b, a = self.adapters[0][key]
+        return (b.shape[0], a.shape[1])
+
     def group(self, key: str) -> list[LoraLayer]:
-        return [adapter[key] for adapter in self.adapters]
+        """The layer in every adapter, its factors decoded to new f64 arrays."""
+        layers = []
+        for adapter, scaling in zip(self.adapters, self.scalings):
+            b, a = adapter[key]
+            layers.append(LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], scaling))
+        return layers
 
 
 def _match_factors(records, suffix: str) -> dict[str, str]:
@@ -355,10 +396,11 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
 
     Layer identity is the key with LORA_A_SUFFIX or LORA_B_SUFFIX stripped.
     Each matched layer needs exactly one A and one B tensor, and each file
-    at least one such pair. In strict mode every adapter must carry the
-    same layer keys with the same full-rank shapes; in lenient mode
-    unmatched or conflicting keys are dropped with a recorded warning.
-    Ranks may differ per adapter.
+    at least one such pair. Every pair's shapes, rank and values (finite)
+    are checked here, on the mapped records, but nothing is decoded. In
+    strict mode every adapter must carry the same layer keys with the same
+    full-rank shapes; in lenient mode unmatched or conflicting keys are
+    dropped with a recorded warning. Ranks may differ per adapter.
     """
     files = [Path(f) for f in files]
     if not files:
@@ -371,8 +413,9 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
         names = [f.stem for f in files]
     if len(names) != len(files):
         raise AlignmentError("names length must match file count")
+    scalings = [float(s) for s in scalings]
 
-    adapters: list[dict[str, LoraLayer]] = []
+    adapters: list[dict[str, tuple[TensorRecord, TensorRecord]]] = []
     for f, scale in zip(files, scalings):
         records = load_checkpoint(f)
         a_keys = _match_factors(records, LORA_A_SUFFIX)
@@ -386,13 +429,11 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
             )
         layers = {}
         for layer_key in a_keys:
-            a = records[a_keys[layer_key]].to_array()
-            b = records[b_keys[layer_key]].to_array()
-            if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            b, a = records[b_keys[layer_key]], records[a_keys[layer_key]]
+            _check_factors(layer_key, b.shape, a.shape, scale)
+            if not (np.isfinite(b.values()).all() and np.isfinite(a.values()).all()):
                 raise AlignmentError(f"{f.name}: non-finite values in layer {layer_key!r}")
-            layers[layer_key] = LoraLayer(
-                layer_key=layer_key, B=b, A=a, rank=b.shape[1], scaling=float(scale)
-            )
+            layers[layer_key] = (b, a)
         adapters.append(layers)
 
     warnings: list[str] = []
@@ -408,7 +449,7 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
 
     aligned = set()
     for key in sorted(common):
-        shapes = {a[key].full_shape for a in adapters}
+        shapes = {(a[key][0].shape[0], a[key][1].shape[1]) for a in adapters}
         if len(shapes) > 1:
             msg = f"layer {key!r} has conflicting full shapes {sorted(shapes)}"
             if strict:
@@ -422,6 +463,7 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
     return AdapterSet(
         adapters=[{k: a[k] for k in sorted(aligned)} for a in adapters],
         names=list(names),
+        scalings=scalings,
         warnings=warnings,
     )
 

@@ -42,7 +42,7 @@ from .experiments import (
     run_decoupling_suite,
 )
 from .linalg import MAGNITUDE_MODES
-from .merge import METHODS, MergeConfig, layer_outputs, merge_layer, output_shapes
+from .merge import METHODS, MergeConfig, merge_layer, output_blocks, output_shapes
 from .ortho import OrthoConfig
 
 EXIT_USAGE = 2
@@ -203,10 +203,11 @@ def _stats_dict(stats) -> dict:
 
 
 def _f32_records(adapters, config, mode: str, rank: int | None, base, layer_stats, out_path: Path):
-    """(key, f32 record) pairs of every layer's output tensors, each checked finite.
+    """(key, f32 record) pairs of every layer's output tensors, a row block at a
+    time, each block checked finite before it is yielded.
 
-    One layer at a time: merge it, add its summary entry to layer_stats, render
-    it and yield its records; it is released before the next layer is merged.
+    One layer at a time: merge it, add its summary entry to layer_stats, and
+    render and yield its blocks; it is released before the next layer is merged.
     """
     for layer_key in adapters.layer_keys:
         layer = merge_layer(adapters.group(layer_key), config)
@@ -214,11 +215,11 @@ def _f32_records(adapters, config, mode: str, rank: int | None, base, layer_stat
         if layer.ortho_stats is not None:
             entry["ortho"] = {g: _stats_dict(s) for g, s in sorted(layer.ortho_stats.items())}
         layer_stats[layer_key] = entry
-        for key, arr in layer_outputs(layer, mode, rank, base).items():
-            if not np.isfinite(arr).all():
+        for key, block in output_blocks(layer, mode, rank, base):
+            if not np.isfinite(block).all():
                 raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
-            yield key, TensorRecord.from_array(key, arr, "f32")
-        del layer, arr
+            yield key, TensorRecord.from_array(key, block, "f32")
+        del layer, block
 
 
 def cmd_merge(args) -> int:
@@ -248,7 +249,7 @@ def cmd_merge(args) -> int:
     layout: dict[str, tuple[str, tuple[int, ...]]] = {}
     owners: dict[str, str] = {}
     for layer_key in adapters.layer_keys:
-        shape = adapters.group(layer_key)[0].full_shape
+        shape = adapters.full_shape(layer_key)
         for key, out_shape in output_shapes(layer_key, shape, mode, rank, base).items():
             if key in owners:
                 raise AlignmentError(

@@ -14,8 +14,8 @@ task-arithmetic code path.
 Every method works on factors: the merged delta is one product of an
 m x R and an R x n stack, R = sum_i rank_i, unit norms come from rank_i x
 rank_i Grams, and no per-adapter m x n matrix is formed. A MergedLayer keeps
-the two factors, and layer_outputs renders them for each output mode as the
-f32 tensors that are written, a row block at a time, with no m x n f64 array.
+the two factors, and output_blocks renders them for each output mode as the
+f32 row blocks that are written, with no m x n array of any kind.
 """
 
 from __future__ import annotations
@@ -207,30 +207,35 @@ def resolve_base_key(base: dict, layer_key: str) -> str:
     raise AlignmentError(f"base checkpoint has no weights for layer {layer_key!r}")
 
 
-def _render_f32(left, right, addend=None) -> np.ndarray:
-    """(left @ right + addend) as a new f32 array, each entry rounded once from f64.
+def _render_f32(left, right, base=None):
+    """Yield (left @ right + base) as consecutive f32 row blocks, each entry
+    rounded once from f64.
 
     The product is formed a row block at a time in one f64 scratch of about
-    _RENDER_BLOCK_BYTES, addend (any m x n array, such as a base record's
-    values()) is added to the block in f64, and the block is then rounded
-    into the output, so no m x n f64 array exists. BLAS may take another
-    kernel for a block than for one left @ right (4 MB blocks of shapes
-    (3000, 700) and (777, 1500) at R = 16 and 64 differ from it in tens to
-    hundreds of f64 entries, none after rounding): the bytes repeat run to run,
-    but equal the one-shot product's f32 rounding only on the shapes tested,
-    not by construction.
+    _RENDER_BLOCK_BYTES, the same rows of base (an m x n TensorRecord, such as
+    a mapped base layer) are decoded and added to the block in f64, and the
+    block is rounded into one reused f32 buffer, which is yielded: it is valid
+    until the next block is asked for. No m x n array exists, and a mapped
+    base keeps only the block's pages resident. A tensor of no rows is one
+    empty block. BLAS may take another kernel for a block than for one
+    left @ right (4 MB blocks of shapes (3000, 700) and (777, 1500) at R = 16
+    and 64 differ from it in tens to hundreds of f64 entries, none after
+    rounding): the bytes repeat run to run, but equal the one-shot product's
+    f32 rounding only on the shapes tested, not by construction.
     """
     m, n = left.shape[0], right.shape[1]
-    out = np.empty((m, n), dtype=np.float32)
     rows = max(1, _RENDER_BLOCK_BYTES // (8 * max(n, 1)))
     scratch = np.empty((min(rows, m), n))
-    for i in range(0, m, rows):
+    out = np.empty((min(rows, m), n), dtype=np.float32)
+    for i in range(0, max(m, 1), rows):
         block = scratch[: min(rows, m - i)]
         np.matmul(left[i : i + rows], right, out=block)
-        if addend is not None:
-            block += addend[i : i + rows]
-        out[i : i + rows] = block
-    return out
+        if base is not None:
+            part = base.rows(i, i + len(block))
+            block += part.values()
+            part.release()
+        out[: len(block)] = block
+        yield out[: len(block)]
 
 
 def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, base=None) -> dict:
@@ -260,23 +265,33 @@ def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, bas
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def layer_outputs(merged: MergedLayer, mode: str, rank: int | None = None, base=None) -> dict:
-    """The f32 tensors one merged layer contributes to an output checkpoint, by key.
+def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=None):
+    """Yield (key, f32 row block) pairs of the tensors one merged layer
+    contributes to an output checkpoint, each tensor's blocks in row order.
 
     Keys, shapes and errors are output_shapes'. "delta": the merged delta;
     "fused": base weights plus the delta; "lowrank": the best rank-`rank`
-    factors. Each tensor is computed in f64 and rounded to f32 once.
+    factors, one block each. Each entry is computed in f64 and rounded to f32
+    once. A delta or fused block views a buffer the next block reuses.
     """
     keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
-    if mode == "delta":
-        return {keys[0]: _render_f32(merged.left, merged.right)}
-    if mode == "fused":
-        record = base[keys[0]]
-        fused = _render_f32(merged.left, merged.right, record.values())
-        record.release()  # a mapped base keeps only the layer being merged resident
-        return {keys[0]: fused}
-    b, a = _truncated_factors(merged.left, merged.right, rank)
-    return {keys[0]: b.astype(np.float32), keys[1]: a.astype(np.float32)}
+    if mode == "lowrank":
+        b, a = _truncated_factors(merged.left, merged.right, rank)
+        yield keys[0], b.astype(np.float32)
+        yield keys[1], a.astype(np.float32)
+    else:
+        record = base[keys[0]] if mode == "fused" else None
+        for block in _render_f32(merged.left, merged.right, record):
+            yield keys[0], block
+
+
+def layer_outputs(merged: MergedLayer, mode: str, rank: int | None = None, base=None) -> dict:
+    """The f32 tensors one merged layer contributes to an output checkpoint, by
+    key: output_blocks' blocks, copied and joined."""
+    blocks: dict[str, list] = {}
+    for key, block in output_blocks(merged, mode, rank, base):
+        blocks.setdefault(key, []).append(block.copy())
+    return {key: np.concatenate(parts) for key, parts in blocks.items()}
 
 
 def merge_adapter_set(adapters: AdapterSet, config: MergeConfig | None = None) -> dict[str, MergedLayer]:

@@ -42,8 +42,9 @@ class OrthoConfig:
     max_rel_perturbation: float = 0.05
 
     def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+        # bool is an int subclass, but True is not a step count
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, int) or self.max_steps < 1:
+            raise ValueError("max_steps must be a positive int")
         if not 0 < self.step_size < math.inf:
             raise ValueError("step_size must be positive and finite")
         if not (0 < self.max_rel_perturbation < 1):

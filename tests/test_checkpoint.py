@@ -197,21 +197,70 @@ def test_streamed_save_matches_dict_save(tmp_path, rng):
     assert whole.read_bytes() == streamed.read_bytes()
 
 
+def test_streamed_save_takes_row_blocks(tmp_path, rng):
+    records = {
+        key: TensorRecord.from_array(key, rng.standard_normal(shape), dtype)
+        for key, shape, dtype in [("w", (5, 2, 3), "f32"), ("b", (3,), "bf16"), ("s", (), "f64")]
+    }
+    blocks = [
+        ("b", records["b"].rows(0, 2)), ("b", records["b"].rows(2, 3)),
+        ("w", records["w"].rows(0, 0)), ("w", records["w"].rows(0, 4)), ("w", records["w"].rows(4, 5)),
+        ("s", records["s"]),
+    ]
+    whole, streamed = tmp_path / "whole.safetensors", tmp_path / "streamed.safetensors"
+    save_checkpoint(records, whole)
+    save_checkpoint(iter(blocks), streamed, layout=_layout(records))
+    assert whole.read_bytes() == streamed.read_bytes()
+
+
+def test_rows_views_the_same_bytes(tmp_path, rng):
+    path = tmp_path / "r.safetensors"
+    save_checkpoint({"w": TensorRecord.from_array("w", rng.standard_normal((6, 4)), "bf16")}, path)
+    record = load_checkpoint(path)["w"]
+    part = record.rows(2, 5)
+    assert (part.key, part.dtype, part.shape) == ("w", "bf16", (3, 4))
+    assert part.raw.obj is record.raw.obj  # a view of the same file map, not a copy
+    assert np.array_equal(part.values(), record.values()[2:5])
+    assert record.rows(6, 6).shape == (0, 4)
+    for start, stop in [(-1, 2), (3, 2), (0, 7)]:
+        with pytest.raises(ValueError, match="no rows"):
+            record.rows(start, stop)
+    with pytest.raises(ValueError, match="no rows"):
+        TensorRecord.from_array("s", np.float64(1.0)).rows(0, 1)
+
+
 def _bad_streams(records):
     extra = TensorRecord.from_array("extra", np.ones(2), "f32")
     wrong_shape = TensorRecord.from_array("a", np.ones((3, 2)), "f32")
     wrong_dtype = TensorRecord.from_array("a", np.ones((2, 3)), "f64")
+    a, b = records["a"], records["b"]
+    narrow_row = TensorRecord.from_array("a", np.ones((1, 2)), "f32")
+    flat_row = TensorRecord.from_array("a", np.ones(3), "f32")
+    f64_row = TensorRecord.from_array("a", np.ones((1, 3)), "f64")
     pairs = _streamed(records)
     return {
         "missing": pairs[1:],
         "extra": pairs + [("extra", extra)],
         "duplicate": pairs + pairs[:1],
-        "wrong_shape": [("a", wrong_shape), ("b", records["b"])],
-        "wrong_dtype": [("a", wrong_dtype), ("b", records["b"])],
+        "wrong_shape": [("a", wrong_shape), ("b", b)],
+        "wrong_dtype": [("a", wrong_dtype), ("b", b)],
+        "too_many_rows": [("a", a.rows(0, 1)), ("a", a), ("b", b)],
+        "too_few_rows": [("a", a.rows(0, 1)), ("b", b)],
+        "too_few_rows_last": [("b", b), ("a", a.rows(0, 1))],
+        "block_trailing_shape": [("a", a.rows(0, 1)), ("a", narrow_row), ("b", b)],
+        "block_rank": [("a", a.rows(0, 1)), ("a", flat_row), ("b", b)],
+        "block_dtype": [("a", a.rows(0, 1)), ("a", f64_row), ("b", b)],
+        "interleaved": [("a", a.rows(0, 1)), ("b", b), ("a", a.rows(1, 2))],
     }
 
 
-@pytest.mark.parametrize("case", ["missing", "extra", "duplicate", "wrong_shape", "wrong_dtype"])
+_BAD_STREAMS = [
+    "missing", "extra", "duplicate", "wrong_shape", "wrong_dtype", "too_many_rows", "too_few_rows",
+    "too_few_rows_last", "block_trailing_shape", "block_rank", "block_dtype", "interleaved",
+]
+
+
+@pytest.mark.parametrize("case", _BAD_STREAMS)
 def test_streamed_save_rejects_bad_streams(tmp_path, case):
     records = {
         "a": TensorRecord.from_array("a", np.ones((2, 3)), "f32"),

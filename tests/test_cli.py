@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from domerge import cli
+from domerge import merge as merge_module
 from domerge.checkpoint import TensorRecord, load_checkpoint, save_checkpoint
 from domerge.cli import build_parser, main
 
@@ -207,6 +208,43 @@ def test_merge_fused_base_missing_layer_exit_3_before_any_merge(
     assert merged == []
 
 
+def test_merge_non_finite_last_layer_of_last_adapter_exit_3_before_any_merge(
+    adapter_files, tmp_path, capsys, rng, monkeypatch
+):
+    # factors are decoded only when their layer is merged, but checked at load
+    last_layer = sorted(LAYER_KEYS)[-1]
+    records = make_adapter_records(LAYER_KEYS, rank=4, full_shape=(16, 12), rng=rng)
+    key = last_layer + ".lora_A.weight"
+    a = records[key].to_array()
+    a[-1, -1] = np.inf
+    records[key] = TensorRecord.from_array(key, a, "f32")
+    last = tmp_path / "last.safetensors"
+    save_checkpoint(records, last)
+    merged = []
+    monkeypatch.setattr(cli, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    out = tmp_path / "m.safetensors"
+    code, _, err = run(capsys, "merge", *map(str, adapter_files), str(last), "--output", str(out))
+    assert code == 3
+    assert last.name in err and repr(last_layer) in err and "non-finite" in err
+    assert not out.exists()
+    assert merged == []
+
+
+def _logged_save(log):
+    """A save_checkpoint that appends (key, rows) of each record it is given to log."""
+    real_save = cli.save_checkpoint
+
+    def logged_save(records, path, layout=None):
+        def logged():
+            for key, record in records:
+                log.append((key, record.shape[0]))
+                yield key, record
+
+        real_save(logged(), path, layout=layout)
+
+    return logged_save
+
+
 def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, monkeypatch):
     keys = ["l0", "l1", "l2"]
     adapters = []
@@ -374,6 +412,34 @@ def test_merge_delta_peak_memory_is_bounded(tmp_path, rng):
     assert growth <= 2 * layer_f32
 
 
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+@pytest.mark.parametrize("mode", ["delta", "fused"])
+def test_merge_peak_memory_is_one_render_block(tmp_path, rng, mode):
+    # 2 layers of 4096 x 2048 at rank 4: one f32 output tensor is 32 MB, 8x
+    # the 4 MB render block. Peak RSS above the import's may grow by half of
+    # it, which leaves no room for a whole output tensor. A fused merge also
+    # holds a block of the bf16 base, mapped and widened, and may grow by 3/4
+    # of it: still no room for a base layer widened to a 32 MB f32 array, or
+    # for the 16 MB layer's mapped pages on top of the blocks.
+    keys, shape = ["layer0", "layer1"], (4096, 2048)
+    adapters = []
+    for i in range(2):
+        adapters.append(tmp_path / f"adapter{i}.safetensors")
+        save_checkpoint(make_adapter_records(keys, 4, shape, rng), adapters[-1])
+    argv = ["merge", *map(str, adapters), "--method", "task_arithmetic", "--output-mode", mode]
+    if mode == "fused":
+        base = tmp_path / "base.safetensors"
+        weights = [k + ".weight" for k in keys]
+        save_checkpoint(
+            {k: TensorRecord.from_array(k, rng.standard_normal(shape), "bf16") for k in weights}, base
+        )
+        argv += ["--base", str(base)]
+    merged_kb = _peak_rss_kb(*argv, "--output", str(tmp_path / "out.safetensors"))
+    growth = (merged_kb - _peak_rss_kb()) * 1024
+    layer_f32 = 4 * shape[0] * shape[1]
+    assert growth <= layer_f32 * (3 if mode == "fused" else 2) // 4
+
+
 def test_merge_lowrank_emits_factor_pairs(adapter_files, tmp_path, capsys):
     out = tmp_path / "lr.safetensors"
     code, _, _ = run(
@@ -520,6 +586,33 @@ def test_merge_non_numeric_scaling_exit_3(adapter_files, tmp_path, capsys):
     assert code == 3
     assert "entry 1" in err and adapter_files[1].name in err and "'x'" in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, rng, monkeypatch):
+    # layer "l" has 12 rows, rendered in 3 blocks of 4; only its last row overflows f32
+    m, n = 12, 5
+    monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 8 * n * 4)
+    records = make_adapter_records(["l"], rank=2, full_shape=(m, n), rng=rng, dtype="f64")
+    b = records["l.lora_B.weight"].to_array()
+    b[-1] *= 1e300
+    records["l.lora_B.weight"] = TensorRecord.from_array("l.lora_B.weight", b, "f64")
+    path = tmp_path / "big.safetensors"
+    save_checkpoint(records, path)
+    written = []
+    monkeypatch.setattr(cli, "save_checkpoint", _logged_save(written))
+    out = tmp_path / "o.safetensors"
+    argv = ["merge", str(path), "--method", "task_arithmetic", "--lambda", "1", "--output", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "'l'" in err and "not finite" in err
+    assert written == [("l", 4), ("l", 4)]  # the first two blocks were written
+    assert not out.exists()
+    out.write_bytes(b"occupied")
+    code, _, err = run(capsys, *argv, "--force")
+    assert code == 2 and "'l'" in err
+    assert out.read_bytes() == b"occupied"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast")

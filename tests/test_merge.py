@@ -5,6 +5,7 @@ from domerge import merge as merge_module
 from domerge.checkpoint import AdapterSet, AlignmentError, LoraLayer, TensorRecord, extract_adapters
 from domerge.merge import (
     MergeConfig,
+    MergedLayer,
     _render_f32,
     _truncated_factors,
     assemble_full_rank,
@@ -23,6 +24,18 @@ def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):
     return LoraLayer(
         key, B=rng.standard_normal((m, rank)), A=rng.standard_normal((rank, n)),
         rank=rank, scaling=scaling,
+    )
+
+
+def adapter_set(adapters, names):
+    """An AdapterSet of LoraLayer dicts, held as exact in-memory f64 factor records."""
+    def records(layer):
+        return tuple(TensorRecord.from_array(layer.layer_key, f, "f64") for f in (layer.B, layer.A))
+
+    return AdapterSet(
+        [{key: records(layer) for key, layer in a.items()} for a in adapters],
+        names,
+        [next(iter(a.values())).scaling for a in adapters],
     )
 
 
@@ -138,7 +151,7 @@ def test_decoupling_changes_result_for_imbalanced_scalings(rng):
 
 
 def test_merge_adapter_set_sorted_by_layer_key(rng):
-    adapters = AdapterSet(
+    adapters = adapter_set(
         [{"b": make_layer(rng, key="b"), "a": make_layer(rng, key="a")} for _ in range(2)], ["x", "y"]
     )
     merged = merge_adapter_set(adapters)
@@ -206,7 +219,7 @@ def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
 
 def test_merge_adapter_set_returns_rank_sum_factors(rng):
     layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
-    adapters = AdapterSet([{"l": layer} for layer in layers], ["a", "b"])
+    adapters = adapter_set([{"l": layer} for layer in layers], ["a", "b"])
     for cfg in (MergeConfig(), MergeConfig(method="task_arithmetic")):
         merged = merge_adapter_set(adapters, config=cfg)["l"]
         assert merged.left.shape == (10, 5) and merged.right.shape == (5, 8)
@@ -226,13 +239,20 @@ def test_render_f32_is_the_f32_of_the_f64_product(monkeypatch, rng, dtype, rows,
         monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 8 * n * rows)
     left, right = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     want = left @ right
-    base = None
+    base, mode = None, "delta"
     if dtype is not None:
-        base = TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)
-        want = want + base.to_array()
-    got = _render_f32(left, right, None if base is None else base.values())
-    assert got.dtype == np.float32 and got.shape == (m, n)
-    assert np.array_equal(got, want.astype(np.float32))
+        base, mode = {"w": TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)}, "fused"
+        want = want + base["w"].to_array()
+    blocks = list(_render_f32(left, right, base and base["w"]))
+    # a tensor of no rows is one empty block
+    assert len(blocks) == (1 if rows is None or m == 0 else -(-m // rows))
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks if b.size)  # one reused buffer
+    joined = np.concatenate([b.copy() for b in _render_f32(left, right, base and base["w"])])
+    assert joined.dtype == np.float32 and joined.shape == (m, n)
+    assert np.array_equal(joined, want.astype(np.float32))
+    # layer_outputs joins copies of the same blocks, so no block's reuse shows
+    got = layer_outputs(MergedLayer("w", left, right), mode, base=base)["w"]
+    assert np.array_equal(got, joined)
 
 
 def lowrank_factors(merged, rank):

@@ -12,8 +12,9 @@ def test_config_defaults_and_validation():
     cfg = OrthoConfig()
     assert cfg.max_steps == 200
     assert cfg.max_rel_perturbation == 0.05
-    with pytest.raises(ValueError):
-        OrthoConfig(max_steps=0)
+    for max_steps in (0, float("nan"), 2.5, True):
+        with pytest.raises(ValueError, match="max_steps"):
+            OrthoConfig(max_steps=max_steps)
     with pytest.raises(ValueError):
         OrthoConfig(max_rel_perturbation=0.0)
     with pytest.raises(ValueError):

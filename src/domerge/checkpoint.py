@@ -92,13 +92,14 @@ class TensorRecord:
                 f"shape {self.shape} x {self.dtype} needs {expected}"
             )
 
-    def values(self) -> np.ndarray:
+    def values(self, out=None) -> np.ndarray:
         """The stored numbers, exactly: a read-only view of raw in the stored
-        precision, except bf16, which is widened to a new f32 array."""
-        data = np.frombuffer(self.raw, dtype=_DTYPES[self.dtype][2])
+        precision, except bf16, which is widened to f32 in a new array, or in
+        out if given (a uint32 array of the record's shape)."""
+        data = np.frombuffer(self.raw, dtype=_DTYPES[self.dtype][2]).reshape(self.shape)
         if self.dtype == "bf16":
-            data = np.left_shift(data, 16, dtype=np.uint32).view("<f4")
-        return data.reshape(self.shape)
+            data = np.left_shift(data, 16, dtype=np.uint32, out=out).view("<f4")
+        return data
 
     def to_array(self) -> np.ndarray:
         """Decode to a new float64 array regardless of storage precision."""
@@ -378,11 +379,14 @@ class AdapterSet:
         return (b.shape[0], a.shape[1])
 
     def group(self, key: str) -> list[LoraLayer]:
-        """The layer in every adapter, its factors decoded to new f64 arrays."""
+        """The layer in every adapter, its factors decoded to new f64 arrays;
+        the records' mapped pages are released once decoded."""
         layers = []
         for adapter, scaling in zip(self.adapters, self.scalings):
             b, a = adapter[key]
             layers.append(LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], scaling))
+            b.release()
+            a.release()
         return layers
 
 
@@ -433,6 +437,8 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
             _check_factors(layer_key, b.shape, a.shape, scale)
             if not (np.isfinite(b.values()).all() and np.isfinite(a.values()).all()):
                 raise AlignmentError(f"{f.name}: non-finite values in layer {layer_key!r}")
+            b.release()
+            a.release()
             layers[layer_key] = (b, a)
         adapters.append(layers)
 

@@ -67,11 +67,7 @@ def magnitude_distribution_variance(adapters: AdapterSet) -> float:
     variance, since the adapters are the whole set being merged, not a
     sample. Zero for a single adapter.
     """
-    total = 0.0
-    for key in adapters.layer_keys:
-        norms = _unit_magnitudes(*_factors(adapters.group(key)), "matrix")
-        total += float(np.var(norms))
-    return total
+    return build_report(adapters).magnitude_variance
 
 
 def orthogonality_report(adapters: AdapterSet) -> dict[str, np.ndarray]:
@@ -81,28 +77,28 @@ def orthogonality_report(adapters: AdapterSet) -> dict[str, np.ndarray]:
     M * (P_i M P_j), so the report comes from factor Grams and no m x n
     product is formed.
     """
-    out = {}
+    return build_report(adapters).per_layer_cross_gram
+
+
+def build_report(adapters: AdapterSet) -> DiagnosticsReport:
+    """Cross-Gram norms (orthogonality_report), column-magnitude norms and
+    magnitude variance (magnitude_distribution_variance) of the adapters, from
+    one decode of each layer's factors."""
+    variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
         bs, as_ = _factors(adapters.group(key))
+        variance += float(np.var(_unit_magnitudes(bs, as_, "matrix")))
         b, a = np.hstack(bs), np.vstack(as_)
         gram_b = b.T @ b
         own_a = np.where(_owner_mask(bs), 0.0, a @ a.T)  # block-diagonal P_i
         starts = np.cumsum([0] + [x.shape[1] for x in bs[:-1]])
         sq = gram_b * (own_a @ gram_b @ own_a)
         sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
-        out[key] = np.sqrt(np.maximum(0.5 * (sq + sq.T), 0.0))
-    return out
-
-
-def build_report(adapters: AdapterSet) -> DiagnosticsReport:
-    """Cross-Gram norms, column-magnitude norms and magnitude variance of the adapters."""
-    stats = {}
-    for key in adapters.layer_keys:
-        mags = _unit_magnitudes(*_factors(adapters.group(key)), "column")
-        stats[key] = [float(np.linalg.norm(c)) for c in mags]
+        grams[key] = np.sqrt(np.maximum(0.5 * (sq + sq.T), 0.0))
+        stats[key] = [float(np.linalg.norm(c)) for c in _unit_magnitudes(bs, as_, "column")]
     return DiagnosticsReport(
-        magnitude_variance=magnitude_distribution_variance(adapters),
-        per_layer_cross_gram=orthogonality_report(adapters),
+        magnitude_variance=variance,
+        per_layer_cross_gram=grams,
         per_layer_magnitude_stats=stats,
         adapter_names=list(adapters.names),
     )

@@ -37,7 +37,7 @@ from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
 
 METHODS = ("do_merging", "task_arithmetic", "average")
 
-_RENDER_BLOCK_BYTES = 4 << 20  # size of the f64 scratch one row block is rendered in
+_RENDER_BLOCK_BYTES = 2 << 20  # size of the reused f32 output block one row block is rendered into
 
 # Hugging Face PEFT saves adapter keys under this prefix; the base model's keys lack it
 _PEFT_PREFIX = "base_model.model."
@@ -208,34 +208,45 @@ def resolve_base_key(base: dict, layer_key: str) -> str:
 
 
 def _render_f32(left, right, base=None):
-    """Yield (left @ right + base) as consecutive f32 row blocks, each entry
-    rounded once from f64.
+    """Yield (left @ right + base) as consecutive f32 row blocks, the product
+    formed in f32.
 
-    The product is formed a row block at a time in one f64 scratch of about
-    _RENDER_BLOCK_BYTES, the same rows of base (an m x n TensorRecord, such as
-    a mapped base layer) are decoded and added to the block in f64, and the
-    block is rounded into one reused f32 buffer, which is yielded: it is valid
-    until the next block is asked for. No m x n array exists, and a mapped
-    base keeps only the block's pages resident. A tensor of no rows is one
-    empty block. BLAS may take another kernel for a block than for one
-    left @ right (4 MB blocks of shapes (3000, 700) and (777, 1500) at R = 16
-    and 64 differ from it in tens to hundreds of f64 entries, none after
-    rounding): the bytes repeat run to run, but equal the one-shot product's
-    f32 rounding only on the shapes tested, not by construction.
+    Each rank-1 term is rescaled by an exact power of two: right's row k by
+    2^-e_k, e_k the exponent of the row's largest |entry|, and left's column
+    k by 2^e_k. right is then cast to f32 once, each row block of left into
+    a small reused f32 buffer, and one f32 GEMM writes the block into the
+    reused output buffer of about _RENDER_BLOCK_BYTES, which is yielded: it
+    is valid until the next block is asked for. The same rows of base (an
+    m x n TensorRecord, such as a mapped base layer) are added to the block
+    from their stored values, a bf16 base widened into one reused buffer,
+    and the map's pages are released after each block. No m x n array and
+    no f64 copy of either factor exists. A tensor of no rows is one empty block.
+
+    In f32's normal range the rescale changes no bit of the f32 product, and
+    an entry of left overflows f32 only where its term of the product does,
+    so against the f64 oracle each entry is within the GEMM rounding bound
+    (Higham 2002, section 3.5) |out - (left @ right + base)| <=
+    (R + 2) eps32 (|left| @ |right|) + eps32 |left @ right + base|, R the
+    inner dimension and eps32 = 2^-23. A layer any of whose rank-1 terms
+    leaves f32's range renders non-finite (and the CLI exits 2), even if
+    those terms would cancel in the sum.
     """
     m, n = left.shape[0], right.shape[1]
-    rows = max(1, _RENDER_BLOCK_BYTES // (8 * max(n, 1)))
-    scratch = np.empty((min(rows, m), n))
+    rows = max(1, _RENDER_BLOCK_BYTES // (4 * max(n, 1)))
+    _, exp = np.frexp(np.maximum(right.max(axis=1, initial=0.0), -right.min(axis=1, initial=0.0)))
+    right32 = np.ldexp(right, -exp[:, None], out=np.empty(right.shape, np.float32))
+    left32 = np.empty((min(rows, m), left.shape[1]), dtype=np.float32)
     out = np.empty((min(rows, m), n), dtype=np.float32)
+    wide = np.empty(out.shape, dtype=np.uint32) if base is not None else None
     for i in range(0, max(m, 1), rows):
-        block = scratch[: min(rows, m - i)]
-        np.matmul(left[i : i + rows], right, out=block)
+        k = min(rows, m - i)
+        np.ldexp(left[i : i + k], exp, out=left32[:k])
+        block = np.matmul(left32[:k], right32, out=out[:k])
         if base is not None:
-            part = base.rows(i, i + len(block))
-            block += part.values()
+            part = base.rows(i, i + k)
+            block += part.values(out=wide[:k])
             part.release()
-        out[: len(block)] = block
-        yield out[: len(block)]
+        yield block
 
 
 def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, base=None) -> dict:
@@ -271,8 +282,9 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
 
     Keys, shapes and errors are output_shapes'. "delta": the merged delta;
     "fused": base weights plus the delta; "lowrank": the best rank-`rank`
-    factors, one block each. Each entry is computed in f64 and rounded to f32
-    once. A delta or fused block views a buffer the next block reuses.
+    factors, one block each, computed in f64 and rounded to f32 once. Delta
+    and fused blocks are _render_f32's f32 products, within its stated bound
+    of the f64 oracle; each views a buffer the next block reuses.
     """
     keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
     if mode == "lowrank":

@@ -1,9 +1,10 @@
 """Dense reference formulations the factored engine is checked against.
 
 These are the original pairwise-loop orthogonalizer, the dense
-decouple-and-sum layer merge and a dense truncated SVD. They form every
-m x n task matrix and loop over member pairs, which is exactly what the
-package code avoids; tests compare the two at stated tolerances.
+decouple-and-sum layer merge, a dense truncated SVD and the f64 product
+the f32 render is bounded against. They form every m x n task matrix and
+loop over member pairs, which is exactly what the package code avoids;
+tests compare the two at stated tolerances.
 """
 
 import numpy as np
@@ -11,6 +12,20 @@ import numpy as np
 from domerge.linalg import Decoupled, decouple, recompose
 from domerge.merge import assemble_full_rank
 from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
+
+
+EPS32 = 2.0**-23  # f32 machine epsilon
+
+
+def assert_within_render_bound(out, left, right, base=None) -> None:
+    """out is finite and within the f32 GEMM rounding bound (Higham 2002, section
+    3.5) of the f64 oracle left @ right + base, elementwise:
+    |out - oracle| <= (R + 2) eps32 (|left| @ |right|) + eps32 |oracle|."""
+    oracle = left @ right if base is None else left @ right + base
+    bound = (left.shape[1] + 2) * EPS32 * (np.abs(left) @ np.abs(right)) + EPS32 * np.abs(oracle)
+    assert out.shape == oracle.shape and np.isfinite(out).all()
+    err = np.abs(np.asarray(out, dtype=np.float64) - oracle)
+    assert (err <= bound).all(), f"max error {err.max():.3g} over bound at {np.argmax(err - bound)}"
 
 
 def cross_gram_sum(mats) -> float:

@@ -15,6 +15,7 @@ from domerge.checkpoint import TensorRecord, load_checkpoint, save_checkpoint
 from domerge.cli import build_parser, main
 
 from conftest import LAYER_KEYS, make_adapter_records
+from oracles import assert_within_render_bound
 
 
 def run(capsys, *argv):
@@ -146,8 +147,8 @@ def test_merge_single_adapter_task_arithmetic_identity(adapter_files, tmp_path, 
     for key, rec in merged.items():
         b = source[key + ".lora_B.weight"].to_array()
         a = source[key + ".lora_A.weight"].to_array()
-        # output is stored f32, so compare after the same downcast
-        assert np.array_equal(rec.to_array(), (b @ a).astype(np.float32).astype(np.float64))
+        # output is the f32 product, within the GEMM rounding bound of the f64 one
+        assert_within_render_bound(rec.values(), b, a)
 
 
 def test_merge_fused_without_base_exit_2(adapter_files, tmp_path, capsys):
@@ -592,7 +593,7 @@ def test_merge_non_numeric_scaling_exit_3(adapter_files, tmp_path, capsys):
 def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, rng, monkeypatch):
     # layer "l" has 12 rows, rendered in 3 blocks of 4; only its last row overflows f32
     m, n = 12, 5
-    monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 8 * n * 4)
+    monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 4 * n * 4)
     records = make_adapter_records(["l"], rank=2, full_shape=(m, n), rng=rng, dtype="f64")
     b = records["l.lora_B.weight"].to_array()
     b[-1] *= 1e300

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from domerge.checkpoint import extract_adapters
+from domerge.checkpoint import AdapterSet, extract_adapters
 from domerge.diagnostics import (
     DiagnosticsReport,
     atomic_write_text,
@@ -104,6 +104,15 @@ def test_build_report_fields(adapter_files):
     for key, norms in report.per_layer_magnitude_stats.items():
         assert len(norms) == 3
         assert all(v > 0 for v in norms)
+
+
+def test_build_report_decodes_each_layer_once(adapter_files, monkeypatch):
+    adapters = extract_adapters(adapter_files)
+    calls = []
+    group = AdapterSet.group
+    monkeypatch.setattr(AdapterSet, "group", lambda self, key: calls.append(key) or group(self, key))
+    build_report(adapters)
+    assert calls == adapters.layer_keys
 
 
 def test_emit_report_json_parses_and_is_stable(adapter_files, tmp_path):

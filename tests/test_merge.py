@@ -1,8 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from domerge import merge as merge_module
-from domerge.checkpoint import AdapterSet, AlignmentError, LoraLayer, TensorRecord, extract_adapters
+from domerge.checkpoint import (
+    AdapterSet,
+    AlignmentError,
+    LoraLayer,
+    TensorRecord,
+    extract_adapters,
+    save_checkpoint,
+)
 from domerge.merge import (
     MergeConfig,
     MergedLayer,
@@ -17,7 +26,8 @@ from domerge.merge import (
 )
 from domerge.ortho import OrthoConfig
 
-from oracles import dense_merge_delta, svd_truncate
+from conftest import make_adapter_records
+from oracles import assert_within_render_bound, dense_merge_delta, svd_truncate
 
 
 def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):
@@ -184,7 +194,7 @@ def test_fused_output_adds_base(adapter_files, rng):
         assert list(out) == [key + ".weight"]
         fused = out[key + ".weight"]
         assert fused.dtype == np.float32
-        assert np.array_equal(fused, (base[key + ".weight"].to_array() + layer.delta).astype(np.float32))
+        assert_within_render_bound(fused, layer.left, layer.right, base[key + ".weight"].to_array())
 
 
 def test_fused_output_shape_conflict_rejected(adapter_files, rng):
@@ -227,32 +237,89 @@ def test_merge_adapter_set_returns_rank_sum_factors(rng):
         delta = layer_outputs(merged, "delta")
         assert list(delta) == ["l"]
         assert delta["l"].dtype == np.float32
-        assert np.array_equal(delta["l"], (merged.left @ merged.right).astype(np.float32))
+        assert_within_render_bound(delta["l"], merged.left, merged.right)
 
 
 @pytest.mark.parametrize("dtype", [None, "f64", "f32", "f16", "bf16"])
 @pytest.mark.parametrize("rows", [None, 5, 1], ids=["one_block", "ragged_blocks", "row_blocks"])
 @pytest.mark.parametrize("m", [23, 0])
 def test_render_f32_is_the_f32_of_the_f64_product(monkeypatch, rng, dtype, rows, m):
+    """The render is within the f32 GEMM rounding bound of the f64 product
+    (not necessarily its f32 rounding)."""
     n, r = 12, 9
     if rows is not None:  # 23 rows: four blocks of 5 and one of 3, or 23 blocks of 1
-        monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 8 * n * rows)
+        monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 4 * n * rows)
     left, right = rng.standard_normal((m, r)), rng.standard_normal((r, n))
-    want = left @ right
-    base, mode = None, "delta"
+    base, mode, base_values = None, "delta", None
     if dtype is not None:
         base, mode = {"w": TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)}, "fused"
-        want = want + base["w"].to_array()
+        base_values = base["w"].to_array()
     blocks = list(_render_f32(left, right, base and base["w"]))
     # a tensor of no rows is one empty block
     assert len(blocks) == (1 if rows is None or m == 0 else -(-m // rows))
     assert all(np.shares_memory(b, blocks[0]) for b in blocks if b.size)  # one reused buffer
     joined = np.concatenate([b.copy() for b in _render_f32(left, right, base and base["w"])])
     assert joined.dtype == np.float32 and joined.shape == (m, n)
-    assert np.array_equal(joined, want.astype(np.float32))
+    assert_within_render_bound(joined, left, right, base_values)
     # layer_outputs joins copies of the same blocks, so no block's reuse shows
     got = layer_outputs(MergedLayer("w", left, right), mode, base=base)["w"]
     assert np.array_equal(got, joined)
+
+
+@pytest.mark.parametrize("dtype", [None, "bf16"])
+@pytest.mark.parametrize("r", [16, 64])
+@pytest.mark.parametrize("m, n", [(3000, 700), (777, 1500)])
+def test_render_f32_bound_holds_at_full_block_size(rng, m, n, r, dtype):
+    # shapes whose row blocks BLAS splits differently from one whole product
+    left, right = rng.standard_normal((m, r)), rng.standard_normal((r, n))
+    base = None if dtype is None else TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)
+    blocks = [b.copy() for b in _render_f32(left, right, base)]
+    rows = merge_module._RENDER_BLOCK_BYTES // (4 * n)
+    assert [len(b) for b in blocks] == [min(rows, m - i) for i in range(0, m, rows)]
+    assert_within_render_bound(np.concatenate(blocks), left, right, base and base.to_array())
+
+
+def test_render_f32_rescales_terms_out_of_f32_range(rng):
+    # left * 2^-200 underflows f32 and right * 2^200 overflows it, but their
+    # f64 product is ordinary; the power-of-two rescale renders it
+    left = np.ldexp(rng.standard_normal((23, 9)), -200)
+    right = np.ldexp(rng.standard_normal((9, 12)), 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(left.astype(np.float32) @ right.astype(np.float32)).all()
+    blocks = [b.copy() for b in _render_f32(left, right)]
+    assert_within_render_bound(np.concatenate(blocks), left, right)
+
+
+def _rss_file_kb() -> int | None:
+    """RssFile of this process (resident pages of mapped files), in kB."""
+    try:
+        status = Path("/proc/self/status").read_text()
+    except OSError:
+        return None
+    return next((int(line.split()[1]) for line in status.splitlines() if line.startswith("RssFile:")), None)
+
+
+@pytest.mark.skipif(_rss_file_kb() is None, reason="needs RssFile in /proc/self/status")
+def test_merge_keeps_only_the_current_layers_adapter_pages(tmp_path, rng):
+    # 2 adapters of 32 layers of 1024 x 1024 at rank 16 in f32: 8 MB of
+    # files, 16x one layer's f64 factors. With the adapter set alive after
+    # loading and after a merge, the resident pages of the mapped files must
+    # not have grown by half of them: both release each layer's pages.
+    keys, shape, rank = [f"layer{i:02d}" for i in range(32)], (1024, 1024), 16
+    files = []
+    for i in range(2):
+        files.append(tmp_path / f"adapter{i}.safetensors")
+        save_checkpoint(make_adapter_records(keys, rank, shape, rng), files[-1])
+    total = sum(f.stat().st_size for f in files)
+    assert total >= 8 * len(files) * 8 * rank * sum(shape)
+    merge_adapter_set(extract_adapters(files))  # fault in the library code a merge runs
+    before = _rss_file_kb()
+    adapters = extract_adapters(files)  # checks every value, so reads every page
+    loaded = (_rss_file_kb() - before) * 1024
+    merged = merge_adapter_set(adapters)
+    merged_too = (_rss_file_kb() - before) * 1024
+    assert len(merged) == len(keys) and adapters.n == 2
+    assert loaded < total // 2 and merged_too < total // 2
 
 
 def lowrank_factors(merged, rank):

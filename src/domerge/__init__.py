@@ -43,8 +43,6 @@ from .merge import (
     MergeConfig,
     MergedLayer,
     assemble_full_rank,
-    layer_outputs,
-    merge_adapter_set,
     merge_layer,
     output_blocks,
     output_shapes,
@@ -76,12 +74,10 @@ __all__ = [
     "emit_report",
     "extract_adapters",
     "factor_crossterm_trial",
-    "layer_outputs",
     "load_checkpoint",
     "load_manifest",
     "magnitude_distribution_variance",
     "magnitude_weighted_loss",
-    "merge_adapter_set",
     "merge_layer",
     "ortho_grad",
     "ortho_loss",

@@ -10,10 +10,10 @@ Parsing is strict: every declared tensor must land inside the buffer, byte
 ranges must not overlap, and each range must match shape x dtype width.
 Failures raise distinct error types carrying the file byte position.
 
-Loaded records are zero-copy views of a read-only map of the file, so a
-checkpoint costs memory only for the pages that are read. Saving writes the
-header first and then each tensor at its offset, so tensors can be produced
-and written one at a time, or one row block at a time.
+Loaded records name byte ranges of the open file, read on demand with
+positional reads; no file is mapped. Saving writes the header first and
+then each tensor at its offset, so tensors can be produced and written one
+at a time, or one row block at a time.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import mmap
 import os
 import sys
 import tempfile
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,32 +74,70 @@ class AlignmentError(CheckpointError):
     """Adapter structure problems: unmatched factor pairs, shape conflicts."""
 
 
+class _InputFile:
+    """An open checkpoint file; it is closed once nothing refers to it."""
+
+    def __init__(self, path):
+        self.path, self.fd = path, os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+
+
 @dataclass(frozen=True)
 class TensorRecord:
+    """A tensor and its little-endian, row-major payload: bytes, or for a
+    loaded record the input file it starts in at byte position."""
+
     key: str
     dtype: str  # one of f64, f32, f16, bf16
     shape: tuple[int, ...]
-    raw: bytes | memoryview  # little-endian payload, row-major
+    payload: bytes | memoryview | _InputFile
+    position: int = 0
 
     def __post_init__(self):
         if self.dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {self.dtype!r}")
-        width = _DTYPES[self.dtype][1]
-        expected = math.prod(self.shape) * width
-        if len(self.raw) != expected:
+        expected = math.prod(self.shape) * _DTYPES[self.dtype][1]
+        if not isinstance(self.payload, _InputFile) and len(self.payload) != expected:
             raise ValueError(
-                f"{self.key}: payload is {len(self.raw)} bytes, "
+                f"{self.key}: payload is {len(self.payload)} bytes, "
                 f"shape {self.shape} x {self.dtype} needs {expected}"
             )
 
-    def values(self, out=None) -> np.ndarray:
-        """The stored numbers, exactly: a read-only view of raw in the stored
-        precision, except bf16, which is widened to f32 in a new array, or in
-        out if given (a uint32 array of the record's shape)."""
-        data = np.frombuffer(self.raw, dtype=_DTYPES[self.dtype][2]).reshape(self.shape)
+    @property
+    def storage(self) -> np.dtype:
+        """The dtype of the stored words: the number type, or uint16 for bf16."""
+        return np.dtype(_DTYPES[self.dtype][2])
+
+    @property
+    def raw(self) -> bytes | memoryview:
+        """The payload bytes; a loaded record reads them from its file on each access."""
+        if isinstance(self.payload, _InputFile):
+            return memoryview(self._words().reshape(-1).view(np.uint8)).toreadonly()
+        return self.payload
+
+    def _words(self, out=None) -> np.ndarray:
+        """The stored words: a view of an in-memory payload, or read into out or a new array."""
+        if not isinstance(self.payload, _InputFile):
+            return np.frombuffer(self.payload, dtype=self.storage).reshape(self.shape)
+        out = np.empty(self.shape, self.storage) if out is None else out
+        view, at = memoryview(out.reshape(-1).view(np.uint8)), self.position
+        while view:  # one call reads at most about 2 GB
+            got = os.preadv(self.payload.fd, [view], at)
+            if not got:
+                message = f"{self.payload.path}: tensor {self.key!r} ends past the end of the file"
+                raise TruncatedPayloadError(message, at)
+            view, at = view[got:], at + got
+        return out
+
+    def values(self, out=None, wide=None) -> np.ndarray:
+        """The stored numbers, exactly: in the stored precision, except bf16,
+        widened to f32 in wide (a uint32 array of the record's shape) or a new
+        array. A loaded record reads its words into out (a C-ordered array of
+        its shape and storage dtype) or a new one; an in-memory one views them."""
+        words = self._words(out)
         if self.dtype == "bf16":
-            data = np.left_shift(data, 16, dtype=np.uint32, out=out).view("<f4")
-        return data
+            return np.left_shift(words, 16, dtype=np.uint32, out=wide).view("<f4")
+        return words
 
     def to_array(self) -> np.ndarray:
         """Decode to a new float64 array regardless of storage precision."""
@@ -107,30 +145,22 @@ class TensorRecord:
 
     def rows(self, start: int, stop: int) -> "TensorRecord":
         """Rows [start, stop) of a tensor of one or more dimensions, as a record
-        viewing the same bytes (no copy, and a mapped record stays mapped)."""
+        of the same payload narrowed to them: nothing is read or copied."""
         if not self.shape or not 0 <= start <= stop <= self.shape[0]:
             raise ValueError(f"{self.key}: no rows [{start}, {stop}) in shape {self.shape}")
         width = math.prod(self.shape[1:]) * _DTYPES[self.dtype][1]
-        raw = memoryview(self.raw)[start * width : stop * width]
-        return TensorRecord(self.key, self.dtype, (stop - start, *self.shape[1:]), raw)
-
-    def release(self) -> None:
-        """Drop the pages of the file map this record views from memory.
-
-        The pages belong to the whole map, not just this tensor; later reads
-        fault them back in from the file. A no-op for in-memory records.
-        """
-        owner = getattr(self.raw, "obj", None)
-        if isinstance(owner, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED"):
-            owner.madvise(mmap.MADV_DONTNEED)
+        shape = (stop - start, *self.shape[1:])
+        if isinstance(self.payload, _InputFile):
+            return TensorRecord(self.key, self.dtype, shape, self.payload, self.position + start * width)
+        return TensorRecord(self.key, self.dtype, shape, memoryview(self.payload)[start * width : stop * width])
 
     @classmethod
     def from_array(cls, key: str, arr, dtype: str = "f32") -> "TensorRecord":
-        """Encode arr; the record's raw is a read-only view of the one encoded copy.
+        """Encode arr; the record's payload is a read-only view of the one encoded copy.
 
         f32 and f64 input is encoded as it is, anything else is widened to
-        f64 first. A C-ordered f32 arr encoded to f32 is not copied: raw
-        views arr itself.
+        f64 first. A C-ordered f32 arr encoded to f32 is not copied: the
+        payload views arr itself.
         """
         if dtype not in _DTYPES:
             raise ValueError(f"unsupported dtype {dtype!r}")
@@ -139,7 +169,7 @@ class TensorRecord:
             arr = arr.astype(np.float64)
         encoded = _encode_bf16(arr) if dtype == "bf16" else arr.astype(_DTYPES[dtype][2], copy=False)
         raw = memoryview(encoded.reshape(-1).view(np.uint8)).toreadonly()
-        return cls(key=key, dtype=dtype, shape=arr.shape, raw=raw)
+        return cls(key=key, dtype=dtype, shape=arr.shape, payload=raw)
 
 
 def _encode_bf16(arr: np.ndarray) -> np.ndarray:
@@ -164,32 +194,27 @@ def _unique_keys(pairs) -> dict:
 
 
 def load_checkpoint(path) -> dict[str, TensorRecord]:
-    """Parse a container file into records, header order preserved.
+    """Parse a container file's header into records, header order preserved.
 
-    Each record's raw is a memoryview of one read-only map of the file. The
-    map lives as long as any record does, and stays valid when the path is
-    replaced or unlinked; truncating the file in place while its records
-    are alive makes reading them crash the process (SIGBUS).
+    Only the header is read. Each record names its payload's byte range in
+    the one open file, which stays readable after its path is replaced or
+    unlinked, and is closed once no record refers to it. Reading a record
+    past the end of a file cut short since raises TruncatedPayloadError.
     """
-    with open(path, "rb") as fh:
-        # mmap refuses an empty file, so short files are rejected first
-        if os.fstat(fh.fileno()).st_size < 8:
-            raise MalformedHeaderError("file too short for header length field", 0)
-        blob = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
-    header_len = int.from_bytes(blob[:8], "little")
-    if 8 + header_len > len(blob):
-        raise MalformedHeaderError(
-            f"header length {header_len} exceeds file size {len(blob)}", 0
-        )
+    file = _InputFile(path)
+    size = os.fstat(file.fd).st_size
+    header_len = int.from_bytes(os.pread(file.fd, 8, 0), "little")
+    if 8 + header_len > size:
+        raise MalformedHeaderError(f"file size {size} is too short for a {header_len}-byte header", 0)
     try:
-        header = json.loads(bytes(blob[8 : 8 + header_len]), object_pairs_hook=_unique_keys)
+        header = json.loads(os.pread(file.fd, header_len, 8), object_pairs_hook=_unique_keys)
     except ValueError as e:  # JSONDecodeError, or bytes that are not text
         raise MalformedHeaderError(f"header is not valid JSON: {e}", 8) from e
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object", 8)
 
     buf_start = 8 + header_len
-    buf_len = len(blob) - buf_start
+    buf_len = size - buf_start
     records: dict[str, TensorRecord] = {}
     spans: list[tuple[int, int, str]] = []
     for key, entry in header.items():
@@ -221,13 +246,10 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
             )
         if end > buf_len:
             raise TruncatedPayloadError(
-                f"tensor {key!r}: range ends at {end} but buffer has {buf_len} bytes",
-                len(blob),
+                f"tensor {key!r}: range ends at {end} but buffer has {buf_len} bytes", size
             )
         spans.append((begin, end, key))
-        records[key] = TensorRecord(
-            key=key, dtype=dtype, shape=tuple(shape), raw=blob[buf_start + begin : buf_start + end]
-        )
+        records[key] = TensorRecord(key, dtype, tuple(shape), file, buf_start + begin)
 
     spans.sort()
     for (b1, e1, k1), (b2, e2, k2) in zip(spans, spans[1:]):
@@ -379,14 +401,11 @@ class AdapterSet:
         return (b.shape[0], a.shape[1])
 
     def group(self, key: str) -> list[LoraLayer]:
-        """The layer in every adapter, its factors decoded to new f64 arrays;
-        the records' mapped pages are released once decoded."""
+        """The layer in every adapter, its factors read and decoded to new f64 arrays."""
         layers = []
         for adapter, scaling in zip(self.adapters, self.scalings):
             b, a = adapter[key]
             layers.append(LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], scaling))
-            b.release()
-            a.release()
         return layers
 
 
@@ -401,7 +420,7 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
     Layer identity is the key with LORA_A_SUFFIX or LORA_B_SUFFIX stripped.
     Each matched layer needs exactly one A and one B tensor, and each file
     at least one such pair. Every pair's shapes, rank and values (finite)
-    are checked here, on the mapped records, but nothing is decoded. In
+    are checked here, each pair read once, but nothing decoded is kept. In
     strict mode every adapter must carry the same layer keys with the same
     full-rank shapes; in lenient mode unmatched or conflicting keys are
     dropped with a recorded warning. Ranks may differ per adapter.
@@ -437,8 +456,6 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
             _check_factors(layer_key, b.shape, a.shape, scale)
             if not (np.isfinite(b.values()).all() and np.isfinite(a.values()).all()):
                 raise AlignmentError(f"{f.name}: non-finite values in layer {layer_key!r}")
-            b.release()
-            a.release()
             layers[layer_key] = (b, a)
         adapters.append(layers)
 

@@ -28,7 +28,6 @@ import numpy as np
 from .checkpoint import (
     LORA_A_SUFFIX,
     LORA_B_SUFFIX,
-    AdapterSet,
     AlignmentError,
     LoraLayer,
 )
@@ -38,6 +37,7 @@ from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
 METHODS = ("do_merging", "task_arithmetic", "average")
 
 _RENDER_BLOCK_BYTES = 2 << 20  # size of the reused f32 output block one row block is rendered into
+_BASE_PIECE_BYTES = 128 << 10  # stored bytes of base rows read and added to a block at a time
 
 # Hugging Face PEFT saves adapter keys under this prefix; the base model's keys lack it
 _PEFT_PREFIX = "base_model.model."
@@ -217,10 +217,10 @@ def _render_f32(left, right, base=None):
     a small reused f32 buffer, and one f32 GEMM writes the block into the
     reused output buffer of about _RENDER_BLOCK_BYTES, which is yielded: it
     is valid until the next block is asked for. The same rows of base (an
-    m x n TensorRecord, such as a mapped base layer) are added to the block
-    from their stored values, a bf16 base widened into one reused buffer,
-    and the map's pages are released after each block. No m x n array and
-    no f64 copy of either factor exists. A tensor of no rows is one empty block.
+    m x n TensorRecord) are read and added in pieces of at most
+    _BASE_PIECE_BYTES stored bytes, through one reused buffer (and one to
+    widen bf16). No m x n array and no f64 copy of either factor exists.
+    Overflow is silent: the block is non-finite. No rows is one empty block.
 
     In f32's normal range the rescale changes no bit of the f32 product, and
     an entry of left overflows f32 only where its term of the product does,
@@ -237,21 +237,26 @@ def _render_f32(left, right, base=None):
     right32 = np.ldexp(right, -exp[:, None], out=np.empty(right.shape, np.float32))
     left32 = np.empty((min(rows, m), left.shape[1]), dtype=np.float32)
     out = np.empty((min(rows, m), n), dtype=np.float32)
-    wide = np.empty(out.shape, dtype=np.uint32) if base is not None else None
+    if base is not None:
+        piece = min(rows, max(1, _BASE_PIECE_BYTES // (base.storage.itemsize * max(n, 1))))
+        stored = np.empty((min(piece, m), n), dtype=base.storage)
+        wide = np.empty(stored.shape, dtype=np.uint32) if base.dtype == "bf16" else None
     for i in range(0, max(m, 1), rows):
         k = min(rows, m - i)
-        np.ldexp(left[i : i + k], exp, out=left32[:k])
-        block = np.matmul(left32[:k], right32, out=out[:k])
-        if base is not None:
-            part = base.rows(i, i + k)
-            block += part.values(out=wide[:k])
-            part.release()
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.ldexp(left[i : i + k], exp, out=left32[:k])
+            block = np.matmul(left32[:k], right32, out=out[:k])
+            if base is not None:
+                for j in range(0, k, piece):
+                    p = min(piece, k - j)
+                    part = base.rows(i + j, i + j + p)
+                    block[j : j + p] += part.values(stored[:p], None if wide is None else wide[:p])
         yield block
 
 
 def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, base=None) -> dict:
     """The keys and shapes of the tensors a layer of this key and full shape
-    contributes to an output checkpoint, in the order layer_outputs renders them.
+    contributes to an output checkpoint, in the order output_blocks renders them.
 
     "delta": the bare layer key. "fused": the base's key for the layer, whose
     record must have the layer's shape; base is a load_checkpoint record map.
@@ -295,21 +300,3 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
         record = base[keys[0]] if mode == "fused" else None
         for block in _render_f32(merged.left, merged.right, record):
             yield keys[0], block
-
-
-def layer_outputs(merged: MergedLayer, mode: str, rank: int | None = None, base=None) -> dict:
-    """The f32 tensors one merged layer contributes to an output checkpoint, by
-    key: output_blocks' blocks, copied and joined."""
-    blocks: dict[str, list] = {}
-    for key, block in output_blocks(merged, mode, rank, base):
-        blocks.setdefault(key, []).append(block.copy())
-    return {key: np.concatenate(parts) for key, parts in blocks.items()}
-
-
-def merge_adapter_set(adapters: AdapterSet, config: MergeConfig | None = None) -> dict[str, MergedLayer]:
-    """Merge every aligned layer; returns layer_key -> MergedLayer, sorted."""
-    if config is None:
-        config = MergeConfig()
-    if adapters.n < 1:
-        raise ValueError("need at least one adapter")
-    return {key: merge_layer(adapters.group(key), config) for key in adapters.layer_keys}

@@ -4,13 +4,15 @@ These are the original pairwise-loop orthogonalizer, the dense
 decouple-and-sum layer merge, a dense truncated SVD and the f64 product
 the f32 render is bounded against. They form every m x n task matrix and
 loop over member pairs, which is exactly what the package code avoids;
-tests compare the two at stated tolerances.
+tests compare the two at stated tolerances. The whole-set helpers at the
+end hold every layer, or a whole output tensor, at once, which the CLI's
+layer-at-a-time stream avoids.
 """
 
 import numpy as np
 
 from domerge.linalg import Decoupled, decouple, recompose
-from domerge.merge import assemble_full_rank
+from domerge.merge import MergeConfig, assemble_full_rank, merge_layer, output_blocks
 from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
 
 
@@ -142,3 +144,21 @@ def svd_truncate(w, r: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"rank {r} out of range for shape {w.shape}")
     u, s, vt = np.linalg.svd(w, full_matrices=False)
     return u[:, :r] * s[:r], vt[:r]
+
+
+def merge_adapter_set(adapters, config=None) -> dict:
+    """Merge every aligned layer; returns layer_key -> MergedLayer, sorted."""
+    if config is None:
+        config = MergeConfig()
+    if adapters.n < 1:
+        raise ValueError("need at least one adapter")
+    return {key: merge_layer(adapters.group(key), config) for key in adapters.layer_keys}
+
+
+def layer_outputs(merged, mode: str, rank: int | None = None, base=None) -> dict:
+    """The f32 tensors one merged layer contributes to an output checkpoint, by
+    key: output_blocks' blocks, copied and joined."""
+    blocks: dict[str, list] = {}
+    for key, block in output_blocks(merged, mode, rank, base):
+        blocks.setdefault(key, []).append(block.copy())
+    return {key: np.concatenate(parts) for key, parts in blocks.items()}

@@ -1,6 +1,8 @@
 import json
+import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,12 +61,17 @@ def test_values_are_the_stored_numbers(tmp_path):
     records = load_checkpoint(path)
     for key, want in (("h", h), ("f", f), ("d", d)):
         got = records[key].values()
-        # a read-only view of the file map, in the stored precision
-        assert got.dtype == want.dtype and got.shape == want.shape and not got.flags.writeable
-        assert np.shares_memory(got, np.frombuffer(records[key].raw, dtype=np.uint8))
-        assert np.array_equal(got, want)
+        # read from the file in the stored precision: exactly the stored bytes
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes() == records[key].raw
+        out = np.empty(want.shape, records[key].storage)
+        assert records[key].values(out) is out and np.array_equal(out, want)
     widened = records["bf"].values()
     assert widened.dtype == np.float32 and np.array_equal(widened, bf)
+    words, wide = np.empty(bf.shape, np.uint16), np.empty(bf.shape, np.uint32)
+    widened = records["bf"].values(words, wide)
+    assert np.shares_memory(widened, wide) and np.array_equal(widened, bf)
+    assert words.tobytes() == records["bf"].raw
     for rec in records.values():
         decoded = rec.to_array()
         assert decoded.dtype == np.float64 and decoded.flags.writeable
@@ -213,13 +220,18 @@ def test_streamed_save_takes_row_blocks(tmp_path, rng):
     assert whole.read_bytes() == streamed.read_bytes()
 
 
-def test_rows_views_the_same_bytes(tmp_path, rng):
+def test_rows_views_the_same_bytes(tmp_path, rng, monkeypatch):
     path = tmp_path / "r.safetensors"
     save_checkpoint({"w": TensorRecord.from_array("w", rng.standard_normal((6, 4)), "bf16")}, path)
     record = load_checkpoint(path)["w"]
+    reads, real_preadv = [], os.preadv
+    monkeypatch.setattr(os, "preadv", lambda *args: reads.append(args) or real_preadv(*args))
     part = record.rows(2, 5)
     assert (part.key, part.dtype, part.shape) == ("w", "bf16", (3, 4))
-    assert part.raw.obj is record.raw.obj  # a view of the same file map, not a copy
+    # the record's byte range in the same open file, narrowed to rows 2-4; nothing is read
+    assert part.payload is record.payload and part.position == record.position + 2 * 4 * 2
+    assert reads == []
+    assert part.raw == record.raw[2 * 4 * 2 : 5 * 4 * 2]
     assert np.array_equal(part.values(), record.values()[2:5])
     assert record.rows(6, 6).shape == (0, 4)
     for start, stop in [(-1, 2), (3, 2), (0, 7)]:
@@ -277,16 +289,71 @@ def test_streamed_save_rejects_bad_streams(tmp_path, case):
     assert path.read_bytes() == b"occupied"
 
 
-def test_loaded_records_view_a_file_map(tmp_path, rng):
+def _mapped_paths() -> set[str] | None:
+    """Paths of the files this process maps, or None where /proc/self/maps is missing."""
+    try:
+        lines = Path("/proc/self/maps").read_text().splitlines()
+    except OSError:
+        return None
+    return {line.split(maxsplit=5)[-1] for line in lines}
+
+
+def test_loaded_records_read_their_open_file(tmp_path, rng):
     records = {"w": TensorRecord.from_array("w", rng.standard_normal((3, 4)), "f32")}
     path = tmp_path / "m.safetensors"
     save_checkpoint(records, path)
     back = load_checkpoint(path)["w"]
+    # raw is the exact stored bytes, read into a new read-only buffer
     assert isinstance(back.raw, memoryview) and back.raw.readonly
+    assert back.raw == records["w"].raw
     expected = records["w"].to_array()
-    path.unlink()  # the map outlives the path
-    back.release()  # and faults its pages back in after a release
+    mapped = _mapped_paths()
+    assert mapped is None or str(path) not in mapped  # read, never mapped: no file pages kept resident
+    path.unlink()  # the open file outlives the path
     assert np.array_equal(back.to_array(), expected)
+    fd = back.payload.fd
+    os.fstat(fd)
+    del back  # the last record that refers to the file closes it
+    with pytest.raises(OSError):
+        os.fstat(fd)
+
+
+def test_reads_continue_after_short_reads(tmp_path, rng, monkeypatch):
+    # one positional read may return fewer bytes than asked (at most about
+    # 2 GB on Linux); the record reads on until its range is full
+    w = rng.standard_normal((6, 5))
+    path = tmp_path / "s.safetensors"
+    save_checkpoint({"w": TensorRecord.from_array("w", w, "f32")}, path)
+    record = load_checkpoint(path)["w"]
+    real_preadv, calls = os.preadv, []
+
+    def short_preadv(fd, buffers, position):
+        calls.append(position)
+        return real_preadv(fd, [buffers[0][:7]], position)
+
+    monkeypatch.setattr(os, "preadv", short_preadv)
+    assert np.array_equal(record.values(), w.astype(np.float32))
+    assert len(calls) == -(-6 * 5 * 4 // 7)
+
+
+def test_reading_past_a_truncated_end_names_file_and_key(tmp_path, rng):
+    # two 128 KB tensors; the file is cut in the middle of b, so b's last rows
+    # lie in whole pages past the new end (reading those through a map of the
+    # file would crash the process with SIGBUS)
+    a, b = rng.standard_normal((32, 1024)), rng.standard_normal((32, 1024))
+    path = tmp_path / "t.safetensors"
+    save_checkpoint({k: TensorRecord.from_array(k, v, "f32") for k, v in (("a", a), ("b", b))}, path)
+    records = load_checkpoint(path)
+    cut = path.stat().st_size - 16 * 4096  # b's last 16 rows are gone
+    os.truncate(path, cut)
+    assert np.array_equal(records["a"].to_array(), a.astype(np.float32))
+    assert np.array_equal(records["b"].rows(0, 16).to_array(), b[:16].astype(np.float32))
+    tail = records["b"].rows(16, 32)
+    for read in (records["b"].to_array, lambda: bytes(records["b"].raw), lambda: tail.values().sum()):
+        with pytest.raises(TruncatedPayloadError) as exc:
+            read()
+        assert str(path) in str(exc.value) and "'b'" in str(exc.value)
+        assert exc.value.position == cut
 
 
 @pytest.mark.parametrize("size", [0, 1, 7])

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -340,12 +341,42 @@ def test_merge_fused_output_may_replace_base(adapter_files, base_file, tmp_path,
     elsewhere = tmp_path / "fused.safetensors"
     args = [*(str(p) for p in adapter_files), "--output-mode", "fused"]
     assert run(capsys, "merge", *args, "--base", str(base_file), "--output", str(elsewhere))[0] == 0
-    # the base is read through a map, which survives the output replacing its path
+    # the base is read through its open file, which survives the output replacing its path
     code, _, _ = run(
         capsys, "merge", *args, "--base", str(base_file), "--output", str(base_file), "--force"
     )
     assert code == 0
     assert base_file.read_bytes() == elsewhere.read_bytes()
+
+
+def test_merge_fused_base_truncated_after_loading_exits_3(tmp_path, capsys, rng, monkeypatch):
+    # a 1 MB base of 4 layers of 256 x 256 is cut to half its size after it
+    # is loaded, so the last layers' rows lie in whole pages past its end:
+    # exit 3 naming the base, nothing written
+    keys, shape = [f"layer{i}" for i in range(4)], (256, 256)
+    adapter, base = tmp_path / "adapter.safetensors", tmp_path / "base.safetensors"
+    save_checkpoint(make_adapter_records(keys, 4, shape, rng), adapter)
+    weights = [k + ".weight" for k in keys]
+    save_checkpoint({k: TensorRecord.from_array(k, rng.standard_normal(shape), "f32") for k in weights}, base)
+    stored = base.read_bytes()
+
+    def load_then_truncate(path):
+        records = load_checkpoint(path)
+        os.truncate(path, len(stored) // 2)
+        return records
+
+    monkeypatch.setattr(cli, "load_checkpoint", load_then_truncate)
+    out = tmp_path / "fused.safetensors"
+    argv = ["merge", str(adapter), "--base", str(base), "--output-mode", "fused", "--output", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and str(base) in err and "ends past the end of the file" in err
+    assert not out.exists()
+    base.write_bytes(stored)
+    out.write_bytes(b"occupied")
+    code, _, err = run(capsys, *argv, "--force")
+    assert code == 3 and str(base) in err
+    assert out.read_bytes() == b"occupied"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [adapter.name, base.name, out.name]
 
 
 _PEAK_RSS_CHILD = """
@@ -413,32 +444,50 @@ def test_merge_delta_peak_memory_is_bounded(tmp_path, rng):
     assert growth <= 2 * layer_f32
 
 
-@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
-@pytest.mark.parametrize("mode", ["delta", "fused"])
-def test_merge_peak_memory_is_one_render_block(tmp_path, rng, mode):
-    # 2 layers of 4096 x 2048 at rank 4: one f32 output tensor is 32 MB, 8x
-    # the 4 MB render block. Peak RSS above the import's may grow by half of
-    # it, which leaves no room for a whole output tensor. A fused merge also
-    # holds a block of the bf16 base, mapped and widened, and may grow by 3/4
-    # of it: still no room for a base layer widened to a 32 MB f32 array, or
-    # for the 16 MB layer's mapped pages on top of the blocks.
+def _render_block_corpus(tmp_path, rng):
+    """2 adapters of 2 layers of 4096 x 2048 at rank 4, and a bf16 base of
+    the same layers; one f32 output tensor is 32 MB, 16x the 2 MB render block."""
     keys, shape = ["layer0", "layer1"], (4096, 2048)
     adapters = []
     for i in range(2):
         adapters.append(tmp_path / f"adapter{i}.safetensors")
         save_checkpoint(make_adapter_records(keys, 4, shape, rng), adapters[-1])
-    argv = ["merge", *map(str, adapters), "--method", "task_arithmetic", "--output-mode", mode]
+    base = tmp_path / "base.safetensors"
+    weights = [k + ".weight" for k in keys]
+    save_checkpoint(
+        {k: TensorRecord.from_array(k, rng.standard_normal(shape), "bf16") for k in weights}, base
+    )
+    return [str(a) for a in adapters], str(base), shape
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+@pytest.mark.parametrize("mode", ["delta", "fused"])
+def test_merge_peak_memory_is_one_render_block(tmp_path, rng, mode):
+    # Peak RSS above the import's may grow by half of one output tensor,
+    # which leaves no room for a whole output tensor. A fused merge also
+    # reads and widens the bf16 base's rows, and may grow by 3/4 of it:
+    # still no room for a base layer widened to a 32 MB f32 array, or for
+    # the 16 MB base layer held on top of the blocks.
+    adapters, base, shape = _render_block_corpus(tmp_path, rng)
+    argv = ["merge", *adapters, "--method", "task_arithmetic", "--output-mode", mode]
     if mode == "fused":
-        base = tmp_path / "base.safetensors"
-        weights = [k + ".weight" for k in keys]
-        save_checkpoint(
-            {k: TensorRecord.from_array(k, rng.standard_normal(shape), "bf16") for k in weights}, base
-        )
-        argv += ["--base", str(base)]
+        argv += ["--base", base]
     merged_kb = _peak_rss_kb(*argv, "--output", str(tmp_path / "out.safetensors"))
     growth = (merged_kb - _peak_rss_kb()) * 1024
     layer_f32 = 4 * shape[0] * shape[1]
     assert growth <= layer_f32 * (3 if mode == "fused" else 2) // 4
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_merge_fused_peak_memory_is_the_delta_merges(tmp_path, rng):
+    # the same adapters merged to delta and fused output: the fused merge
+    # reads the base rows of each block in small pieces into two small
+    # reused buffers, so its peak RSS may exceed the delta merge's by 2 MB
+    adapters, base, _ = _render_block_corpus(tmp_path, rng)
+    argv = ["merge", *adapters, "--method", "task_arithmetic", "--output", str(tmp_path / "out.safetensors")]
+    delta_kb = _peak_rss_kb(*argv, "--force")
+    fused_kb = _peak_rss_kb(*argv, "--force", "--output-mode", "fused", "--base", base)
+    assert (fused_kb - delta_kb) * 1024 <= 2 << 20
 
 
 def test_merge_lowrank_emits_factor_pairs(adapter_files, tmp_path, capsys):
@@ -589,7 +638,7 @@ def test_merge_non_numeric_scaling_exit_3(adapter_files, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, rng, monkeypatch):
     # layer "l" has 12 rows, rendered in 3 blocks of 4; only its last row overflows f32
     m, n = 12, 5
@@ -607,6 +656,7 @@ def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, 
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "'l'" in err and "not finite" in err
+    assert len(err.splitlines()) == 1 and err.startswith("domerge: error:")  # no numpy warning ahead of it
     assert written == [("l", 4), ("l", 4)]  # the first two blocks were written
     assert not out.exists()
     out.write_bytes(b"occupied")
@@ -616,7 +666,7 @@ def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
     # finite f64 factors whose merged delta overflows the f32 output; layer
     # "a" (all zeros) is written before "l" fails, so the failure is mid-stream
@@ -629,6 +679,7 @@ def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "'l'" in err and "not finite" in err
+    assert len(err.splitlines()) == 1 and err.startswith("domerge: error:")  # no numpy warning ahead of it
     assert not out.exists()
     out.write_bytes(b"occupied")
     code, _, err = run(capsys, *argv, "--force")

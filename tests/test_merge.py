@@ -10,6 +10,7 @@ from domerge.checkpoint import (
     LoraLayer,
     TensorRecord,
     extract_adapters,
+    load_checkpoint,
     save_checkpoint,
 )
 from domerge.merge import (
@@ -18,8 +19,6 @@ from domerge.merge import (
     _render_f32,
     _truncated_factors,
     assemble_full_rank,
-    layer_outputs,
-    merge_adapter_set,
     merge_layer,
     output_shapes,
     resolve_base_key,
@@ -27,7 +26,13 @@ from domerge.merge import (
 from domerge.ortho import OrthoConfig
 
 from conftest import make_adapter_records
-from oracles import assert_within_render_bound, dense_merge_delta, svd_truncate
+from oracles import (
+    assert_within_render_bound,
+    dense_merge_delta,
+    layer_outputs,
+    merge_adapter_set,
+    svd_truncate,
+)
 
 
 def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):
@@ -303,8 +308,8 @@ def _rss_file_kb() -> int | None:
 def test_merge_keeps_only_the_current_layers_adapter_pages(tmp_path, rng):
     # 2 adapters of 32 layers of 1024 x 1024 at rank 16 in f32: 8 MB of
     # files, 16x one layer's f64 factors. With the adapter set alive after
-    # loading and after a merge, the resident pages of the mapped files must
-    # not have grown by half of them: both release each layer's pages.
+    # loading and after a merge, the resident pages of mapped files must not
+    # have grown by half of them: both read each layer and keep no pages.
     keys, shape, rank = [f"layer{i:02d}" for i in range(32)], (1024, 1024), 16
     files = []
     for i in range(2):
@@ -320,6 +325,36 @@ def test_merge_keeps_only_the_current_layers_adapter_pages(tmp_path, rng):
     merged_too = (_rss_file_kb() - before) * 1024
     assert len(merged) == len(keys) and adapters.n == 2
     assert loaded < total // 2 and merged_too < total // 2
+
+
+@pytest.mark.skipif(_rss_file_kb() is None, reason="needs RssFile in /proc/self/status")
+def test_fused_render_keeps_no_base_file_pages(tmp_path, rng, monkeypatch):
+    # a 16 MB bf16 base layer of 4096 x 2048, rendered in 16 blocks of 256
+    # rows, each 1 MB of stored base rows: the resident pages of mapped files,
+    # sampled after each read of base rows and at each block, must stay
+    # within 1 MB of where they started, so no block holds file pages
+    m, n = 4096, 2048
+    path = tmp_path / "base.safetensors"
+    words = rng.integers(0, 0x3F80, size=m * n, dtype=np.uint16).tobytes()  # finite bf16 in [0, 1)
+    save_checkpoint({"w": TensorRecord("w", "bf16", (m, n), words)}, path)
+    assert path.stat().st_size >= 16 << 20
+    base = load_checkpoint(path)["w"]
+    left, right = rng.standard_normal((m, 4)), rng.standard_normal((4, n))
+    for _ in _render_f32(left[:8], right, base.rows(0, 8)):  # fault in the library code a render runs
+        pass
+    before, growth, read = _rss_file_kb(), [], TensorRecord.values
+
+    def sampled_read(record, *args, **kwargs):
+        values = read(record, *args, **kwargs)
+        growth.append((_rss_file_kb() - before) * 1024)
+        return values
+
+    monkeypatch.setattr(TensorRecord, "values", sampled_read)
+    blocks = 0
+    for _ in _render_f32(left, right, base):
+        growth.append((_rss_file_kb() - before) * 1024)
+        blocks += 1
+    assert blocks == 16 and max(growth) < 1 << 20, growth
 
 
 def lowrank_factors(merged, rank):

@@ -25,8 +25,6 @@ from .diagnostics import (
     build_report,
     dumps_deterministic,
     emit_report,
-    magnitude_distribution_variance,
-    orthogonality_report,
 )
 from .experiments import (
     PairedComparison,
@@ -46,6 +44,7 @@ from .merge import (
     merge_layer,
     output_blocks,
     output_shapes,
+    write_merged,
 )
 from .ortho import OrthoConfig, OrthoStats, ortho_grad, ortho_loss, orthogonalize_group
 
@@ -76,7 +75,6 @@ __all__ = [
     "factor_crossterm_trial",
     "load_checkpoint",
     "load_manifest",
-    "magnitude_distribution_variance",
     "magnitude_weighted_loss",
     "merge_layer",
     "ortho_grad",
@@ -84,10 +82,10 @@ __all__ = [
     "orthogonalize_group",
     "output_blocks",
     "output_shapes",
-    "orthogonality_report",
     "recompose",
     "save_checkpoint",
     "sign_conflict_rate",
+    "write_merged",
 ]
 
 __version__ = "0.1.0"

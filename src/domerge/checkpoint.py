@@ -499,9 +499,9 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
     """
     path = Path(path)
     try:
-        entries = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise AlignmentError(f"manifest {path}: invalid JSON: {e.msg}") from e
+        entries = json.loads(path.read_bytes())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not text
+        raise AlignmentError(f"manifest {path}: invalid JSON: {e}") from e
     if not isinstance(entries, list) or not entries:
         raise AlignmentError(f"manifest {path}: expected a non-empty JSON list")
     paths, names, scalings = [], [], []

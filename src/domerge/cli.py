@@ -1,4 +1,5 @@
-"""Command-line interface: merge, inspect, diagnose, and verify.
+"""Command-line interface: merge, inspect, diagnose, and verify. Each parses
+its arguments, calls the library (merge: merge.write_merged) and prints.
 
 Exit codes for merge/inspect/diagnose: 0 success, 2 usage, 3 checkpoint
 parse or adapter alignment failure, 4 I/O failure. verify exits 0 when
@@ -21,12 +22,10 @@ from .checkpoint import (
     LORA_B_SUFFIX,
     AlignmentError,
     ParseError,
-    TensorRecord,
     _match_factors,
     extract_adapters,
     load_checkpoint,
     load_manifest,
-    save_checkpoint,
 )
 from .diagnostics import (
     atomic_write_text,
@@ -42,7 +41,7 @@ from .experiments import (
     run_decoupling_suite,
 )
 from .linalg import MAGNITUDE_MODES
-from .merge import METHODS, MergeConfig, merge_layer, output_blocks, output_shapes
+from .merge import METHODS, MergeConfig, write_merged
 from .ortho import OrthoConfig
 
 EXIT_USAGE = 2
@@ -109,19 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="ignored: the merge draws no random numbers (only verify uses a seed)",
     )
-    strictness = m.add_mutually_exclusive_group()
-    strictness.add_argument(
-        "--strict",
-        dest="strict",
-        action="store_true",
-        default=True,
-        help="fail on missing layers or shape conflicts (default)",
-    )
-    strictness.add_argument(
+    m.add_argument(
         "--lenient",
-        dest="strict",
-        action="store_false",
-        help="drop misaligned layers with a warning instead of failing",
+        action="store_true",
+        help="drop misaligned layers with a warning instead of failing on them",
     )
     m.add_argument("--force", action="store_true", help="overwrite an existing output file")
     m.add_argument(
@@ -202,26 +192,6 @@ def _stats_dict(stats) -> dict:
     }
 
 
-def _f32_records(adapters, config, mode: str, rank: int | None, base, layer_stats, out_path: Path):
-    """(key, f32 record) pairs of every layer's output tensors, a row block at a
-    time, each block checked finite before it is yielded.
-
-    One layer at a time: merge it, add its summary entry to layer_stats, and
-    render and yield its blocks; it is released before the next layer is merged.
-    """
-    for layer_key in adapters.layer_keys:
-        layer = merge_layer(adapters.group(layer_key), config)
-        entry: dict = {"shape": list(layer.shape)}
-        if layer.ortho_stats is not None:
-            entry["ortho"] = {g: _stats_dict(s) for g, s in sorted(layer.ortho_stats.items())}
-        layer_stats[layer_key] = entry
-        for key, block in output_blocks(layer, mode, rank, base):
-            if not np.isfinite(block).all():
-                raise ValueError(f"merged tensor {key!r} is not finite; {out_path} not written")
-            yield key, TensorRecord.from_array(key, block, "f32")
-        del layer, block
-
-
 def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
@@ -242,24 +212,12 @@ def cmd_merge(args) -> int:
     )
 
     paths, names, scalings = _gather_sources(args)
-    adapters = extract_adapters(paths, scalings=scalings, names=names, strict=args.strict)
+    adapters = extract_adapters(paths, scalings=scalings, names=names, strict=not args.lenient)
     base = load_checkpoint(args.base) if mode == "fused" else None
-
-    # the header is laid out from the inputs, so a bad base or rank fails before any merge
-    layout: dict[str, tuple[str, tuple[int, ...]]] = {}
-    owners: dict[str, str] = {}
-    for layer_key in adapters.layer_keys:
-        shape = adapters.full_shape(layer_key)
-        for key, out_shape in output_shapes(layer_key, shape, mode, rank, base).items():
-            if key in owners:
-                raise AlignmentError(
-                    f"layers {owners[key]!r} and {layer_key!r} both write output tensor {key!r}"
-                )
-            owners[key] = layer_key
-            layout[key] = ("f32", out_shape)
-    layer_stats: dict[str, dict] = {}
-    records = _f32_records(adapters, config, mode, rank, base, layer_stats, out_path)
-    save_checkpoint(records, out_path, layout=layout)
+    layer_stats = {key: {"shape": list(adapters.full_shape(key))} for key in adapters.layer_keys}
+    for key, stats in write_merged(adapters, config, out_path, mode, rank, base).items():
+        if stats is not None:
+            layer_stats[key]["ortho"] = {g: _stats_dict(s) for g, s in sorted(stats.items())}
 
     summary = {
         "command": "merge",

@@ -59,31 +59,14 @@ class DiagnosticsReport:
     adapter_names: list[str] | None = None
 
 
-def magnitude_distribution_variance(adapters: AdapterSet) -> float:
-    """Sum over layers of the across-adapter variance of task-matrix norms.
-
-    The per-adapter scalar is the Frobenius norm of the full-rank task
-    matrix (elementwise absolute values do not change it). Population
-    variance, since the adapters are the whole set being merged, not a
-    sample. Zero for a single adapter.
-    """
-    return build_report(adapters).magnitude_variance
-
-
-def orthogonality_report(adapters: AdapterSet) -> dict[str, np.ndarray]:
-    """Per-layer pairwise ||W_i^T W_j||_F matrices of the task matrices W_i = B_i A_i.
-
-    With M = B_i^T B_j and P_i = A_i A_i^T, ||A_i^T M A_j||_F^2 is the sum of
-    M * (P_i M P_j), so the report comes from factor Grams and no m x n
-    product is formed.
-    """
-    return build_report(adapters).per_layer_cross_gram
-
-
 def build_report(adapters: AdapterSet) -> DiagnosticsReport:
-    """Cross-Gram norms (orthogonality_report), column-magnitude norms and
-    magnitude variance (magnitude_distribution_variance) of the adapters, from
-    one decode of each layer's factors."""
+    """The report of the adapters, from one decode of each layer's factors.
+
+    magnitude_variance sums each layer's population variance (0 for one
+    adapter) of the task matrices' Frobenius norms. With M = B_i^T B_j and
+    P_i = A_i A_i^T, ||W_i^T W_j||_F^2 is the sum of M * (P_i M P_j), so the
+    cross-Gram norms come from factor Grams and no m x n product is formed.
+    """
     variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
         bs, as_ = _factors(adapters.group(key))

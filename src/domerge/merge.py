@@ -15,7 +15,8 @@ Every method works on factors: the merged delta is one product of an
 m x R and an R x n stack, R = sum_i rank_i, unit norms come from rank_i x
 rank_i Grams, and no per-adapter m x n matrix is formed. A MergedLayer keeps
 the two factors, and output_blocks renders them for each output mode as the
-f32 row blocks that are written, with no m x n array of any kind.
+f32 row blocks that are written, with no m x n array of any kind;
+write_merged streams a whole adapter set's merge into one checkpoint that way.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .checkpoint import (
     LORA_B_SUFFIX,
     AlignmentError,
     LoraLayer,
+    TensorRecord,
+    save_checkpoint,
 )
 from .linalg import MAGNITUDE_MODES, _floor_degenerate
 from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
@@ -300,3 +303,36 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
         record = base[keys[0]] if mode == "fused" else None
         for block in _render_f32(merged.left, merged.right, record):
             yield keys[0], block
+
+
+def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank: int | None = None, base=None):
+    """Merge the AdapterSet and write output_blocks' f32 tensors to path;
+    return {layer_key: its ortho stats or None}.
+
+    The header is laid out from output_shapes first, so a bad base or rank,
+    or two layers writing one tensor (an AlignmentError naming both), fails
+    before any merge. Each layer is then merged, its blocks checked finite
+    and streamed, and released before the next. path is always replaced,
+    and left as it was on any error, a non-finite block's ValueError too.
+    """
+    layout, owners = {}, {}
+    for layer_key in adapters.layer_keys:
+        for key, shape in output_shapes(layer_key, adapters.full_shape(layer_key), mode, rank, base).items():
+            if key in owners:
+                raise AlignmentError(f"layers {owners[key]!r} and {layer_key!r} both write output tensor {key!r}")
+            owners[key] = layer_key
+            layout[key] = ("f32", shape)
+    stats = {}
+
+    def records():
+        for layer_key in adapters.layer_keys:
+            layer = merge_layer(adapters.group(layer_key), config)
+            stats[layer_key] = layer.ortho_stats
+            for key, block in output_blocks(layer, mode, rank, base):
+                if not np.isfinite(block).all():
+                    raise ValueError(f"merged tensor {key!r} is not finite; {path} not written")
+                yield key, TensorRecord.from_array(key, block, "f32")
+            del layer, block
+
+    save_checkpoint(records(), path, layout=layout)
+    return stats

@@ -198,7 +198,7 @@ def test_merge_fused_base_missing_layer_exit_3_before_any_merge(
         {k: TensorRecord.from_array(k, rng.standard_normal((16, 12)), "f32") for k in weights}, base
     )
     merged = []
-    monkeypatch.setattr(cli, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    monkeypatch.setattr(merge_module, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
     out = tmp_path / "fused.safetensors"
     code, _, err = run(
         capsys, "merge", *(str(p) for p in adapter_files), "--base", str(base),
@@ -223,7 +223,7 @@ def test_merge_non_finite_last_layer_of_last_adapter_exit_3_before_any_merge(
     last = tmp_path / "last.safetensors"
     save_checkpoint(records, last)
     merged = []
-    monkeypatch.setattr(cli, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    monkeypatch.setattr(merge_module, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
     out = tmp_path / "m.safetensors"
     code, _, err = run(capsys, "merge", *map(str, adapter_files), str(last), "--output", str(out))
     assert code == 3
@@ -234,7 +234,7 @@ def test_merge_non_finite_last_layer_of_last_adapter_exit_3_before_any_merge(
 
 def _logged_save(log):
     """A save_checkpoint that appends (key, rows) of each record it is given to log."""
-    real_save = cli.save_checkpoint
+    real_save = merge_module.save_checkpoint
 
     def logged_save(records, path, layout=None):
         def logged():
@@ -254,7 +254,7 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
         adapters.append(tmp_path / f"adapter{i}.safetensors")
         save_checkpoint(make_adapter_records(keys, 2, (6, 5), rng), adapters[-1])
     events, merged, held = [], [], []
-    real_merge, real_save = cli.merge_layer, cli.save_checkpoint
+    real_merge, real_save = merge_module.merge_layer, merge_module.save_checkpoint
 
     def logged_merge(layers, config):
         held.append(sum(ref() is not None for ref in merged))
@@ -271,8 +271,8 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
 
         real_save(logged(), path, layout=layout)
 
-    monkeypatch.setattr(cli, "merge_layer", logged_merge)
-    monkeypatch.setattr(cli, "save_checkpoint", logged_save)
+    monkeypatch.setattr(merge_module, "merge_layer", logged_merge)
+    monkeypatch.setattr(merge_module, "save_checkpoint", logged_save)
     out = tmp_path / "lr.safetensors"
     code, _, err = run(
         capsys, "merge", *map(str, adapters), "--output-mode", "lowrank:2", "--output", str(out)
@@ -638,6 +638,21 @@ def test_merge_non_numeric_scaling_exit_3(adapter_files, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "payload", [b'\xff\xfe[{"path":"a"}]', b'[{"path": "a\xff.safetensors"}]'], ids=["bom", "byte_ff"]
+)
+@pytest.mark.parametrize("command", ["merge", "diagnose"])
+def test_manifest_not_utf8_exit_3(tmp_path, capsys, command, payload):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(payload)
+    out = tmp_path / "o"
+    target = "--output" if command == "merge" else "--report"
+    code, _, err = run(capsys, command, "--manifest", str(manifest), target, str(out))
+    assert code == 3
+    assert str(manifest) in err and "invalid JSON" in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, rng, monkeypatch):
     # layer "l" has 12 rows, rendered in 3 blocks of 4; only its last row overflows f32
@@ -650,7 +665,7 @@ def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, 
     path = tmp_path / "big.safetensors"
     save_checkpoint(records, path)
     written = []
-    monkeypatch.setattr(cli, "save_checkpoint", _logged_save(written))
+    monkeypatch.setattr(merge_module, "save_checkpoint", _logged_save(written))
     out = tmp_path / "o.safetensors"
     argv = ["merge", str(path), "--method", "task_arithmetic", "--lambda", "1", "--output", str(out)]
     code, _, err = run(capsys, *argv)

@@ -12,8 +12,6 @@ from domerge.diagnostics import (
     dumps_deterministic,
     emit_report,
     format_float,
-    magnitude_distribution_variance,
-    orthogonality_report,
 )
 
 
@@ -57,7 +55,7 @@ def test_format_float_17_digits():
 
 def test_magnitude_variance_zero_for_identical_adapters(adapter_files):
     adapters = extract_adapters([adapter_files[0], adapter_files[0]])
-    assert magnitude_distribution_variance(adapters) == pytest.approx(0.0, abs=1e-24)
+    assert build_report(adapters).magnitude_variance == pytest.approx(0.0, abs=1e-24)
 
 
 def test_magnitude_variance_hand_value(tmp_path, rng):
@@ -79,12 +77,12 @@ def test_magnitude_variance_hand_value(tmp_path, rng):
         paths.append(p)
     adapters = extract_adapters(paths)
     norms = np.array([np.sqrt(8.0), np.sqrt(32.0)])
-    assert magnitude_distribution_variance(adapters) == pytest.approx(norms.var(), rel=1e-12)
+    assert build_report(adapters).magnitude_variance == pytest.approx(norms.var(), rel=1e-12)
 
 
 def test_orthogonality_report_symmetric_unsquared(adapter_files):
     adapters = extract_adapters(adapter_files)
-    report = orthogonality_report(adapters)
+    report = build_report(adapters).per_layer_cross_gram
     assert set(report) == set(adapters.layer_keys)
     for key, gram in report.items():
         assert gram.shape == (3, 3)

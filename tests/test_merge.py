@@ -1,9 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from domerge import merge as merge_module
+from domerge.cli import main
 from domerge.checkpoint import (
     AdapterSet,
     AlignmentError,
@@ -22,6 +24,7 @@ from domerge.merge import (
     merge_layer,
     output_shapes,
     resolve_base_key,
+    write_merged,
 )
 from domerge.ortho import OrthoConfig
 
@@ -465,3 +468,51 @@ def test_lowrank_rank_beyond_shape_rejected():
     out = merge_layer(layers, MergeConfig())
     with pytest.raises(ValueError, match="out of range"):
         layer_outputs(out, "lowrank", 15)
+
+
+@pytest.mark.parametrize("mode, rank", [("delta", None), ("fused", None), ("lowrank", 3)])
+def test_write_merged_writes_what_the_cli_writes(adapter_files, base_file, tmp_path, capsys, mode, rank):
+    adapters = extract_adapters(adapter_files)
+    base = load_checkpoint(base_file) if mode == "fused" else None
+    library, cli_out = tmp_path / "library.safetensors", tmp_path / "cli.safetensors"
+    stats = write_merged(adapters, MergeConfig(), library, mode, rank, base)
+    argv = ["merge", *map(str, adapter_files), "--base", str(base_file), "--output", str(cli_out)]
+    assert main([*argv, "--output-mode", f"lowrank:{rank}" if rank else mode]) == 0
+    assert library.read_bytes() == cli_out.read_bytes()
+    summary = json.loads(capsys.readouterr().out)
+    assert sorted(stats) == sorted(summary["layers"]) == adapters.layer_keys
+    for key, groups in stats.items():
+        assert sorted(groups) == ["A", "B"]
+        assert groups["B"].final_lo == summary["layers"][key]["ortho"]["B"]["final_lo"]
+
+
+def test_write_merged_key_collision_fails_before_any_merge(tmp_path, rng, monkeypatch):
+    # layers "a" and "a.weight" both resolve to the base's "a.weight"
+    adapter = tmp_path / "ad.safetensors"
+    save_checkpoint(make_adapter_records(["a", "a.weight"], 2, (6, 5), rng), adapter)
+    base = tmp_path / "base.safetensors"
+    save_checkpoint({"a.weight": TensorRecord.from_array("a.weight", rng.standard_normal((6, 5)), "f32")}, base)
+    merged = []
+    monkeypatch.setattr(merge_module, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    out = tmp_path / "fused.safetensors"
+    out.write_bytes(b"occupied")
+    with pytest.raises(AlignmentError, match=r"'a'.*'a\.weight'.*'a\.weight'"):
+        write_merged(extract_adapters([adapter]), MergeConfig(), out, "fused", base=load_checkpoint(base))
+    assert merged == []
+    assert out.read_bytes() == b"occupied"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_write_merged_non_finite_block_leaves_target(tmp_path, rng):
+    # finite f64 factors whose merged delta overflows f32; layer "a" (all zeros) is written first
+    records = make_adapter_records(["a", "l"], rank=2, full_shape=(4, 3), rng=rng, dtype="f64")
+    records["a.lora_B.weight"] = TensorRecord.from_array("a.lora_B.weight", np.zeros((4, 2)), "f64")
+    path = tmp_path / "big.safetensors"
+    save_checkpoint(records, path)
+    out = tmp_path / "o.safetensors"
+    out.write_bytes(b"occupied")
+    config = MergeConfig(method="task_arithmetic", lam=1e300)
+    with pytest.raises(ValueError, match="'l' is not finite"):
+        write_merged(extract_adapters([path]), config, out)
+    assert out.read_bytes() == b"occupied"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]

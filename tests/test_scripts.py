@@ -1,10 +1,19 @@
-"""Smoke runs of the scripts under scripts/, which import the package's public API."""
+"""Smoke runs of the scripts under scripts/ and of the README's library
+example, which import the package's public API."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+import numpy as np
+
+from domerge import TensorRecord, load_checkpoint, save_checkpoint
+
+from conftest import LAYER_KEYS, make_adapter_records
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def _run(tmp_path, *argv):
@@ -41,3 +50,22 @@ def test_ortho_budget_sweep_runs(tmp_path):
     for row in rows:
         reason, count = row.split()[-1].split(":")
         assert reason in {"converged", "step_cap", "stalled"} and count == "1"
+
+
+def test_readme_library_example_runs(tmp_path, rng, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    library = readme[readme.index("\n## Library\n") :]
+    example = re.search(r"```python\n(.*?)```", library, re.S).group(1)
+    assert example.rstrip().splitlines()[-1].startswith("stats = write_merged(")
+    for name in ("a0", "a1"):
+        save_checkpoint(make_adapter_records(LAYER_KEYS, 4, (16, 12), rng), tmp_path / f"{name}.safetensors")
+    weights = {k + ".weight": rng.standard_normal((16, 12)) for k in LAYER_KEYS}
+    save_checkpoint({k: TensorRecord.from_array(k, w) for k, w in weights.items()}, tmp_path / "base.safetensors")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert sorted(namespace["stats"]) == sorted(LAYER_KEYS)
+    merged = load_checkpoint(tmp_path / "merged.safetensors")
+    assert sorted(merged) == sorted(weights)
+    assert all(merged[k].dtype == "f32" and np.isfinite(merged[k].to_array()).all() for k in merged)
+    assert len(capsys.readouterr().out.splitlines()) == len(LAYER_KEYS)

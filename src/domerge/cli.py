@@ -181,17 +181,6 @@ def _parse_output_mode(text: str) -> tuple[str, int | None]:
     raise _CliError(EXIT_USAGE, "usage", f"unknown output mode {text!r}")
 
 
-def _stats_dict(stats) -> dict:
-    return {
-        "initial_lo": stats.initial_lo,
-        "final_lo": stats.final_lo,
-        "steps_taken": stats.steps_taken,
-        "trials": stats.trials,
-        "stop_reason": stats.stop_reason,
-        "max_rel_perturbation": max(stats.per_member_rel_perturbation, default=0.0),
-    }
-
-
 def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
@@ -217,7 +206,7 @@ def cmd_merge(args) -> int:
     layer_stats = {key: {"shape": list(adapters.full_shape(key))} for key in adapters.layer_keys}
     for key, stats in write_merged(adapters, config, out_path, mode, rank, base).items():
         if stats is not None:
-            layer_stats[key]["ortho"] = {g: _stats_dict(s) for g, s in sorted(stats.items())}
+            layer_stats[key]["ortho"] = stats
 
     summary = {
         "command": "merge",

@@ -172,17 +172,42 @@ def _merged_factors(layers, config: MergeConfig):
     return np.hstack(bs), config.resolve_lam(len(layers)) * np.vstack(as_), stats
 
 
+def _gram_roots(gram):
+    """(sqrt of eigenvalues, eigenvectors) of a symmetric PSD Gram, keeping the
+    eigenvalues above R eps64 times the largest (none of a zero Gram)."""
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > gram.shape[0] * np.finfo(np.float64).eps * lam[-1]
+    return np.sqrt(lam[keep]), vec[:, keep]
+
+
 def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Best rank-r factors (B, A) of left @ right, 1 <= r <= min(m, n), singular
-    values folded into B, from QRs of the stacks and an SVD of the R x R core;
-    components past the product's rank are zero."""
-    q_l, r_l = np.linalg.qr(left)
-    q_r, r_r = np.linalg.qr(right.T)
-    u, s, vt = np.linalg.svd(r_l @ r_r.T, full_matrices=False)
-    k = min(r, s.size)
-    us = np.pad(u[:, :k] * s[:k], ((0, 0), (0, r - k)))
-    vt = np.pad(vt[:k], ((0, r - k), (0, 0)))
-    return q_l @ us, vt @ q_r.T
+    values folded into B; components past the product's rank are zero.
+
+    No m x R or n x R basis is formed. Each rank-1 term is first balanced by
+    exact powers of two, as in _render_f32 (right's row k by 2^-e_k, left's
+    column k by 2^e_k), then left as a whole by 2^-s so its largest |entry|
+    is below 1. With L^T L = V_l S_l^2 V_l^T, R R^T = V_r S_r^2 V_r^T
+    (_gram_roots) and the SVD U Sigma W^T of the core (V_l S_l)^T (V_r S_r),
+    B = L V_l S_l^-1 U_r Sigma_r 2^s and A = W_r^T S_r^-1 V_r^T R.
+
+    Gram eigenvalues at or below R eps64 lambda_max are dropped, so at
+    r >= rank(left @ right) the product is exact but for those components;
+    tests/ checks ||B A - T_r||_F <= 8 eps32 sum_k ||left[:, k]|| ||right[k]||
+    against the dense f64 truncation T_r on ill-scaled, ill-conditioned and
+    rank-deficient stacks.
+    """
+    _, e = np.frexp(np.abs(right).max(axis=1, initial=0.0))
+    right = np.ldexp(right, -e[:, None])
+    _, s = np.frexp(np.abs(np.ldexp(left, e)).max(initial=0.0))
+    left = np.ldexp(left, e - s)
+    s_l, v_l = _gram_roots(left.T @ left)
+    s_r, v_r = _gram_roots(right @ right.T)
+    u, sigma, wt = np.linalg.svd((v_l * s_l).T @ (v_r * s_r), full_matrices=False)
+    k = min(r, sigma.size)
+    b = np.ldexp(left @ ((v_l / s_l) @ (u[:, :k] * sigma[:k])), s)
+    a = ((wt[:k] / s_r) @ v_r.T) @ right
+    return np.pad(b, ((0, 0), (0, r - k))), np.pad(a, ((0, r - k), (0, 0)))
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
@@ -290,7 +315,9 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
 
     Keys, shapes and errors are output_shapes'. "delta": the merged delta;
     "fused": base weights plus the delta; "lowrank": the best rank-`rank`
-    factors, one block each, computed in f64 and rounded to f32 once. Delta
+    factors, one block each, computed in f64 from two R x R Gram
+    eigendecompositions (_truncated_factors, within its stated bound of the
+    dense truncation) and rounded to f32 once. Delta
     and fused blocks are _render_f32's f32 products, within its stated bound
     of the f64 oracle; each views a buffer the next block reuses.
     """
@@ -305,9 +332,22 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
             yield keys[0], block
 
 
+def _stats_dict(stats: OrthoStats) -> dict:
+    """The summary fields of one factor group's descent, without its trajectory."""
+    return {
+        "initial_lo": stats.initial_lo,
+        "final_lo": stats.final_lo,
+        "steps_taken": stats.steps_taken,
+        "trials": stats.trials,
+        "stop_reason": stats.stop_reason,
+        "max_rel_perturbation": max(stats.per_member_rel_perturbation, default=0.0),
+    }
+
+
 def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank: int | None = None, base=None):
     """Merge the AdapterSet and write output_blocks' f32 tensors to path;
-    return {layer_key: its ortho stats or None}.
+    return {layer_key: {group: _stats_dict of its descent} or None}, each
+    layer's summary kept as the layer finishes and its OrthoStats dropped.
 
     The header is laid out from output_shapes first, so a bad base or rank,
     or two layers writing one tensor (an AlignmentError naming both), fails
@@ -327,7 +367,8 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
     def records():
         for layer_key in adapters.layer_keys:
             layer = merge_layer(adapters.group(layer_key), config)
-            stats[layer_key] = layer.ortho_stats
+            groups = layer.ortho_stats
+            stats[layer_key] = None if groups is None else {g: _stats_dict(st) for g, st in groups.items()}
             for key, block in output_blocks(layer, mode, rank, base):
                 if not np.isfinite(block).all():
                     raise ValueError(f"merged tensor {key!r} is not finite; {path} not written")

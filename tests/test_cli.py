@@ -379,6 +379,16 @@ def test_merge_fused_base_truncated_after_loading_exits_3(tmp_path, capsys, rng,
     assert sorted(p.name for p in tmp_path.iterdir()) == [adapter.name, base.name, out.name]
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy.linalg alone takes 220-360 ms to import on a 2-vCPU VM, which every merge would pay
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", "import domerge.cli, sys; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == "False\n"
+
+
 _PEAK_RSS_CHILD = """
 import sys
 import domerge.cli

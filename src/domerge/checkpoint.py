@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -261,9 +260,11 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
 @contextlib.contextmanager
 def atomic_file(path, mode: str = "wb"):
     """Yield a sibling temp file opened with mode; it replaces path on a clean
-    exit, and on any error it is removed and path is left as it was."""
+    exit, and on any error it is removed and path is left as it was. It is
+    created with the mode open() gives a new file, 0o666 less the umask."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh

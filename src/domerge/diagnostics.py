@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import AdapterSet, atomic_file
-from .merge import _factors, _unit_magnitudes
+from .merge import _grams, _stacks, _unit_magnitudes
 from .ortho import _owner_mask
 
 
@@ -69,16 +69,15 @@ def build_report(adapters: AdapterSet) -> DiagnosticsReport:
     """
     variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
-        bs, as_ = _factors(adapters.group(key))
-        variance += float(np.var(_unit_magnitudes(bs, as_, "matrix")))
-        b, a = np.hstack(bs), np.vstack(as_)
-        gram_b = b.T @ b
-        own_a = np.where(_owner_mask(bs), 0.0, a @ a.T)  # block-diagonal P_i
-        starts = np.cumsum([0] + [x.shape[1] for x in bs[:-1]])
+        b, a, s, ranks = _stacks(adapters.group(key))
+        gram_b, gram_a = _grams(b, a, s)
+        variance += float(np.var(_unit_magnitudes(gram_b, a, ranks, "matrix")))
+        own_a = np.where(_owner_mask(ranks), 0.0, gram_a)  # block-diagonal P_i
+        starts = np.cumsum([0, *ranks[:-1]])
         sq = gram_b * (own_a @ gram_b @ own_a)
         sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
         grams[key] = np.sqrt(np.maximum(0.5 * (sq + sq.T), 0.0))
-        stats[key] = [float(np.linalg.norm(c)) for c in _unit_magnitudes(bs, as_, "column")]
+        stats[key] = [float(np.linalg.norm(c)) for c in _unit_magnitudes(gram_b, a, ranks, "column")]
     return DiagnosticsReport(
         magnitude_variance=variance,
         per_layer_cross_gram=grams,

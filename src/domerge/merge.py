@@ -1,22 +1,19 @@
 """Layer-wise merging of aligned adapters.
 
 The main method orthogonalizes each layer's low-rank factor groups, splits
-each adapter's task matrix B_i A_i into magnitudes and directions, and
-merges the two components separately:
+each adapter's task matrix s_i B_i A_i into magnitudes and directions, and
+merges the two separately: delta = lam * (sum_i alpha_i) applied to
+(sum_j direction_j). Task-arithmetic summation and uniform averaging are
+baselines, and both stages can be disabled independently; with both off
+the main method is exactly the task-arithmetic code path.
 
-    delta = lam * (sum_i alpha_i) applied to (sum_j direction_j)
-
-Plain task-arithmetic summation and uniform averaging are kept as baselines,
-and both pipeline stages can be disabled independently so ablations are
-scriptable. With both stages off the main method degenerates to exactly the
-task-arithmetic code path.
-
-Every method works on factors: the merged delta is one product of an
-m x R and an R x n stack, R = sum_i rank_i, unit norms come from rank_i x
-rank_i Grams, and no per-adapter m x n matrix is formed. A MergedLayer keeps
-the two factors, and output_blocks renders them for each output mode as the
-f32 row blocks that are written, with no m x n array of any kind;
-write_merged streams a whole adapter set's merge into one checkpoint that way.
+Every method works on a layer's decoded stacks B = [B_1 ... B_n] (m x R)
+and A = [A_1; ...; A_n] (R x n), R = sum_i rank_i: descent, decoupling and
+unit norms are R x R algebra on their Grams, and the merged delta is B (in
+two cases another m x R matrix) times one R x n factor. A MergedLayer keeps
+the two factors; output_blocks renders them per output mode as the f32 row
+blocks that are written, with no m x n array of any kind, and write_merged
+streams a whole merge into one checkpoint.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .linalg import MAGNITUDE_MODES, _floor_degenerate
-from .ortho import OrthoConfig, OrthoStats, orthogonalize_group
+from .ortho import OrthoConfig, OrthoStats, gram_descent
 
 METHODS = ("do_merging", "task_arithmetic", "average")
 
@@ -110,66 +107,68 @@ def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
     return layer.scaling * (layer.B @ layer.A)
 
 
-def _factors(layers):
-    """Each adapter's (scaling * B_i, A_i), the factors of its task matrix."""
-    return [layer.scaling * layer.B for layer in layers], [layer.A for layer in layers]
+def _stacks(layers):
+    """(B, A, s, ranks) of a layer group: B = [B_1 ... B_n] and A = [A_1; ...;
+    A_n] as decoded, each unit's scaling, the ranks; sum_i W_i = B diag(s) A."""
+    ranks = [layer.rank for layer in layers]
+    s = np.repeat([layer.scaling for layer in layers], ranks)
+    return np.hstack([layer.B for layer in layers]), np.vstack([layer.A for layer in layers]), s, ranks
 
 
-def _orthogonalized_factors(bs, as_, config: OrthoConfig):
-    """Orthogonalize the B group directly and the A group transposed.
-
-    B factors (m x r_i) share their row count, so their column-space Gram
-    terms are comparable even when ranks differ. A factors (r_i x n) only
-    share the column count, so the group runs on transposes: that drives the
-    row spaces of the A's apart, which is the subspace each adapter actually
-    spans, and it keeps mixed-rank groups well-shaped.
-    """
-    b_hat, b_stats = orthogonalize_group(bs, config)
-    a_hat_t, a_stats = orthogonalize_group([a.T for a in as_], config)
-    return b_hat, [a.T for a in a_hat_t], {"B": b_stats, "A": a_stats}
+def _grams(left, right, s):
+    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right."""
+    return (left.T @ left) * np.outer(s, s), right @ right.T
 
 
-def _unit_magnitudes(bs, as_, mode: str) -> list[np.ndarray]:
-    """decouple()'s magnitudes of each W_i = B_i A_i, without forming W_i.
-
-    Column, row or whole-matrix norms are quadratic forms in the r_i x r_i
-    Grams B_i^T B_i and A_i A_i^T; degenerate units get magnitude 0 by
-    decouple()'s floor.
-    """
-    if mode == "column":
-        sq = [np.einsum("ij,ij->j", a, (b.T @ b) @ a) for b, a in zip(bs, as_)]
-    elif mode == "row":
-        sq = [np.einsum("ij,ij->i", b, b @ (a @ a.T)) for b, a in zip(bs, as_)]
-    else:
-        sq = [np.array([np.vdot(b.T @ b, a @ a.T)]) for b, a in zip(bs, as_)]
-    return [_floor_degenerate(np.sqrt(np.maximum(s, 0.0))) for s in sq]
-
-
-def _decoupled_factors(bs, as_, mode: str):
-    """Rescale each adapter's factors so sum_i B_i A_i is the decoupled merge over lam.
-
-    Summing the directions W_i / c_i and recomposing with alpha = sum_i c_i
-    gives sum_i W_i scaled per unit by alpha / c_i (0 on degenerate units),
-    which lands on A_i's columns, B_i's rows, or either factor.
-    """
-    mags = _unit_magnitudes(bs, as_, mode)
-    alpha = sum(mags)
-    scales = [np.divide(alpha, c, out=np.zeros_like(c), where=c > 0) for c in mags]
-    if mode == "row":
-        return [b * s[:, None] for b, s in zip(bs, scales)], as_
-    return bs, [a * s for a, s in zip(as_, scales)]
+def _unit_magnitudes(gram, right, ranks, mode: str, left=None) -> list[np.ndarray]:
+    """decouple()'s magnitudes of each W_i = L_i right_i from the r_i x r_i blocks
+    of gram = L^T L and right right^T (row mode: of L = left), no W_i formed."""
+    bounds, mags = np.cumsum([0, *ranks]), []
+    for i, j in zip(bounds, bounds[1:]):
+        a = right[i:j]
+        if mode == "matrix":
+            sq = np.vdot(gram[i:j, i:j], a @ a.T)[None]
+        else:  # quadratic forms in the columns of A_i, or of L_i^T
+            x, q = (left[:, i:j].T, a @ a.T) if mode == "row" else (a, gram[i:j, i:j])
+            sq = np.einsum("ij,ij->j", x, q @ x)
+        mags.append(_floor_degenerate(np.sqrt(np.maximum(sq, 0.0))))
+    return mags
 
 
 def _merged_factors(layers, config: MergeConfig):
-    """(L, R, ortho stats) with merged delta L @ R. Every method ends in this one
-    stacking, so the fully ablated main method is bit-identical to task_arithmetic."""
-    bs, as_ = _factors(layers)
-    stats = None
+    """(L, R, ortho stats), merged delta L @ R = B K A~ lam: B the B stack as
+    decoded, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in place. The
+    groups descend in R x R coordinates (ortho.gram_descent), A on transposes;
+    a group of no more rows than R on its explicit D, and row mode scales the
+    rows of B K: then L is that matrix and K = I. Every method ends in the
+    scaling by lam K, so the fully ablated method is task_arithmetic bitwise."""
+    left, right, s, ranks = _stacks(layers)
+    r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
+    if config.ortho is not None or config.decouple_enabled:
+        gram, gram_a = _grams(left, right, s)  # gram: of left K
     if config.ortho is not None:
-        bs, as_, stats = _orthogonalized_factors(bs, as_, config.ortho)
+        wide = None if left.shape[0] > r else left * s
+        z, b_stats = gram_descent(gram, ranks, config.ortho, wide)
+        if wide is None:
+            ie = np.eye(r) + z
+            k, gram = s[:, None] * ie, ie.T @ gram @ ie
+        else:
+            left, k = wide + z, np.ones(r)
+            gram = left.T @ left
+        wide = None if right.shape[1] > r else np.ascontiguousarray(right.T)
+        z, a_stats = gram_descent(gram_a, ranks, config.ortho, wide)
+        right = (np.eye(r) + z).T @ right if wide is None else right + z.T
+        stats = {"B": b_stats, "A": a_stats}
     if config.decouple_enabled:
-        bs, as_ = _decoupled_factors(bs, as_, config.magnitude_mode)
-    return np.hstack(bs), config.resolve_lam(len(layers)) * np.vstack(as_), stats
+        if config.magnitude_mode == "row":
+            left, k = (left @ k if k.ndim == 2 else left * k), np.ones(r)
+        mags = _unit_magnitudes(gram, right, ranks, config.magnitude_mode, left)
+        alpha, bounds = sum(mags), np.cumsum([0, *ranks])
+        units = left.T if config.magnitude_mode == "row" else right  # rows of units, scaled in place
+        for i, j, c in zip(bounds, bounds[1:], mags):
+            units[i:j] *= np.divide(alpha, c, out=np.zeros_like(c), where=c > 0)
+    k = config.resolve_lam(len(layers)) * k
+    return left, (k @ right if k.ndim == 2 else np.multiply(right, k[:, None], out=right)), stats
 
 
 def _gram_roots(gram):
@@ -211,12 +210,16 @@ def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
-    """Merge one aligned layer group into the factors of its merged delta."""
+    """Merge one aligned layer group into the factors of its merged delta.
+    Non-finite factors are a ValueError naming the layer and the adapter's index."""
     if not layers:
         raise ValueError("empty layer group")
     shapes = {layer.full_shape for layer in layers}
     if len(shapes) > 1:
         raise AlignmentError(f"layer group has conflicting shapes {sorted(shapes)}")
+    for i, layer in enumerate(layers):
+        if not (np.isfinite(layer.B).all() and np.isfinite(layer.A).all()):
+            raise ValueError(f"layer {layer.layer_key!r}: adapter {i} has non-finite factors")
     left, right, stats = _merged_factors(layers, config)
     return MergedLayer(layers[0].layer_key, left, right, stats)
 

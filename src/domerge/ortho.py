@@ -83,9 +83,9 @@ def _check_group(mats, deltas=None):
     return mats, deltas
 
 
-def _owner_mask(mats) -> np.ndarray:
-    """True where a stacked-Gram entry pairs columns of two different members."""
-    owner = np.repeat(np.arange(len(mats)), [w.shape[1] for w in mats])
+def _owner_mask(widths) -> np.ndarray:
+    """True where a stacked-Gram entry pairs columns of two different members of these widths."""
+    owner = np.repeat(np.arange(len(widths)), widths)
     return owner[:, None] != owner[None, :]
 
 
@@ -106,7 +106,7 @@ def ortho_loss(mats, deltas, mu: float) -> float:
     mats, deltas = _check_group(mats, deltas)
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
-    _, lo = _off_gram(x.T @ x, _owner_mask(mats))
+    _, lo = _off_gram(x.T @ x, _owner_mask([w.shape[1] for w in mats]))
     return lo + mu * float(np.vdot(d, d))
 
 
@@ -122,37 +122,27 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     mats, deltas = _check_group(mats, deltas)
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
-    g, _ = _off_gram(x.T @ x, _owner_mask(mats))
+    g, _ = _off_gram(x.T @ x, _owner_mask([w.shape[1] for w in mats]))
     return np.hsplit(_grad(x, g, d, mu), np.cumsum([w.shape[1] for w in mats[:-1]]))
 
 
-def orthogonalize_group(mats, config: OrthoConfig | None = None):
-    """Run projected gradient descent on the group; returns (perturbed, stats).
-
-    Steps are accepted only when the total loss strictly decreases and the
-    cross-Gram part does not increase, so the reported lo trajectory is
-    non-increasing and final_lo <= initial_lo holds unconditionally. Each
-    accepted iterate is projected member-wise onto the perturbation ball
-    ||delta_i||_F <= max_rel_perturbation * ||W_i||_F. The trial step
-    doubles after each accepted step and halves on each rejected trial.
-
-    D stays in the span of the stacked group W = [W_1 ... W_n], so when W has
-    more rows than its R columns the descent runs on R x R coordinates E, D = W E,
-    weighed by the Gram G = W^T W (nothing is factorized), and maps back once.
-    The perturbed members are column blocks of one array.
-    """
-    if config is None:
-        config = OrthoConfig()
-    mats, _ = _check_group(mats)
-    widths = [w.shape[1] for w in mats]
-    starts = np.cumsum([0] + widths[:-1])
-    off = _owner_mask(mats)
-    w = np.hstack(mats)
-    gram = w.T @ w
+def gram_descent(gram, widths, config: OrthoConfig, w=None):
+    """Projected gradient descent on the stacked group W = [W_1 ... W_n] of these
+    member widths, from its Gram G = W^T W; returns (z, stats). A step is
+    accepted only if the total loss strictly decreases and the cross-Gram part
+    does not increase, so the lo trajectory is non-increasing. Each accepted
+    iterate is projected member-wise onto ||delta_i||_F <= max_rel_perturbation
+    * ||W_i||_F; the trial step doubles after an accepted step and halves on a
+    rejected trial. D stays in W's column span, so the descent runs on R x R
+    coordinates E, D = W E, weighed by G, and z is E; given W (a group of no
+    more rows than its R columns) it runs on D, and z is D."""
+    starts = np.cumsum([0, *widths[:-1]])
+    off = _owner_mask(widths)
     g, initial_lo = _off_gram(gram, off)
+    x = base = np.eye(gram.shape[0]) if w is None else w
+    z, z_norms = np.zeros_like(base), np.zeros(len(widths))
     if initial_lo == 0.0:  # nothing to remove, as in every one-member group
-        stats = OrthoStats(0.0, 0.0, 0, 0, "converged", [0.0] * len(mats), [0.0])
-        return np.hsplit(w.copy(), starts[1:]), stats
+        return z, OrthoStats(0.0, 0.0, 0, 0, "converged", z_norms.tolist(), [0.0])
     member_norms = np.sqrt(np.add.reduceat(np.diag(gram), starts))
     total_sq = float(member_norms @ member_norms)
     mu = initial_lo / total_sq
@@ -160,9 +150,6 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
     # stays <= max_rel_perturbation after its own rounding
     caps = config.max_rel_perturbation * (1.0 - 1e-12) * member_norms
     t = config.step_size / (total_sq + mu)
-    metric = gram if w.shape[0] > w.shape[1] else None
-    x = base = w if metric is None else np.eye(w.shape[1])
-    z, z_norms = np.zeros_like(base), np.zeros(len(mats))
     cur = cur_lo = initial_lo  # deltas are zero so the penalty term starts at 0
     trajectory, trials, stop_reason = [initial_lo], 0, "step_cap"
     for _ in range(config.max_steps):
@@ -170,14 +157,14 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
         for _ in range(_MAX_BACKTRACKS):
             trials += 1
             trial = z - t * grad
-            m_trial = trial if metric is None else metric @ trial
-            # member norms of the perturbation, m_trial weighing it by the metric
+            m_trial = trial if w is not None else gram @ trial
+            # member norms of the perturbation, m_trial weighing it by G in coordinates
             norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", trial, m_trial), starts))
             shrink = np.divide(caps, norms, out=np.ones_like(norms), where=norms > caps)
             cols = np.repeat(shrink, widths)
             trial, m_trial = trial * cols, m_trial * cols
             new_x = base + trial
-            new_g, new_lo = _off_gram(new_x.T @ (new_x if metric is None else gram + m_trial), off)
+            new_g, new_lo = _off_gram(new_x.T @ (new_x if w is not None else gram + m_trial), off)
             new = new_lo + mu * float(np.vdot(trial, m_trial))
             if new < cur and new_lo <= cur_lo:
                 break
@@ -194,6 +181,14 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
             break
 
     rels = z_norms / np.where(member_norms > 0, member_norms, np.inf)
-    steps = len(trajectory) - 1
-    stats = OrthoStats(initial_lo, cur_lo, steps, trials, stop_reason, rels.tolist(), trajectory)
-    return np.hsplit(w + (z if metric is None else w @ z), starts[1:]), stats
+    return z, OrthoStats(initial_lo, cur_lo, len(trajectory) - 1, trials, stop_reason, rels.tolist(), trajectory)
+
+
+def orthogonalize_group(mats, config: OrthoConfig | None = None):
+    """gram_descent() on the group; returns (perturbed members, views of one array; stats)."""
+    mats, _ = _check_group(mats)
+    widths = [w.shape[1] for w in mats]
+    w = np.hstack(mats)
+    tall = w.shape[0] > w.shape[1]
+    z, stats = gram_descent(w.T @ w, widths, config or OrthoConfig(), None if tall else w)
+    return np.hsplit(w + (w @ z if tall else z), np.cumsum(widths[:-1])), stats

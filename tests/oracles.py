@@ -2,7 +2,8 @@
 
 These are the original pairwise-loop orthogonalizer, the dense
 decouple-and-sum layer merge, a dense truncated SVD and the f64 product
-the f32 render is bounded against. They form every m x n task matrix and
+the f32 render is bounded against, and the diagnostics report from dense
+task matrices. They form every m x n task matrix and
 loop over member pairs, which is exactly what the package code avoids;
 tests compare the two at stated tolerances. The whole-set helpers at the
 end hold every layer, or a whole output tensor, at once, which the CLI's
@@ -135,6 +136,20 @@ def dense_merge_delta(layers, config) -> np.ndarray:
     alpha = sum(p.magnitude for p in parts)
     direction = sum(p.direction for p in parts)
     return lam * recompose(Decoupled(alpha, direction, config.magnitude_mode))
+
+
+def dense_report(adapters):
+    """(magnitude_variance, per_layer_cross_gram, per_layer_magnitude_stats) of
+    build_report, from each layer's dense W_i = s_i B_i A_i: the sum over layers
+    of the variance of ||W_i||_F, ||W_i^T W_j||_F, and ||column norms of W_i||
+    after decouple()'s floor."""
+    variance, grams, stats = 0.0, {}, {}
+    for key in adapters.layer_keys:
+        ws = [assemble_full_rank(layer) for layer in adapters.group(key)]
+        variance += float(np.var([decouple(w, "matrix").magnitude[0] for w in ws]))
+        grams[key] = np.array([[np.linalg.norm(wi.T @ wj) for wj in ws] for wi in ws])
+        stats[key] = [float(np.linalg.norm(decouple(w, "column").magnitude)) for w in ws]
+    return variance, grams, stats
 
 
 def svd_truncate(w, r: int) -> tuple[np.ndarray, np.ndarray]:

@@ -532,6 +532,24 @@ def test_merge_existing_output_needs_force(adapter_files, tmp_path, capsys):
     assert out.read_bytes() != b"occupied"
 
 
+def test_outputs_get_the_mode_open_gives(adapter_files, tmp_path, capsys):
+    # 0o666 less the umask, as for the stdout file next to them, not 0o600
+    out, report = tmp_path / "m.safetensors", tmp_path / "r.json"
+    inputs = [str(p) for p in adapter_files]
+    previous = os.umask(0o022)
+    try:
+        assert run(capsys, "merge", *inputs, "--output", str(out))[0] == 0
+        modes = [out.stat().st_mode & 0o777]
+        out.chmod(0o600)
+        assert run(capsys, "merge", *inputs, "--output", str(out), "--force")[0] == 0
+        modes.append(out.stat().st_mode & 0o777)
+        assert run(capsys, "diagnose", *inputs, "--report", str(report))[0] == 0
+        modes.append(report.stat().st_mode & 0o777)
+    finally:
+        os.umask(previous)
+    assert modes == [0o644] * 3
+
+
 def test_merge_no_adapters_exit_2(tmp_path, capsys):
     code, _, _ = run(capsys, "merge", "--output", str(tmp_path / "m.safetensors"))
     assert code == 2

@@ -14,6 +14,9 @@ from domerge.diagnostics import (
     format_float,
 )
 
+from oracles import dense_report
+from test_merge import adapter_set, degenerate_group
+
 
 def test_dumps_sorted_keys_and_roundtrip():
     payload = {"zeta": [1, 2.5], "alpha": {"y": None, "x": True}, "mid": "s"}
@@ -93,6 +96,21 @@ def test_orthogonality_report_symmetric_unsquared(adapter_files):
         # entries are unsquared product norms
         assert gram[0, 1] == pytest.approx(np.linalg.norm(w0.T @ w1), rel=1e-12)
         assert gram[0, 0] == pytest.approx(np.linalg.norm(w0.T @ w0), rel=1e-12)
+
+
+def test_build_report_matches_dense_oracle():
+    # mixed ranks, scalings 0.5 + i, a zero column and sub-floor units, in a
+    # tall layer and a wide one (rows <= R)
+    rng = np.random.default_rng(3)
+    groups = {"tall": degenerate_group(rng, 20, 14, (2, 4, 3)), "wide": degenerate_group(rng, 8, 6, (2, 4, 3))}
+    adapters = adapter_set([{key: g[i] for key, g in groups.items()} for i in range(3)], ["a", "b", "c"])
+    report = build_report(adapters)
+    variance, grams, stats = dense_report(adapters)
+    assert report.magnitude_variance == pytest.approx(variance, rel=1e-12)
+    assert sorted(report.per_layer_cross_gram) == sorted(grams) == ["tall", "wide"]
+    for key in grams:
+        np.testing.assert_allclose(report.per_layer_cross_gram[key], grams[key], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report.per_layer_magnitude_stats[key], stats[key], rtol=1e-12, atol=0)
 
 
 def test_build_report_fields(adapter_files):

@@ -4,8 +4,8 @@ The pipeline orthogonalizes each layer's low-rank factor groups with a
 budgeted projected-descent pass, splits the resulting task matrices into
 magnitude and direction components, merges the components separately, and
 rescales the combined delta. Checkpoint I/O, diagnostics, and seeded Monte
-Carlo verification of the underlying mathematical claims are included; the
-``domerge`` command exposes all of it from the shell.
+Carlo verification of the underlying mathematical claims (domerge.experiments)
+are included; the ``domerge`` command exposes all of it from the shell.
 """
 
 from .checkpoint import (
@@ -25,16 +25,6 @@ from .diagnostics import (
     build_report,
     dumps_deterministic,
     emit_report,
-)
-from .experiments import (
-    PairedComparison,
-    SyntheticSpec,
-    TrialResult,
-    balance_sweep,
-    decoupling_comparison,
-    factor_crossterm_trial,
-    magnitude_weighted_loss,
-    sign_conflict_rate,
 )
 from .linalg import Decoupled, decouple, recompose
 from .merge import (
@@ -59,23 +49,16 @@ __all__ = [
     "MergedLayer",
     "OrthoConfig",
     "OrthoStats",
-    "PairedComparison",
     "ParseError",
-    "SyntheticSpec",
     "TensorRecord",
-    "TrialResult",
     "assemble_full_rank",
-    "balance_sweep",
     "build_report",
     "decouple",
-    "decoupling_comparison",
     "dumps_deterministic",
     "emit_report",
     "extract_adapters",
-    "factor_crossterm_trial",
     "load_checkpoint",
     "load_manifest",
-    "magnitude_weighted_loss",
     "merge_layer",
     "ortho_grad",
     "ortho_loss",
@@ -84,7 +67,6 @@ __all__ = [
     "output_shapes",
     "recompose",
     "save_checkpoint",
-    "sign_conflict_rate",
     "write_merged",
 ]
 

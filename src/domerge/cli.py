@@ -34,12 +34,6 @@ from .diagnostics import (
     emit_report,
     format_float,
 )
-from .experiments import (
-    run_balance_suite,
-    run_conflict_suite,
-    run_crossterm_suite,
-    run_decoupling_suite,
-)
 from .linalg import MAGNITUDE_MODES
 from .merge import METHODS, MergeConfig, write_merged
 from .ortho import OrthoConfig
@@ -277,6 +271,9 @@ def cmd_diagnose(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 2:
         raise _CliError(EXIT_USAGE, "usage", "--samples must be >= 2")
+    # imported here, so that no merge pays for loading the suites
+    from .experiments import run_balance_suite, run_conflict_suite, run_crossterm_suite, run_decoupling_suite
+
     selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
     runners = {
         "theorem31": lambda: run_balance_suite(samples=args.samples or 200, seed=args.seed),

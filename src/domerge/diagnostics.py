@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from dataclasses import dataclass
@@ -97,6 +96,8 @@ def emit_report(report: DiagnosticsReport, path, format: str = "json") -> None:
         }
         atomic_write_text(path, dumps_deterministic(payload) + "\n")
     elif format == "csv":
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["section", "layer", "i", "j", "value"])

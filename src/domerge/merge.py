@@ -9,11 +9,11 @@ the main method is exactly the task-arithmetic code path.
 
 Every method works on a layer's decoded stacks B = [B_1 ... B_n] (m x R)
 and A = [A_1; ...; A_n] (R x n), R = sum_i rank_i: descent, decoupling and
-unit norms are R x R algebra on their Grams, and the merged delta is B (in
-two cases another m x R matrix) times one R x n factor. A MergedLayer keeps
-the two factors; output_blocks renders them per output mode as the f32 row
-blocks that are written, with no m x n array of any kind, and write_merged
-streams a whole merge into one checkpoint.
+unit norms are R x R algebra on their Grams, whatever the layer's shape, and
+the merged delta is B (in row mode another m x R matrix) times one R x n
+factor. A MergedLayer keeps the two factors; output_blocks renders them per
+output mode as the f32 row blocks that are written, with no m x n array of
+any kind, and write_merged streams a whole merge into one checkpoint.
 """
 
 from __future__ import annotations
@@ -137,27 +137,21 @@ def _unit_magnitudes(gram, right, ranks, mode: str, left=None) -> list[np.ndarra
 
 def _merged_factors(layers, config: MergeConfig):
     """(L, R, ortho stats), merged delta L @ R = B K A~ lam: B the B stack as
-    decoded, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in place. The
+    decoded, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in place. Both
     groups descend in R x R coordinates (ortho.gram_descent), A on transposes;
-    a group of no more rows than R on its explicit D, and row mode scales the
-    rows of B K: then L is that matrix and K = I. Every method ends in the
-    scaling by lam K, so the fully ablated method is task_arithmetic bitwise."""
+    row mode scales the rows of B K, and then L is that matrix and K = I. Every
+    method ends in the scaling by lam K, so the fully ablated method is
+    task_arithmetic bitwise."""
     left, right, s, ranks = _stacks(layers)
     r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
     if config.ortho is not None or config.decouple_enabled:
         gram, gram_a = _grams(left, right, s)  # gram: of left K
     if config.ortho is not None:
-        wide = None if left.shape[0] > r else left * s
-        z, b_stats = gram_descent(gram, ranks, config.ortho, wide)
-        if wide is None:
-            ie = np.eye(r) + z
-            k, gram = s[:, None] * ie, ie.T @ gram @ ie
-        else:
-            left, k = wide + z, np.ones(r)
-            gram = left.T @ left
-        wide = None if right.shape[1] > r else np.ascontiguousarray(right.T)
-        z, a_stats = gram_descent(gram_a, ranks, config.ortho, wide)
-        right = (np.eye(r) + z).T @ right if wide is None else right + z.T
+        z, b_stats = gram_descent(gram, ranks, config.ortho)
+        ie = np.eye(r) + z
+        k, gram = s[:, None] * ie, ie.T @ gram @ ie
+        z, a_stats = gram_descent(gram_a, ranks, config.ortho)
+        right = (np.eye(r) + z).T @ right
         stats = {"B": b_stats, "A": a_stats}
     if config.decouple_enabled:
         if config.magnitude_mode == "row":

@@ -57,7 +57,8 @@ class OrthoStats:
     final_lo: float
     steps_taken: int
     trials: int  # loss evaluations, accepted or not
-    # "converged" (no Lo, or a step gained < _REL_LOSS_TOL), "step_cap" or "stalled"
+    # "converged" (no Lo, a step gained < _REL_LOSS_TOL, or no step lowers a Lo
+    # already at <= _REL_LOSS_TOL of its start), "step_cap" or "stalled"
     stop_reason: str
     per_member_rel_perturbation: list[float]
     # cross-Gram part of the loss after every accepted step, starting at the
@@ -126,21 +127,21 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     return np.hsplit(_grad(x, g, d, mu), np.cumsum([w.shape[1] for w in mats[:-1]]))
 
 
-def gram_descent(gram, widths, config: OrthoConfig, w=None):
+def gram_descent(gram, widths, config: OrthoConfig):
     """Projected gradient descent on the stacked group W = [W_1 ... W_n] of these
-    member widths, from its Gram G = W^T W; returns (z, stats). A step is
-    accepted only if the total loss strictly decreases and the cross-Gram part
-    does not increase, so the lo trajectory is non-increasing. Each accepted
-    iterate is projected member-wise onto ||delta_i||_F <= max_rel_perturbation
-    * ||W_i||_F; the trial step doubles after an accepted step and halves on a
-    rejected trial. D stays in W's column span, so the descent runs on R x R
-    coordinates E, D = W E, weighed by G, and z is E; given W (a group of no
-    more rows than its R columns) it runs on D, and z is D."""
+    member widths, from its Gram G = W^T W; returns (E, stats), the perturbation
+    D = W E. A step is accepted only if the total loss strictly decreases and the
+    cross-Gram part does not increase, so the lo trajectory is non-increasing.
+    Each accepted iterate is projected member-wise onto ||delta_i||_F <=
+    max_rel_perturbation * ||W_i||_F; the trial step doubles after an accepted
+    step and halves on a rejected trial. D stays in W's column span whatever W's
+    shape, so the descent runs on the R x R coordinates E, weighed by G, and each
+    coordinate step is the explicit step on D."""
     starts = np.cumsum([0, *widths[:-1]])
     off = _owner_mask(widths)
     g, initial_lo = _off_gram(gram, off)
-    x = base = np.eye(gram.shape[0]) if w is None else w
-    z, z_norms = np.zeros_like(base), np.zeros(len(widths))
+    eye = x = np.eye(gram.shape[0])
+    z, z_norms = np.zeros_like(eye), np.zeros(len(widths))
     if initial_lo == 0.0:  # nothing to remove, as in every one-member group
         return z, OrthoStats(0.0, 0.0, 0, 0, "converged", z_norms.tolist(), [0.0])
     member_norms = np.sqrt(np.add.reduceat(np.diag(gram), starts))
@@ -157,20 +158,20 @@ def gram_descent(gram, widths, config: OrthoConfig, w=None):
         for _ in range(_MAX_BACKTRACKS):
             trials += 1
             trial = z - t * grad
-            m_trial = trial if w is not None else gram @ trial
-            # member norms of the perturbation, m_trial weighing it by G in coordinates
-            norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", trial, m_trial), starts))
+            g_trial = gram @ trial  # W^T D, so ||D_i||^2 sums E * (G E) over member i's columns
+            norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", trial, g_trial), starts))
             shrink = np.divide(caps, norms, out=np.ones_like(norms), where=norms > caps)
             cols = np.repeat(shrink, widths)
-            trial, m_trial = trial * cols, m_trial * cols
-            new_x = base + trial
-            new_g, new_lo = _off_gram(new_x.T @ (new_x if w is not None else gram + m_trial), off)
-            new = new_lo + mu * float(np.vdot(trial, m_trial))
+            trial, g_trial = trial * cols, g_trial * cols
+            new_x = eye + trial
+            new_g, new_lo = _off_gram(new_x.T @ (gram + g_trial), off)
+            new = new_lo + mu * float(np.vdot(trial, g_trial))
             if new < cur and new_lo <= cur_lo:
                 break
             t *= 0.5
         else:
-            stop_reason = "stalled"
+            # no halving lowers the loss: at Lo's floor that is convergence
+            stop_reason = "converged" if cur_lo <= _REL_LOSS_TOL * initial_lo else "stalled"
             break
         rel_change = (cur - new) / cur
         x, z, z_norms, g, cur, cur_lo = new_x, trial, norms * shrink, new_g, new, new_lo
@@ -189,6 +190,5 @@ def orthogonalize_group(mats, config: OrthoConfig | None = None):
     mats, _ = _check_group(mats)
     widths = [w.shape[1] for w in mats]
     w = np.hstack(mats)
-    tall = w.shape[0] > w.shape[1]
-    z, stats = gram_descent(w.T @ w, widths, config or OrthoConfig(), None if tall else w)
-    return np.hsplit(w + (w @ z if tall else z), np.cumsum(widths[:-1])), stats
+    z, stats = gram_descent(w.T @ w, widths, config or OrthoConfig())
+    return np.hsplit(w + w @ z, np.cumsum(widths[:-1])), stats

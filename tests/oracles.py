@@ -98,7 +98,7 @@ def descend(mats, config):
                 break
             t *= 0.5
         if accepted is None:
-            stop_reason = "stalled"
+            stop_reason = "converged" if cur_lo <= _REL_LOSS_TOL * initial_lo else "stalled"
             break
         trial, new, new_lo = accepted
         rel_change = (cur - new) / cur

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domerge.ortho import _MAX_BACKTRACKS, OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
+from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
 
 from oracles import cross_gram_sum, descend, pairwise_grad, pairwise_loss
 
@@ -122,14 +122,44 @@ def test_max_steps_honored(rng):
 
 
 def test_stalls_when_the_budget_pins_the_loss():
-    # two equal scalars: once both sit on the budget edge, every trial projects
+    # three equal columns: once all sit on the budget edge, every trial projects
     # back onto the same point, so no halving lowers the loss
-    w = np.array([[2.0]])
-    out, stats = orthogonalize_group([w, w], OrthoConfig())
+    w = np.ones((9, 1))
+    out, stats = orthogonalize_group([w, w, w], OrthoConfig())
     assert stats.stop_reason == "stalled"
     assert stats.trials == stats.steps_taken + _MAX_BACKTRACKS
     assert stats.final_lo == pytest.approx(cross_gram_sum(out), rel=1e-12)
     assert stats.final_lo < stats.initial_lo
+
+
+def test_scalar_pair_descends_as_its_zero_padding():
+    # the descent runs in the group's R x R Gram coordinates whatever its row
+    # count, so zero rows change nothing; on two equal scalars it finds one more
+    # step at rounding level than a descent on the scalars themselves did
+    w = np.array([[2.0]])
+    out, stats = orthogonalize_group([w, w], OrthoConfig())
+    _, padded = orthogonalize_group([np.pad(w, ((0, 2), (0, 0)))] * 2, OrthoConfig())
+    assert stats == padded
+    assert (stats.stop_reason, stats.steps_taken, stats.trials) == ("converged", 4, 7)
+    assert stats.final_lo == pytest.approx(cross_gram_sum(out), rel=1e-12)
+    assert stats.final_lo < stats.initial_lo
+
+
+@pytest.mark.parametrize(
+    "seed, rows, widths",
+    [(0, 300, (1, 1)), ((11008, 16), 11008, (16,) * 4)],
+    ids=["300x1_pair", "down_proj"],
+)
+def test_no_lower_loss_at_the_lo_floor_is_convergence(seed, rows, widths):
+    # 30 halvings find no lower loss once Lo is at rounding level: 2.3e-8 of its
+    # start for the pair, 5.7e-7 for the down_proj-shaped group
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((rows, w)) for w in widths]
+    _, stats = orthogonalize_group(mats, OrthoConfig())
+    # the last step's 30 trials were all rejected
+    assert stats.trials >= stats.steps_taken + _MAX_BACKTRACKS
+    assert stats.stop_reason == "converged"
+    assert stats.final_lo <= _REL_LOSS_TOL * stats.initial_lo
 
 
 def test_default_descent_converges_on_tall_group():
@@ -228,7 +258,7 @@ def _assert_matches_oracle(mats, cfg, out, stats):
 )
 @pytest.mark.parametrize("step", [1e-2, 1.0])
 def test_descent_matches_pairwise_oracle(rows, widths, step):
-    # tall groups descend in R x R Gram coordinates, the others on the stack itself
+    # every group descends in R x R Gram coordinates, whatever its row count
     rng = np.random.default_rng((rows, len(widths)))
     mats = [rng.standard_normal((rows, w)) for w in widths]
     cfg = OrthoConfig(step_size=step)

@@ -340,7 +340,7 @@ def save_checkpoint(records, path, layout=None) -> None:
             raise ValueError(f"tensors {sorted(pending)} were never written")
 
 
-def _check_factors(layer_key: str, b_shape, a_shape, scaling: float) -> None:
+def check_factors(layer_key: str, b_shape, a_shape, scaling: float) -> None:
     """Raise AlignmentError unless B and A chain into a LoRA pair of rank at
     most min of the full shape, with a positive finite scaling."""
     if len(b_shape) != 2 or len(a_shape) != 2:
@@ -366,7 +366,7 @@ class LoraLayer:
     scaling: float = 1.0
 
     def __post_init__(self):
-        _check_factors(self.layer_key, self.B.shape, self.A.shape, self.scaling)
+        check_factors(self.layer_key, self.B.shape, self.A.shape, self.scaling)
         if self.rank != self.B.shape[1]:
             raise AlignmentError(f"{self.layer_key}: rank {self.rank} != inner dim {self.B.shape[1]}")
 
@@ -410,21 +410,29 @@ class AdapterSet:
         return layers
 
 
-def _match_factors(records, suffix: str) -> dict[str, str]:
-    """Layer key -> record key, for each record key that ends in suffix."""
-    return {key[: -len(suffix)]: key for key in records if key.endswith(suffix)}
+def lora_pairs(records) -> tuple[dict[str, tuple[TensorRecord, TensorRecord]], list[str]]:
+    """Layer key -> (B record, A record), in sorted order, for each layer key
+    that records (a key -> record map) hold under both LORA_B_SUFFIX and
+    LORA_A_SUFFIX; and the sorted layer keys held under only one of them."""
+    factors: dict[str, dict[str, TensorRecord]] = {}
+    for key, record in records.items():
+        for suffix in (LORA_B_SUFFIX, LORA_A_SUFFIX):
+            if key.endswith(suffix):
+                factors.setdefault(key[: -len(suffix)], {})[suffix] = record
+    pairs = {k: (f[LORA_B_SUFFIX], f[LORA_A_SUFFIX]) for k, f in sorted(factors.items()) if len(f) == 2}
+    return pairs, sorted(factors.keys() - pairs.keys())
 
 
 def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> AdapterSet:
     """Build an aligned AdapterSet from checkpoint files.
 
-    Layer identity is the key with LORA_A_SUFFIX or LORA_B_SUFFIX stripped.
-    Each matched layer needs exactly one A and one B tensor, and each file
-    at least one such pair. Every pair's shapes, rank and values (finite)
-    are checked here, each pair read once, but nothing decoded is kept. In
-    strict mode every adapter must carry the same layer keys with the same
-    full-rank shapes; in lenient mode unmatched or conflicting keys are
-    dropped with a recorded warning. Ranks may differ per adapter.
+    Each file needs at least one pair from lora_pairs and no lone factor.
+    Every pair's shapes, rank and values (finite) are checked in layer-key
+    order, each pair read once, but nothing decoded is kept. The layer keys
+    of all files are then walked once, in sorted order: a layer is aligned
+    when every adapter has it, all with one full shape. In strict mode the
+    first layer that is not raises; in lenient mode each is dropped with a
+    recorded warning, in layer-key order. Ranks may differ per adapter.
     """
     files = [Path(f) for f in files]
     if not files:
@@ -441,51 +449,39 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
 
     adapters: list[dict[str, tuple[TensorRecord, TensorRecord]]] = []
     for f, scale in zip(files, scalings):
-        records = load_checkpoint(f)
-        a_keys = _match_factors(records, LORA_A_SUFFIX)
-        b_keys = _match_factors(records, LORA_B_SUFFIX)
-        if set(a_keys) != set(b_keys):
-            lonely = sorted(set(a_keys) ^ set(b_keys))
+        pairs, lonely = lora_pairs(load_checkpoint(f))
+        if lonely:
             raise AlignmentError(f"{f.name}: unmatched factor pair for layer(s) {lonely}")
-        if not a_keys:
+        if not pairs:
             raise AlignmentError(
                 f"{f}: no {LORA_A_SUFFIX!r}/{LORA_B_SUFFIX!r} factor pairs; not a LoRA adapter"
             )
-        layers = {}
-        for layer_key in a_keys:
-            b, a = records[b_keys[layer_key]], records[a_keys[layer_key]]
-            _check_factors(layer_key, b.shape, a.shape, scale)
+        for key, (b, a) in pairs.items():
+            check_factors(key, b.shape, a.shape, scale)
             if not (np.isfinite(b.values()).all() and np.isfinite(a.values()).all()):
-                raise AlignmentError(f"{f.name}: non-finite values in layer {layer_key!r}")
-            layers[layer_key] = (b, a)
-        adapters.append(layers)
+                raise AlignmentError(f"{f.name}: non-finite values in layer {key!r}")
+        adapters.append(pairs)
 
     warnings: list[str] = []
-    key_sets = [set(a) for a in adapters]
-    common = set.intersection(*key_sets)
-    all_keys = set.union(*key_sets)
-    for key in sorted(all_keys - common):
-        missing = [names[i] for i, ks in enumerate(key_sets) if key not in ks]
-        msg = f"layer {key!r} missing from adapter(s) {missing}"
+    aligned: list[str] = []
+    for key in sorted(set().union(*adapters)):
+        missing = [name for name, pairs in zip(names, adapters) if key not in pairs]
+        shapes = {(pairs[key][0].shape[0], pairs[key][1].shape[1]) for pairs in adapters if key in pairs}
+        if missing:
+            msg = f"layer {key!r} missing from adapter(s) {missing}"
+        elif len(shapes) > 1:
+            msg = f"layer {key!r} has conflicting full shapes {sorted(shapes)}"
+        else:
+            aligned.append(key)
+            continue
         if strict:
             raise AlignmentError(msg)
         warnings.append(f"dropped: {msg}")
-
-    aligned = set()
-    for key in sorted(common):
-        shapes = {(a[key][0].shape[0], a[key][1].shape[1]) for a in adapters}
-        if len(shapes) > 1:
-            msg = f"layer {key!r} has conflicting full shapes {sorted(shapes)}"
-            if strict:
-                raise AlignmentError(msg)
-            warnings.append(f"dropped: {msg}")
-        else:
-            aligned.add(key)
     if not aligned:
         raise AlignmentError("no layer is aligned across the adapters; " + "; ".join(warnings))
 
     return AdapterSet(
-        adapters=[{k: a[k] for k in sorted(aligned)} for a in adapters],
+        adapters=[{k: a[k] for k in aligned} for a in adapters],
         names=list(names),
         scalings=scalings,
         warnings=warnings,
@@ -495,8 +491,9 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
 def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
     """Read an adapter manifest: a JSON list of {path, name?, scaling?}.
 
-    path is a string; relative paths resolve against the manifest's
-    directory. scaling, when given, is a positive finite JSON number.
+    path is a non-empty string; relative paths resolve against the
+    manifest's directory. name, when given, is a string, and scaling a
+    positive finite JSON number.
     """
     path = Path(path)
     try:
@@ -507,8 +504,8 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
         raise AlignmentError(f"manifest {path}: expected a non-empty JSON list")
     paths, names, scalings = [], [], []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-            raise AlignmentError(f"manifest {path}: entry {i} needs a string 'path' field")
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str) or not entry["path"]:
+            raise AlignmentError(f"manifest {path}: entry {i} needs a string 'path' field naming a file")
         p = Path(entry["path"])
         if not p.is_absolute():
             p = path.parent / p
@@ -519,7 +516,10 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
                 f"manifest {path}: entry {i} ({p}) has scaling {scaling!r}; "
                 "it must be a positive, finite number"
             )
+        name = entry.get("name", p.stem)
+        if not isinstance(name, str):
+            raise AlignmentError(f"manifest {path}: entry {i} ({p}) has name {name!r}; it must be a string")
         paths.append(p)
-        names.append(str(entry.get("name", p.stem)))
+        names.append(name)
         scalings.append(float(scaling))
     return paths, names, scalings

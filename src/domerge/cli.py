@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import (
-    LORA_A_SUFFIX,
-    LORA_B_SUFFIX,
     AlignmentError,
     ParseError,
-    _match_factors,
+    check_factors,
     extract_adapters,
     load_checkpoint,
     load_manifest,
+    lora_pairs,
 )
 from .diagnostics import (
     atomic_write_text,
@@ -68,10 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
         "magnitude-decoupled averaging.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sources = argparse.ArgumentParser(add_help=False)
+    sources.add_argument("adapters", nargs="*", help="adapter checkpoint paths")
+    sources.add_argument("--manifest", help="JSON manifest listing adapter paths/names/scalings")
+    sources.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
 
-    m = sub.add_parser("merge", help="merge adapter checkpoints into one delta")
-    m.add_argument("adapters", nargs="*", help="adapter checkpoint paths")
-    m.add_argument("--manifest", help="JSON manifest listing adapter paths/names/scalings")
+    m = sub.add_parser("merge", parents=[sources], help="merge adapter checkpoints into one delta")
     m.add_argument(
         "--base", help="base checkpoint; required for fused output and read only for it"
     )
@@ -114,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="ignored: layers are merged one at a time (kept so existing commands still parse)",
     )
-    m.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
     m.set_defaults(func=cmd_merge)
 
     i = sub.add_parser("inspect", help="list a checkpoint's tensors and LoRA pairs")
@@ -122,12 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--json", action="store_true", help="emit the listing as JSON")
     i.set_defaults(func=cmd_inspect)
 
-    d = sub.add_parser("diagnose", help="write a diagnostics report for adapter checkpoints")
-    d.add_argument("adapters", nargs="*", help="adapter checkpoint paths")
-    d.add_argument("--manifest", help="JSON manifest listing adapter paths")
+    d = sub.add_parser("diagnose", parents=[sources], help="write a diagnostics report for adapter checkpoints")
     d.add_argument("--report", required=True, help="report output path")
     d.add_argument("--format", choices=("json", "csv"), default="json")
-    d.add_argument("--json", action="store_true", help="structured JSON errors on stderr")
     d.set_defaults(func=cmd_diagnose)
 
     v = sub.add_parser("verify", help="run the seeded Monte Carlo property suites")
@@ -165,13 +162,9 @@ def _parse_output_mode(text: str) -> tuple[str, int | None]:
             raise _CliError(
                 EXIT_USAGE, "usage", "lowrank output mode needs a rank, e.g. --output-mode lowrank:8"
             )
-        try:
-            rank = int(tail)
-        except ValueError:
-            rank = 0
-        if rank < 1:
+        if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
             raise _CliError(EXIT_USAGE, "usage", f"invalid lowrank rank {tail!r}")
-        return "lowrank", rank
+        return "lowrank", int(tail)
     raise _CliError(EXIT_USAGE, "usage", f"unknown output mode {text!r}")
 
 
@@ -224,20 +217,17 @@ def cmd_inspect(args) -> int:
     tensors = [
         {"key": k, "dtype": r.dtype, "shape": list(r.shape)} for k, r in sorted(records.items())
     ]
-    a_keys = _match_factors(records, LORA_A_SUFFIX)
-    b_keys = _match_factors(records, LORA_B_SUFFIX)
-    pairs = []
-    for prefix in sorted(set(a_keys) & set(b_keys)):
-        a = records[a_keys[prefix]]
-        b = records[b_keys[prefix]]
-        rank = a.shape[0] if len(a.shape) == 2 and len(b.shape) == 2 and b.shape[1] == a.shape[0] else None
-        pairs.append(
-            {
-                "layer": prefix,
-                "rank": rank,
-                "full_shape": [b.shape[0], a.shape[1]] if rank is not None else None,
-            }
-        )
+    pairs, lines = [], []  # the JSON entries and text lines of the pairs
+    for layer, (b, a) in lora_pairs(records)[0].items():
+        try:  # a pair is listed with a rank exactly when a merge would accept its shapes
+            check_factors(layer, b.shape, a.shape, 1.0)
+        except AlignmentError as e:
+            pairs.append({"layer": layer, "rank": None, "full_shape": None})
+            lines.append(str(e))
+            continue
+        m, n = b.shape[0], a.shape[1]
+        pairs.append({"layer": layer, "rank": b.shape[1], "full_shape": [m, n]})
+        lines.append(f"{layer}  rank {b.shape[1]}  full {m}x{n}")
     if args.json:
         sys.stdout.write(dumps_deterministic({"tensors": tensors, "lora_pairs": pairs}) + "\n")
         return 0
@@ -245,12 +235,8 @@ def cmd_inspect(args) -> int:
         shape = "x".join(str(s) for s in t["shape"])
         sys.stdout.write(f"{t['key']}  {t['dtype']}  {shape}\n")
     sys.stdout.write(f"lora pairs: {len(pairs)}\n")
-    for p in pairs:
-        if p["rank"] is None:
-            sys.stdout.write(f"  {p['layer']}  (factor shapes do not chain)\n")
-        else:
-            m, n = p["full_shape"]
-            sys.stdout.write(f"  {p['layer']}  rank {p['rank']}  full {m}x{n}\n")
+    for line in lines:
+        sys.stdout.write(f"  {line}\n")
     return 0
 
 

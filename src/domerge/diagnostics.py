@@ -88,13 +88,7 @@ def build_report(adapters: AdapterSet) -> DiagnosticsReport:
 def emit_report(report: DiagnosticsReport, path, format: str = "json") -> None:
     """Write the report; equal reports produce byte-identical files."""
     if format == "json":
-        payload = {
-            "magnitude_variance": report.magnitude_variance,
-            "per_layer_cross_gram": report.per_layer_cross_gram,
-            "per_layer_magnitude_stats": report.per_layer_magnitude_stats,
-            "adapter_names": report.adapter_names,
-        }
-        atomic_write_text(path, dumps_deterministic(payload) + "\n")
+        atomic_write_text(path, dumps_deterministic(vars(report)) + "\n")
     elif format == "csv":
         import csv
 

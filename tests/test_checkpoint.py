@@ -21,6 +21,7 @@ from domerge.checkpoint import (
     extract_adapters,
     load_checkpoint,
     load_manifest,
+    lora_pairs,
     save_checkpoint,
 )
 
@@ -482,6 +483,26 @@ def test_extract_adapters_unpaired_factor_rejected(tmp_path, rng):
     save_checkpoint(records, path)
     with pytest.raises(AlignmentError):
         extract_adapters([path])
+
+
+def test_lora_pairs_splits_pairs_from_lone_factors(rng):
+    records = make_adapter_records(["pair", "lone_b", "lone_a"], rank=2, full_shape=(6, 5), rng=rng)
+    del records["lone_b.lora_A.weight"], records["lone_a.lora_B.weight"]
+    records["pair.bias"] = TensorRecord.from_array("pair.bias", np.zeros(6))
+    pairs, lonely = lora_pairs(records)
+    assert list(pairs) == ["pair"]
+    assert pairs["pair"] == (records["pair.lora_B.weight"], records["pair.lora_A.weight"])
+    assert lonely == ["lone_a", "lone_b"]
+    assert lora_pairs({}) == ({}, [])
+
+
+def test_extract_adapters_strict_raises_for_the_first_bad_layer_in_key_order(tmp_path, rng):
+    # layer "a" conflicts and layer "b" is missing from p2: "a" comes first
+    p1, p2 = tmp_path / "p1.safetensors", tmp_path / "p2.safetensors"
+    save_checkpoint(make_adapter_records(["a", "b"], 2, (6, 5), rng), p1)
+    save_checkpoint(make_adapter_records(["a"], 2, (7, 5), rng), p2)
+    with pytest.raises(AlignmentError, match="layer 'a' has conflicting full shapes"):
+        extract_adapters([p1, p2])
 
 
 def test_extract_adapters_strict_missing_layer(tmp_path, rng):

@@ -523,6 +523,17 @@ def test_merge_lowrank_bad_rank_exit_2(adapter_files, tmp_path, capsys):
         assert code == 2
 
 
+def test_merge_lowrank_rank_must_be_ascii_digits(tmp_path, capsys):
+    # int() accepts all of these; the missing adapter shows that none gets as far as reading one
+    missing = str(tmp_path / "absent.safetensors")
+    for mode in ("lowrank:0_4", "lowrank:+4", "lowrank: 4", "lowrank:4 ", "lowrank:\u0664"):
+        code, _, err = run(
+            capsys, "merge", missing, "--output-mode", mode, "--output", str(tmp_path / "z.safetensors"),
+        )
+        assert code == 2, mode
+        assert "invalid lowrank rank" in err
+
+
 def test_merge_existing_output_needs_force(adapter_files, tmp_path, capsys):
     out = tmp_path / "m.safetensors"
     out.write_bytes(b"occupied")
@@ -733,6 +744,26 @@ def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]
 
 
+@pytest.mark.parametrize(
+    "entry, needs",
+    [({"path": ""}, "needs a string 'path'"), ({"name": 5}, "name 5"), ({"name": None}, "name None")],
+    ids=["empty_path", "int_name", "null_name"],
+)
+@pytest.mark.parametrize("command", ["merge", "diagnose"])
+def test_manifest_entry_without_file_or_string_name_exit_3(
+    adapter_files, tmp_path, capsys, command, entry, needs
+):
+    manifest = tmp_path / "m.json"
+    entries = [{"path": str(adapter_files[0])}, {"path": str(adapter_files[1]), **entry}]
+    manifest.write_text(json.dumps(entries))
+    out = tmp_path / "o"
+    target = "--output" if command == "merge" else "--report"
+    code, _, err = run(capsys, command, "--manifest", str(manifest), target, str(out))
+    assert code == 3
+    assert f"manifest {manifest}: entry 1" in err and needs in err
+    assert not out.exists()
+
+
 def test_merge_ablation_flags(adapter_files, tmp_path, capsys):
     flags_out = tmp_path / "ablated.safetensors"
     ta_out = tmp_path / "ta.safetensors"
@@ -761,6 +792,30 @@ def test_inspect_json_parses(adapter_files, capsys):
     payload = json.loads(stdout)
     assert len(payload["tensors"]) == 8
     assert {p["rank"] for p in payload["lora_pairs"]} == {4}
+
+
+def _unmergeable_pair(path):
+    """An adapter whose one pair chains (B 4x8, A 8x4) but has rank 8 > min(4, 4)."""
+    records = {
+        "x.lora_B.weight": TensorRecord.from_array("x.lora_B.weight", np.ones((4, 8))),
+        "x.lora_A.weight": TensorRecord.from_array("x.lora_A.weight", np.ones((8, 4))),
+    }
+    save_checkpoint(records, path)
+    return path
+
+
+def test_inspect_lists_a_rank_only_for_pairs_merge_accepts(tmp_path, capsys):
+    path = _unmergeable_pair(tmp_path / "wide.safetensors")
+    code, _, merge_err = run(capsys, "merge", str(path), "--output", str(tmp_path / "m.safetensors"))
+    assert code == 3
+    rejection = "x: rank 8 exceeds min of full shape (4, 4)"
+    assert rejection in merge_err
+    code, stdout, _ = run(capsys, "inspect", str(path))
+    assert code == 0
+    assert stdout.endswith(f"lora pairs: 1\n  {rejection}\n")
+    code, stdout, _ = run(capsys, "inspect", str(path), "--json")
+    assert code == 0
+    assert json.loads(stdout)["lora_pairs"] == [{"layer": "x", "rank": None, "full_shape": None}]
 
 
 def test_inspect_parse_failure_exit_3(tmp_path, capsys):
@@ -840,6 +895,15 @@ def test_usage_errors_from_argparse(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["merge", "diagnose"])
+def test_adapter_source_options_listed_in_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--manifest" in usage and "--json" in usage and "adapters" in usage
+
+
 def test_merge_lenient_drops_misaligned(tmp_path, capsys, rng):
     p1 = tmp_path / "one.safetensors"
     p2 = tmp_path / "two.safetensors"
@@ -857,6 +921,23 @@ def test_merge_lenient_drops_misaligned(tmp_path, capsys, rng):
     summary = json.loads(stdout)
     assert list(summary["layers"]) == ["x"]
     assert summary["warnings"]
+
+
+def test_merge_lenient_warnings_come_in_layer_key_order(tmp_path, capsys, rng):
+    # "a" has conflicting shapes and "b" is missing from p2; "c" is aligned
+    p1, p2 = tmp_path / "p1.safetensors", tmp_path / "p2.safetensors"
+    save_checkpoint(make_adapter_records(["a", "b", "c"], 2, (6, 5), rng), p1)
+    records = {**make_adapter_records(["a"], 2, (7, 5), rng), **make_adapter_records(["c"], 2, (6, 5), rng)}
+    save_checkpoint(records, p2)
+    out = tmp_path / "l.safetensors"
+    code, stdout, _ = run(capsys, "merge", str(p1), str(p2), "--lenient", "--output", str(out))
+    assert code == 0
+    summary = json.loads(stdout)
+    assert list(summary["layers"]) == ["c"]
+    assert summary["warnings"] == [
+        "dropped: layer 'a' has conflicting full shapes [(6, 5), (7, 5)]",
+        "dropped: layer 'b' missing from adapter(s) ['p2']",
+    ]
 
 
 def test_merge_lenient_with_no_aligned_layer_exit_3(tmp_path, capsys, rng):

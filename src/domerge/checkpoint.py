@@ -22,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import weakref
 from dataclasses import dataclass, field
@@ -74,11 +75,13 @@ class AlignmentError(CheckpointError):
 
 
 class _InputFile:
-    """An open checkpoint file; it is closed once nothing refers to it."""
+    """An open regular file; it is closed once nothing refers to it."""
 
     def __init__(self, path):
-        self.path, self.fd = path, os.open(path, os.O_RDONLY)
+        self.path, self.fd = path, os.open(path, os.O_RDONLY | os.O_NONBLOCK)  # no wait on a FIFO
         weakref.finalize(self, os.close, self.fd)
+        if not stat.S_ISREG(os.fstat(self.fd).st_mode):  # a directory opens, but its reads name no path
+            raise OSError(f"{path}: not a regular file")
 
 
 @dataclass(frozen=True)
@@ -263,6 +266,8 @@ def atomic_file(path, mode: str = "wb"):
     exit, and on any error it is removed and path is left as it was. It is
     created with the mode open() gives a new file, 0o666 less the umask."""
     path = Path(path)
+    if path.is_dir() and not path.is_symlink():  # else os.replace fails at the end, naming the temp file
+        raise IsADirectoryError(f"{path}: is a directory")
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -492,8 +497,9 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
     """Read an adapter manifest: a JSON list of {path, name?, scaling?}.
 
     path is a non-empty string; relative paths resolve against the
-    manifest's directory. name, when given, is a string, and scaling a
-    positive finite JSON number.
+    manifest's directory. name, when given, is a string no other entry
+    gives (names left out default to file stems, which may repeat), and
+    scaling a positive finite JSON number.
     """
     path = Path(path)
     try:
@@ -502,7 +508,7 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
         raise AlignmentError(f"manifest {path}: invalid JSON: {e}") from e
     if not isinstance(entries, list) or not entries:
         raise AlignmentError(f"manifest {path}: expected a non-empty JSON list")
-    paths, names, scalings = [], [], []
+    paths, names, scalings, given = [], [], [], {}  # given: a given name -> its first entry
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str) or not entry["path"]:
             raise AlignmentError(f"manifest {path}: entry {i} needs a string 'path' field naming a file")
@@ -519,6 +525,8 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
         name = entry.get("name", p.stem)
         if not isinstance(name, str):
             raise AlignmentError(f"manifest {path}: entry {i} ({p}) has name {name!r}; it must be a string")
+        if "name" in entry and given.setdefault(name, i) != i:
+            raise AlignmentError(f"manifest {path}: entries {given[name]} and {i} are both named {name!r}")
         paths.append(p)
         names.append(name)
         scalings.append(float(scaling))

@@ -41,14 +41,13 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
 
-SUITE_NAMES = ("theorem31", "theorem32", "theorem33", "crossterm")
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, kind: str, message: str):
-        super().__init__(message)
-        self.code = code
-        self.kind = kind
+# verify's suites: name -> (runner in .experiments, name of the runner's count argument)
+SUITES = {
+    "theorem31": ("run_balance_suite", "samples"),
+    "theorem32": ("run_decoupling_suite", "samples"),
+    "theorem33": ("run_conflict_suite", "trials"),
+    "crossterm": ("run_crossterm_suite", "trials"),
+}
 
 
 def _emit_error(code: int, kind: str, message: str, json_mode: bool) -> int:
@@ -76,20 +75,20 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--base", help="base checkpoint; required for fused output and read only for it"
     )
-    m.add_argument("--method", choices=METHODS, default="do_merging")
+    m.add_argument("--method", choices=METHODS, default=MergeConfig.method)
     m.add_argument(
         "--lambda",
         dest="lam",
         type=float,
-        default=None,
         help="merged-delta scale; default 1/n^2 for n adapters (average always uses 1/n)",
     )
-    m.add_argument("--magnitude-mode", choices=MAGNITUDE_MODES, default="column")
+    m.add_argument("--magnitude-mode", choices=MAGNITUDE_MODES, default=MergeConfig.magnitude_mode)
     m.add_argument("--no-ortho", action="store_true", help="skip factor orthogonalization")
     m.add_argument("--no-decouple", action="store_true", help="skip magnitude/direction split")
-    m.add_argument("--ortho-steps", type=int, default=200, help="descent step cap")
+    m.add_argument("--ortho-steps", type=int, default=OrthoConfig.max_steps, help="descent step cap")
     m.add_argument(
-        "--ortho-budget", type=float, default=0.05, help="per-member relative perturbation cap"
+        "--ortho-budget", type=float, default=OrthoConfig.max_rel_perturbation,
+        help="per-member relative perturbation cap",
     )
     m.add_argument("--output", required=True, help="output checkpoint path")
     m.add_argument(
@@ -128,11 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     d.set_defaults(func=cmd_diagnose)
 
     v = sub.add_parser("verify", help="run the seeded Monte Carlo property suites")
-    v.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    v.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     v.add_argument(
         "--samples",
         type=int,
-        default=None,
         help="per-suite sample/trial count; defaults differ per suite",
     )
     v.add_argument("--seed", type=int, default=0)
@@ -145,11 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _gather_sources(args):
     """Adapter paths plus optional names/scalings, from positionals or manifest."""
     if args.manifest and args.adapters:
-        raise _CliError(EXIT_USAGE, "usage", "give adapter paths or --manifest, not both")
+        raise ValueError("give adapter paths or --manifest, not both")
     if args.manifest:
         return load_manifest(args.manifest)
     if not args.adapters:
-        raise _CliError(EXIT_USAGE, "usage", "no adapters given (positional paths or --manifest)")
+        raise ValueError("no adapters given (positional paths or --manifest)")
     return [Path(a) for a in args.adapters], None, None
 
 
@@ -159,22 +157,20 @@ def _parse_output_mode(text: str) -> tuple[str, int | None]:
     head, sep, tail = text.partition(":")
     if head == "lowrank":
         if not sep:
-            raise _CliError(
-                EXIT_USAGE, "usage", "lowrank output mode needs a rank, e.g. --output-mode lowrank:8"
-            )
+            raise ValueError("lowrank output mode needs a rank, e.g. --output-mode lowrank:8")
         if not (tail.isascii() and tail.isdigit()) or int(tail) < 1:
-            raise _CliError(EXIT_USAGE, "usage", f"invalid lowrank rank {tail!r}")
+            raise ValueError(f"invalid lowrank rank {tail!r}")
         return "lowrank", int(tail)
-    raise _CliError(EXIT_USAGE, "usage", f"unknown output mode {text!r}")
+    raise ValueError(f"unknown output mode {text!r}")
 
 
 def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
-        raise _CliError(EXIT_USAGE, "usage", "--output-mode fused requires --base")
+        raise ValueError("--output-mode fused requires --base")
     out_path = Path(args.output)
     if out_path.exists() and not args.force:
-        raise _CliError(EXIT_IO, "io", f"{out_path} exists; pass --force to overwrite")
+        raise FileExistsError(f"{out_path} exists; pass --force to overwrite")
 
     ortho = None
     if not args.no_ortho:
@@ -190,10 +186,7 @@ def cmd_merge(args) -> int:
     paths, names, scalings = _gather_sources(args)
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=not args.lenient)
     base = load_checkpoint(args.base) if mode == "fused" else None
-    layer_stats = {key: {"shape": list(adapters.full_shape(key))} for key in adapters.layer_keys}
-    for key, stats in write_merged(adapters, config, out_path, mode, rank, base).items():
-        if stats is not None:
-            layer_stats[key]["ortho"] = stats
+    layers = write_merged(adapters, config, out_path, mode, rank, base)
 
     summary = {
         "command": "merge",
@@ -205,7 +198,7 @@ def cmd_merge(args) -> int:
         "ortho_enabled": config.ortho is not None,
         "decouple_enabled": config.decouple_enabled,
         "adapters": list(adapters.names),
-        "layers": layer_stats,
+        "layers": layers,
         "warnings": list(adapters.warnings),
     }
     sys.stdout.write(dumps_deterministic(summary) + "\n")
@@ -242,6 +235,10 @@ def cmd_inspect(args) -> int:
 
 def cmd_diagnose(args) -> int:
     paths, names, scalings = _gather_sources(args)
+    target = Path(args.report)  # a report written over an input would destroy it: refuse before any read
+    inputs = [*paths, *([Path(args.manifest)] if args.manifest else [])]
+    if target.exists() and any(p.exists() and p.samefile(target) for p in inputs):
+        raise FileExistsError(f"--report {target} is one of the inputs; it would be overwritten")
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=True)
     report = build_report(adapters)
     emit_report(report, args.report, args.format)
@@ -256,19 +253,14 @@ def cmd_diagnose(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 2:
-        raise _CliError(EXIT_USAGE, "usage", "--samples must be >= 2")
-    # imported here, so that no merge pays for loading the suites
-    from .experiments import run_balance_suite, run_conflict_suite, run_crossterm_suite, run_decoupling_suite
+        raise ValueError("--samples must be >= 2")
+    from . import experiments  # imported here, so that no merge pays for loading the suites
 
-    selected = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    runners = {
-        "theorem31": lambda: run_balance_suite(samples=args.samples or 200, seed=args.seed),
-        "theorem32": lambda: run_decoupling_suite(samples=args.samples or 500, seed=args.seed),
-        "theorem33": lambda: run_conflict_suite(trials=args.samples or 100, seed=args.seed),
-        "crossterm": lambda: run_crossterm_suite(trials=args.samples or 200, seed=args.seed),
-    }
-    results = {name: runners[name]() for name in selected}
-    for name in selected:
+    results = {}
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        runner, count = SUITES[name]  # without --samples each runner's own default count applies
+        counts = {} if args.samples is None else {count: args.samples}
+        results[name] = getattr(experiments, runner)(seed=args.seed, **counts)
         sys.stdout.write(dumps_deterministic(results[name]) + "\n")
     if args.report:
         atomic_write_text(args.report, dumps_deterministic(results) + "\n")
@@ -281,8 +273,6 @@ def main(argv=None) -> int:
     json_mode = bool(getattr(args, "json", False))
     try:
         return args.func(args)
-    except _CliError as e:
-        return _emit_error(e.code, e.kind, str(e), json_mode)
     except ParseError as e:
         return _emit_error(EXIT_PARSE, "parse", str(e), json_mode)
     except AlignmentError as e:

@@ -343,8 +343,9 @@ def _stats_dict(stats: OrthoStats) -> dict:
 
 def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank: int | None = None, base=None):
     """Merge the AdapterSet and write output_blocks' f32 tensors to path;
-    return {layer_key: {group: _stats_dict of its descent} or None}, each
-    layer's summary kept as the layer finishes and its OrthoStats dropped.
+    return each layer's summary entry, {layer_key: {"shape": [m, n], "ortho":
+    {group: _stats_dict of its descent}}}, "ortho" only when the descent ran,
+    each kept as the layer finishes and its OrthoStats dropped.
 
     The header is laid out from output_shapes first, so a bad base or rank,
     or two layers writing one tensor (an AlignmentError naming both), fails
@@ -364,8 +365,9 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
     def records():
         for layer_key in adapters.layer_keys:
             layer = merge_layer(adapters.group(layer_key), config)
-            groups = layer.ortho_stats
-            stats[layer_key] = None if groups is None else {g: _stats_dict(st) for g, st in groups.items()}
+            stats[layer_key] = {"shape": list(layer.shape)}
+            if layer.ortho_stats is not None:
+                stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in layer.ortho_stats.items()}
             for key, block in output_blocks(layer, mode, rank, base):
                 if not np.isfinite(block).all():
                     raise ValueError(f"merged tensor {key!r} is not finite; {path} not written")

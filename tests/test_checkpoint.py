@@ -89,6 +89,28 @@ def test_from_array_encodes_f32_input_without_a_copy(rng):
         assert TensorRecord.from_array("f", f, dtype).raw == TensorRecord.from_array("f", f.astype(np.float64), dtype).raw
 
 
+def test_from_array_widens_other_input_to_f64(rng):
+    ints = np.arange(-3, 3).reshape(2, 3)
+    assert np.array_equal(TensorRecord.from_array("i", ints, "f64").values(), ints)
+    half = rng.standard_normal((2, 3)).astype(np.float16)
+    wide = half.astype(np.float64)
+    for dtype in ("f16", "bf16", "f32"):
+        assert TensorRecord.from_array("h", half, dtype).raw == TensorRecord.from_array("h", wide, dtype).raw
+
+
+def test_records_reject_unknown_dtypes_and_wrong_payload_lengths(tmp_path):
+    with pytest.raises(ValueError, match="unsupported dtype 'i8'"):
+        TensorRecord("x", "i8", (2,), b"\0" * 16)
+    with pytest.raises(ValueError, match=r"x: payload is 12 bytes, shape \(2, 2\) x f32 needs 16"):
+        TensorRecord("x", "f32", (2, 2), b"\0" * 12)
+    with pytest.raises(ValueError, match="unsupported dtype 'i8'"):
+        TensorRecord.from_array("x", np.ones(2), "i8")
+    path = tmp_path / "s.safetensors"
+    with pytest.raises(ValueError, match="x: unsupported dtype 'i8'"):
+        save_checkpoint([], path, layout={"x": ("i8", (2,))})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_metadata_block_tolerated(tmp_path):
     path = tmp_path / "m.safetensors"
     blob = raw_safetensors([("x", "F32", np.ones(2, dtype=np.float32))], metadata={"k": "v"})
@@ -384,6 +406,10 @@ def test_header_json_garbage_rejected(tmp_path):
         path.write_bytes(struct.pack("<Q", len(payload)) + payload + b"\0" * 16)
         with pytest.raises(MalformedHeaderError):
             load_checkpoint(path)
+    for payload in (b"[]", b"[1, 2]", b'"x"', b"7"):  # JSON, but not an object
+        path.write_bytes(struct.pack("<Q", len(payload)) + payload + b"\0" * 16)
+        with pytest.raises(MalformedHeaderError, match="header must be a JSON object"):
+            load_checkpoint(path)
 
 
 def test_header_longer_than_file_rejected(tmp_path):
@@ -408,6 +434,15 @@ def test_offset_shape_mismatch_rejected(tmp_path):
     path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
     with pytest.raises(OffsetError):
         load_checkpoint(path)
+
+
+def test_negative_or_reversed_offsets_rejected(tmp_path):
+    path = tmp_path / "r.safetensors"
+    for begin, end in ((-4, 8), (8, 4), (-12, -24)):
+        header = json.dumps({"x": {"dtype": "F32", "shape": [3], "data_offsets": [begin, end]}}).encode()
+        path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 16)
+        with pytest.raises(OffsetError, match=rf"invalid range \[{begin}, {end}\)"):
+            load_checkpoint(path)
 
 
 def test_overlapping_offsets_rejected(tmp_path):
@@ -448,6 +483,9 @@ def test_lora_layer_validation():
     for scaling in (0.0, float("nan"), float("inf")):
         with pytest.raises(AlignmentError):
             LoraLayer("l", B=b, A=a, rank=2, scaling=scaling)
+    for flat_b, flat_a in ((np.ones(6), a), (b, np.ones((1, 2, 5)))):
+        with pytest.raises(AlignmentError, match="l: factors must be 2-D"):
+            LoraLayer("l", B=flat_b, A=flat_a, rank=2)
 
 
 def test_extract_adapters_aligned(adapter_files):
@@ -474,6 +512,11 @@ def test_extract_adapters_applies_scaling(adapter_files):
 def test_extract_adapters_rejects_per_file_list_of_wrong_length(adapter_files, field, values):
     with pytest.raises(AlignmentError, match=f"{field} length must match file count"):
         extract_adapters(adapter_files[:2], **{field: values})
+
+
+def test_extract_adapters_needs_a_file():
+    with pytest.raises(AlignmentError, match="no adapter files given"):
+        extract_adapters([])
 
 
 def test_extract_adapters_unpaired_factor_rejected(tmp_path, rng):
@@ -578,6 +621,10 @@ def test_load_manifest_rejects_bad_entries(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(AlignmentError):
         load_manifest(bad)
+    for text in ("[]", '{"path": "a.safetensors"}', '"a.safetensors"', "null"):
+        bad.write_text(text)
+        with pytest.raises(AlignmentError, match=re.escape(f"manifest {bad}: expected a non-empty JSON list")):
+            load_manifest(bad)
     where = re.escape(f"manifest {bad}: entry 1")
     bad_scalings = ("NaN", "-Infinity", '"x"', '"1.5"', "[1]", "null", "true", "false", "0", "-2.5", "9" * 400)
     for scaling in bad_scalings:
@@ -589,6 +636,31 @@ def test_load_manifest_rejects_bad_entries(tmp_path):
         bad.write_text(f'[{{"path": "ok.safetensors"}}, {{"path": {path}}}]')
         with pytest.raises(AlignmentError, match=rf"{where} needs a string 'path'"):
             load_manifest(bad)
+
+
+def test_load_manifest_rejects_a_repeated_given_name(tmp_path):
+    manifest = tmp_path / "m.json"
+    entries = [{"path": "x.safetensors", "name": "a"}, {"path": "y.safetensors", "name": "b"},
+               {"path": "z.safetensors", "name": "a"}]
+    manifest.write_text(json.dumps(entries))
+    repeated = f"manifest {manifest}: entries 0 and 2 are both named 'a'"
+    with pytest.raises(AlignmentError, match=re.escape(repeated)):
+        load_manifest(manifest)
+
+
+def test_load_manifest_keeps_repeated_file_stems(tmp_path):
+    # names left out default to the file stem, and two PEFT saves share one
+    manifest = tmp_path / "m.json"
+    entries = [{"path": "one/adapter_model.safetensors"}, {"path": "two/adapter_model.safetensors"},
+               {"path": "three.safetensors", "name": "adapter_model"}]
+    manifest.write_text(json.dumps(entries))
+    assert load_manifest(manifest)[1] == ["adapter_model"] * 3
+
+
+def test_load_checkpoint_refuses_a_directory(tmp_path):
+    # opening a directory succeeds on Linux; only its first read would fail, naming no path
+    with pytest.raises(OSError, match=re.escape(f"{tmp_path}: not a regular file")):
+        load_checkpoint(tmp_path)
 
 
 def test_parse_errors_are_parse_error_subclasses():

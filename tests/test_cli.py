@@ -951,3 +951,123 @@ def test_merge_lenient_with_no_aligned_layer_exit_3(tmp_path, capsys, rng):
     assert "no layer is aligned" in err and "'x'" in err and "(6, 5), (7, 5)" in err
     assert stdout == ""
     assert not out.exists()
+
+
+# the usage and I/O errors the CLI raises itself: argv (A an adapter, O a fresh output path), exit, type, message
+_CLI_ERRORS = {
+    "sources_and_manifest": (["merge", "A", "--manifest", "A", "--output", "O"], 2, "usage",
+                             "give adapter paths or --manifest, not both"),
+    "no_sources": (["diagnose", "--report", "O"], 2, "usage",
+                   "no adapters given (positional paths or --manifest)"),
+    "lowrank_without_rank": (["merge", "A", "--output-mode", "lowrank", "--output", "O"], 2, "usage",
+                             "lowrank output mode needs a rank, e.g. --output-mode lowrank:8"),
+    "lowrank_bad_rank": (["merge", "A", "--output-mode", "lowrank:0", "--output", "O"], 2, "usage",
+                         "invalid lowrank rank '0'"),
+    "unknown_output_mode": (["merge", "A", "--output-mode", "dense", "--output", "O"], 2, "usage",
+                            "unknown output mode 'dense'"),
+    "fused_without_base": (["merge", "A", "--output-mode", "fused", "--output", "O"], 2, "usage",
+                           "--output-mode fused requires --base"),
+    "output_exists": (["merge", "A", "--output", "A"], 4, "io", "A exists; pass --force to overwrite"),
+    "too_few_samples": (["verify", "--suite", "crossterm", "--samples", "1"], 2, "usage",
+                        "--samples must be >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLI_ERRORS))
+def test_cli_errors_pin_exit_code_message_and_json_envelope(adapter_files, tmp_path, capsys, case):
+    argv, code, kind, message = _CLI_ERRORS[case]
+    names = {"A": str(adapter_files[0]), "O": str(tmp_path / "o.safetensors")}
+    argv = [names.get(arg, arg) for arg in argv]
+    message = message.replace("A exists", f"{names['A']} exists")
+    before = adapter_files[0].read_bytes()
+    assert run(capsys, *argv) == (code, "", f"domerge: error: {message}\n")
+    if argv[0] != "verify":  # verify has no --json
+        envelope = json.dumps({"error": {"message": message, "type": kind}}, separators=(",", ":"))
+        assert run(capsys, *argv, "--json") == (code, "", envelope + "\n")
+    assert adapter_files[0].read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in adapter_files]
+
+
+def test_verify_suites_run_their_own_default_counts(capsys):
+    code, stdout, _ = run(capsys, "verify", "--suite", "crossterm")
+    assert code == 0
+    assert stdout == '{"concat_wins":200,"pass":true,"suite":"crossterm","trials":200}\n'
+
+
+# a directory where a file is expected: argv with D the directory, A an adapter and O a fresh path
+_DIRECTORY_CASES = {
+    "merge_input": ["merge", "D", "--output", "O"],
+    "diagnose_input": ["diagnose", "D", "--report", "O"],
+    "inspect": ["inspect", "D"],
+    "base": ["merge", "A", "--base", "D", "--output-mode", "fused", "--output", "O"],
+    "merge_output": ["merge", "A", "--output", "D", "--force"],
+    "diagnose_report": ["diagnose", "A", "--report", "D"],
+    "verify_report": ["verify", "--suite", "theorem33", "--samples", "2", "--report", "D"],
+}
+
+
+@pytest.mark.parametrize("case", list(_DIRECTORY_CASES))
+def test_directory_for_a_file_exits_4_naming_it(adapter_files, tmp_path, capsys, case):
+    directory = tmp_path / "adir"
+    directory.mkdir()
+    names = {"D": str(directory), "A": str(adapter_files[0]), "O": str(tmp_path / "o.safetensors")}
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, _, err = run(capsys, *(names.get(arg, arg) for arg in _DIRECTORY_CASES[case]))
+    assert code == 4, err
+    assert err.startswith(f"domerge: error: {directory}: "), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output and no temp file
+    assert list(directory.iterdir()) == []
+
+
+def test_fifo_input_exits_4_without_blocking(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    done = subprocess.run(
+        [sys.executable, "-m", "domerge.cli", "inspect", str(fifo)], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 4
+    assert done.stderr == f"domerge: error: {fifo}: not a regular file\n"
+
+
+@pytest.mark.parametrize("over", ["adapter", "manifest", "symlink"])
+def test_diagnose_report_over_an_input_exits_4_before_reading(adapter_files, tmp_path, capsys, monkeypatch, over):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": str(p)} for p in adapter_files]))
+    (tmp_path / "link").symlink_to(adapter_files[1])
+    report = {"adapter": adapter_files[1], "manifest": manifest, "symlink": tmp_path / "link"}[over]
+    inputs = ["--manifest", str(manifest)] if over == "manifest" else [str(p) for p in adapter_files]
+    before = {p: p.read_bytes() for p in [*adapter_files, manifest]}
+    monkeypatch.setattr(cli, "extract_adapters", lambda *a, **k: pytest.fail("an adapter was read"))
+    code, stdout, err = run(capsys, "diagnose", *inputs, "--report", str(report))
+    assert code == 4 and stdout == ""
+    assert err == f"domerge: error: --report {report} is one of the inputs; it would be overwritten\n"
+    assert {p: p.read_bytes() for p in before} == before
+
+
+@pytest.mark.parametrize("command", ["merge", "diagnose"])
+def test_manifest_repeating_a_given_name_exit_3(tmp_path, capsys, rng, command):
+    # with distinct layers, a lenient merge would report two adapters both called 'a'
+    one, two = tmp_path / "one.safetensors", tmp_path / "two.safetensors"
+    save_checkpoint(make_adapter_records(["x", "y"], 2, (6, 5), rng), one)
+    save_checkpoint(make_adapter_records(["x"], 2, (6, 5), rng), two)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": two.name, "name": "a"}, {"path": one.name, "name": "a"}]))
+    out = tmp_path / "o"
+    extra = ["--output", str(out), "--lenient"] if command == "merge" else ["--report", str(out)]
+    code, stdout, err = run(capsys, command, "--manifest", str(manifest), *extra)
+    assert code == 3 and stdout == ""
+    assert err == f"domerge: error: manifest {manifest}: entries 0 and 1 are both named 'a'\n"
+    assert not out.exists()
+
+
+def test_manifest_adapters_may_share_a_file_stem(adapter_files, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    entries = []
+    for i, path in enumerate(adapter_files[:2]):
+        (tmp_path / f"peft{i}").mkdir()
+        (tmp_path / f"peft{i}" / "adapter_model.safetensors").write_bytes(path.read_bytes())
+        entries.append({"path": f"peft{i}/adapter_model.safetensors"})
+    manifest.write_text(json.dumps(entries))
+    code, stdout, err = run(capsys, "merge", "--manifest", str(manifest), "--output", str(tmp_path / "o"))
+    assert code == 0, err
+    assert json.loads(stdout)["adapters"] == ["adapter_model", "adapter_model"]

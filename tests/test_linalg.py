@@ -59,6 +59,8 @@ def test_decouple_zero_matrix_all_modes():
 def test_decouple_rejects_unknown_mode():
     with pytest.raises(ValueError):
         decouple(np.ones((2, 2)), "diagonal")
+    with pytest.raises(ValueError, match="unknown magnitude mode 'diagonal'"):
+        Decoupled(magnitude=np.ones(1), direction=np.ones((2, 2)), mode="diagonal")
 
 
 def test_decouple_rejects_non_finite():
@@ -86,6 +88,9 @@ def test_recompose_shape_mismatch_rejected():
     d = Decoupled(magnitude=np.ones(3), direction=np.ones((2, 2)), mode="column")
     with pytest.raises(ValueError):
         recompose(d)
+    for mode, magnitude, needs in [("row", np.ones(3), "row count"), ("matrix", np.ones(2), "single magnitude")]:
+        with pytest.raises(ValueError, match=needs):
+            recompose(Decoupled(magnitude=magnitude, direction=np.ones((2, 2)), mode=mode))
 
 
 # the svd_truncate tests pin the dense oracle that the lowrank output is checked against

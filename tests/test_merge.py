@@ -170,6 +170,8 @@ def test_merge_layer_rejects_shape_conflicts(rng):
     layers = [make_layer(rng, m=10), make_layer(rng, m=11)]
     with pytest.raises((ValueError, AlignmentError)):
         merge_layer(layers, MergeConfig())
+    with pytest.raises(ValueError, match="empty layer group"):
+        merge_layer([], MergeConfig())
 
 
 def test_decoupling_changes_result_for_imbalanced_scalings(rng):
@@ -244,6 +246,8 @@ def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
     for rank in (13, None):
         with pytest.raises(ValueError, match="out of range"):
             output_shapes(layer.layer_key, layer.shape, "lowrank", rank)
+    with pytest.raises(ValueError, match="unknown output mode 'dense'"):
+        output_shapes(layer.layer_key, layer.shape, "dense")
 
 
 def test_merge_adapter_set_returns_rank_sum_factors(rng):
@@ -577,9 +581,9 @@ def test_write_merged_writes_what_the_cli_writes(adapter_files, base_file, tmp_p
     assert library.read_bytes() == cli_out.read_bytes()
     summary = json.loads(capsys.readouterr().out)
     assert sorted(stats) == sorted(summary["layers"]) == adapters.layer_keys
-    for key, groups in stats.items():
-        assert sorted(groups) == ["A", "B"]
-        assert groups == summary["layers"][key]["ortho"]
+    for key, entry in stats.items():
+        assert sorted(entry["ortho"]) == ["A", "B"]
+        assert entry == summary["layers"][key]
 
 
 def test_write_merged_key_collision_fails_before_any_merge(tmp_path, rng, monkeypatch):

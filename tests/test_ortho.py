@@ -202,6 +202,16 @@ def test_row_count_mismatch_rejected(rng):
         orthogonalize_group([rng.standard_normal((6, 3)), rng.standard_normal((7, 3))], OrthoConfig())
 
 
+def test_malformed_groups_and_deltas_rejected(rng):
+    mats = [rng.standard_normal((6, 3)), rng.standard_normal((6, 2))]
+    with pytest.raises(ValueError, match="empty group"):
+        orthogonalize_group([], OrthoConfig())
+    with pytest.raises(ValueError, match="deltas length must match group size"):
+        ortho_loss(mats, [np.zeros((6, 3))], mu=1.0)
+    with pytest.raises(ValueError, match=r"deltas\[1\] shape \(6, 3\) != mats\[1\] shape \(6, 2\)"):
+        ortho_grad(mats, [np.zeros((6, 3))] * 2, mu=1.0)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31),

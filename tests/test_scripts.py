@@ -69,3 +69,14 @@ def test_readme_library_example_runs(tmp_path, rng, monkeypatch, capsys):
     assert sorted(merged) == sorted(weights)
     assert all(merged[k].dtype == "f32" and np.isfinite(merged[k].to_array()).all() for k in merged)
     assert len(capsys.readouterr().out.splitlines()) == len(LAYER_KEYS)
+
+
+def test_seed_outputs_repeats_its_hashes(tmp_path):
+    # one WORK_DIR for both runs: the merge summary names the output path
+    argv = [str(SCRIPTS / "seed_outputs.py"), str(tmp_path / "work"), "--workload", "lowrank-many"]
+    first, second = _run(tmp_path, *argv), _run(tmp_path, *argv)
+    assert first.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["lowrank-many", "merge.output"], ["lowrank-many", "merge.stdout"]]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) for line in lines)
+    assert second.stdout == first.stdout

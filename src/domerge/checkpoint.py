@@ -210,8 +210,8 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
         raise MalformedHeaderError(f"file size {size} is too short for a {header_len}-byte header", 0)
     try:
         header = json.loads(os.pread(file.fd, header_len, 8), object_pairs_hook=_unique_keys)
-    except ValueError as e:  # JSONDecodeError, or bytes that are not text
-        raise MalformedHeaderError(f"header is not valid JSON: {e}", 8) from e
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, bytes that are not text, or too deep
+        raise MalformedHeaderError(f"{path}: header is not valid JSON: {e}", 8) from e
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object", 8)
 
@@ -260,14 +260,22 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
     return records
 
 
+def check_output_path(path) -> Path:
+    """path as a Path; an OSError naming it (not a temp file) unless it is no directory, in one."""
+    path = Path(path)
+    if path.is_dir() and not path.is_symlink():
+        raise IsADirectoryError(f"{path}: is a directory")
+    if not path.parent.is_dir():
+        raise NotADirectoryError(f"{path}: {path.parent} is not a directory")
+    return path
+
+
 @contextlib.contextmanager
 def atomic_file(path, mode: str = "wb"):
     """Yield a sibling temp file opened with mode; it replaces path on a clean
     exit, and on any error it is removed and path is left as it was. It is
-    created with the mode open() gives a new file, 0o666 less the umask."""
-    path = Path(path)
-    if path.is_dir() and not path.is_symlink():  # else os.replace fails at the end, naming the temp file
-        raise IsADirectoryError(f"{path}: is a directory")
+    created, after check_output_path, with open()'s mode, 0o666 less the umask."""
+    path = check_output_path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
@@ -385,7 +393,7 @@ class AdapterSet:
     """Adapters aligned by layer key, in input order.
 
     Each adapter maps a layer key to its stored (B, A) factor records, whose
-    shapes and values were checked at load; group() decodes one layer when it
+    shapes and values were checked at load; stacks() decodes one layer when it
     is asked for, so a merge holds only the factors of the layer it merges.
     """
 
@@ -406,13 +414,22 @@ class AdapterSet:
         b, a = self.adapters[0][key]
         return (b.shape[0], a.shape[1])
 
+    def stacks(self, key: str):
+        """(B, A, s, ranks): new f64 stacks B = [B_1 ... B_n] and A = [A_1; ...; A_n], each
+        adapter's stored numbers read into its slice; s each unit's scaling; B diag(s) A = sum_i W_i."""
+        pairs, (m, n) = [adapter[key] for adapter in self.adapters], self.full_shape(key)
+        ranks = [b.shape[1] for b, _ in pairs]
+        bounds = np.cumsum([0, *ranks])
+        left, right = np.empty((m, bounds[-1])), np.empty((bounds[-1], n))
+        for (b, a), i, j in zip(pairs, bounds, bounds[1:]):
+            left[:, i:j], right[i:j] = b.values(), a.values()
+        return left, right, np.repeat(self.scalings, ranks), ranks
+
     def group(self, key: str) -> list[LoraLayer]:
-        """The layer in every adapter, its factors read and decoded to new f64 arrays."""
-        layers = []
-        for adapter, scaling in zip(self.adapters, self.scalings):
-            b, a = adapter[key]
-            layers.append(LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], scaling))
-        return layers
+        """The layer in every adapter, its factors views of slices of stacks(key)."""
+        b, a, _, ranks = self.stacks(key)
+        bounds = np.cumsum([0, *ranks])
+        return [LoraLayer(key, b[:, i : i + r], a[i : i + r], r, s) for i, r, s in zip(bounds, ranks, self.scalings)]
 
 
 def lora_pairs(records) -> tuple[dict[str, tuple[TensorRecord, TensorRecord]], list[str]]:
@@ -504,7 +521,7 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
     path = Path(path)
     try:
         entries = json.loads(path.read_bytes())
-    except ValueError as e:  # JSONDecodeError, or bytes that are not text
+    except (ValueError, RecursionError) as e:  # JSONDecodeError, bytes that are not text, or too deep
         raise AlignmentError(f"manifest {path}: invalid JSON: {e}") from e
     if not isinstance(entries, list) or not entries:
         raise AlignmentError(f"manifest {path}: expected a non-empty JSON list")

@@ -21,6 +21,7 @@ from .checkpoint import (
     AlignmentError,
     ParseError,
     check_factors,
+    check_output_path,
     extract_adapters,
     load_checkpoint,
     load_manifest,
@@ -168,7 +169,7 @@ def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
         raise ValueError("--output-mode fused requires --base")
-    out_path = Path(args.output)
+    out_path = check_output_path(args.output)
     if out_path.exists() and not args.force:
         raise FileExistsError(f"{out_path} exists; pass --force to overwrite")
 
@@ -235,7 +236,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_diagnose(args) -> int:
     paths, names, scalings = _gather_sources(args)
-    target = Path(args.report)  # a report written over an input would destroy it: refuse before any read
+    target = check_output_path(args.report)  # a report written over an input would destroy it: refuse before any read
     inputs = [*paths, *([Path(args.manifest)] if args.manifest else [])]
     if target.exists() and any(p.exists() and p.samefile(target) for p in inputs):
         raise FileExistsError(f"--report {target} is one of the inputs; it would be overwritten")
@@ -254,6 +255,8 @@ def cmd_diagnose(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 2:
         raise ValueError("--samples must be >= 2")
+    if args.report:
+        check_output_path(args.report)
     from . import experiments  # imported here, so that no merge pays for loading the suites
 
     results = {}

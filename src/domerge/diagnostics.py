@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import AdapterSet, atomic_file
-from .merge import _grams, _stacks, _unit_magnitudes
+from .merge import _grams, _unit_magnitudes
 from .ortho import _owner_mask
 
 
@@ -68,7 +68,7 @@ def build_report(adapters: AdapterSet) -> DiagnosticsReport:
     """
     variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
-        b, a, s, ranks = _stacks(adapters.group(key))
+        b, a, s, ranks = adapters.stacks(key)
         gram_b, gram_a = _grams(b, a, s)
         variance += float(np.var(_unit_magnitudes(gram_b, a, ranks, "matrix")))
         own_a = np.where(_owner_mask(ranks), 0.0, gram_a)  # block-diagonal P_i

@@ -36,7 +36,7 @@ from .ortho import OrthoConfig, OrthoStats, gram_descent
 
 METHODS = ("do_merging", "task_arithmetic", "average")
 
-_RENDER_BLOCK_BYTES = 2 << 20  # size of the reused f32 output block one row block is rendered into
+_RENDER_BLOCK_BYTES = 512 << 10  # size of the reused f32 output block one row block is rendered into
 _BASE_PIECE_BYTES = 128 << 10  # stored bytes of base rows read and added to a block at a time
 
 # Hugging Face PEFT saves adapter keys under this prefix; the base model's keys lack it
@@ -107,14 +107,6 @@ def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
     return layer.scaling * (layer.B @ layer.A)
 
 
-def _stacks(layers):
-    """(B, A, s, ranks) of a layer group: B = [B_1 ... B_n] and A = [A_1; ...;
-    A_n] as decoded, each unit's scaling, the ranks; sum_i W_i = B diag(s) A."""
-    ranks = [layer.rank for layer in layers]
-    s = np.repeat([layer.scaling for layer in layers], ranks)
-    return np.hstack([layer.B for layer in layers]), np.vstack([layer.A for layer in layers]), s, ranks
-
-
 def _grams(left, right, s):
     """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right."""
     return (left.T @ left) * np.outer(s, s), right @ right.T
@@ -135,14 +127,17 @@ def _unit_magnitudes(gram, right, ranks, mode: str, left=None) -> list[np.ndarra
     return mags
 
 
-def _merged_factors(layers, config: MergeConfig):
-    """(L, R, ortho stats), merged delta L @ R = B K A~ lam: B the B stack as
-    decoded, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in place. Both
-    groups descend in R x R coordinates (ortho.gram_descent), A on transposes;
-    row mode scales the rows of B K, and then L is that matrix and K = I. Every
-    method ends in the scaling by lam K, so the fully ablated method is
-    task_arithmetic bitwise."""
-    left, right, s, ranks = _stacks(layers)
+def _merged_factors(stacks, config: MergeConfig):
+    """(L, R, ortho stats) of stacks = AdapterSet.stacks' (B, A, s, ranks), merged
+    delta L @ R = B K A~ lam: B the B stack as given, K = diag(s) (I + E_B),
+    A~ = (I + E_A)^T A decoupled in place. Both groups descend in R x R
+    coordinates (ortho.gram_descent), A on transposes; row mode scales the
+    rows of B K, and then L is that matrix and K = I. Every method ends in
+    the scaling by lam K, so the fully ablated method is task_arithmetic
+    bitwise. Passed the only reference to stacks, the call frees A once A~
+    is formed (with no descent, R is A scaled in place)."""
+    left, right, s, ranks = stacks
+    del stacks
     r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
     if config.ortho is not None or config.decouple_enabled:
         gram, gram_a = _grams(left, right, s)  # gram: of left K
@@ -161,8 +156,13 @@ def _merged_factors(layers, config: MergeConfig):
         units = left.T if config.magnitude_mode == "row" else right  # rows of units, scaled in place
         for i, j, c in zip(bounds, bounds[1:], mags):
             units[i:j] *= np.divide(alpha, c, out=np.zeros_like(c), where=c > 0)
-    k = config.resolve_lam(len(layers)) * k
+    k = config.resolve_lam(len(ranks)) * k
     return left, (k @ right if k.ndim == 2 else np.multiply(right, k[:, None], out=right)), stats
+
+
+def _abs_max(x, axis):
+    """The largest |entry| of each row (axis 1) or column (axis 0) of x, 0 if empty."""
+    return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
 
 
 def _gram_roots(gram):
@@ -190,9 +190,9 @@ def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
     against the dense f64 truncation T_r on ill-scaled, ill-conditioned and
     rank-deficient stacks.
     """
-    _, e = np.frexp(np.abs(right).max(axis=1, initial=0.0))
+    _, e = np.frexp(_abs_max(right, 1))
     right = np.ldexp(right, -e[:, None])
-    _, s = np.frexp(np.abs(np.ldexp(left, e)).max(initial=0.0))
+    _, s = np.frexp(np.ldexp(_abs_max(left, 0), e).max(initial=0.0))
     left = np.ldexp(left, e - s)
     s_l, v_l = _gram_roots(left.T @ left)
     s_r, v_r = _gram_roots(right @ right.T)
@@ -214,8 +214,9 @@ def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
     for i, layer in enumerate(layers):
         if not (np.isfinite(layer.B).all() and np.isfinite(layer.A).all()):
             raise ValueError(f"layer {layer.layer_key!r}: adapter {i} has non-finite factors")
-    left, right, stats = _merged_factors(layers, config)
-    return MergedLayer(layers[0].layer_key, left, right, stats)
+    ranks, b, a = [layer.rank for layer in layers], [layer.B for layer in layers], [layer.A for layer in layers]
+    s = np.repeat([layer.scaling for layer in layers], ranks)
+    return MergedLayer(layers[0].layer_key, *_merged_factors((np.hstack(b), np.vstack(a), s, ranks), config))
 
 
 def resolve_base_key(base: dict, layer_key: str) -> str:
@@ -238,14 +239,14 @@ def _render_f32(left, right, base=None):
 
     Each rank-1 term is rescaled by an exact power of two: right's row k by
     2^-e_k, e_k the exponent of the row's largest |entry|, and left's column
-    k by 2^e_k. right is then cast to f32 once, each row block of left into
-    a small reused f32 buffer, and one f32 GEMM writes the block into the
-    reused output buffer of about _RENDER_BLOCK_BYTES, which is yielded: it
-    is valid until the next block is asked for. The same rows of base (an
+    k by 2^e_k, into f32 copies made once (right's first), each dropping this
+    generator's reference to its f64 factor. One f32 GEMM writes each row
+    block into the reused output buffer of about _RENDER_BLOCK_BYTES, which is
+    yielded: it is valid until the next block is asked for. The same rows of base (an
     m x n TensorRecord) are read and added in pieces of at most
     _BASE_PIECE_BYTES stored bytes, through one reused buffer (and one to
-    widen bf16). No m x n array and no f64 copy of either factor exists.
-    Overflow is silent: the block is non-finite. No rows is one empty block.
+    widen bf16). No m x n array exists. Overflow is silent: the block is
+    non-finite. No rows is one empty block.
 
     In f32's normal range the rescale changes no bit of the f32 product, and
     an entry of left overflows f32 only where its term of the product does,
@@ -258,9 +259,10 @@ def _render_f32(left, right, base=None):
     """
     m, n = left.shape[0], right.shape[1]
     rows = max(1, _RENDER_BLOCK_BYTES // (4 * max(n, 1)))
-    _, exp = np.frexp(np.maximum(right.max(axis=1, initial=0.0), -right.min(axis=1, initial=0.0)))
-    right32 = np.ldexp(right, -exp[:, None], out=np.empty(right.shape, np.float32))
-    left32 = np.empty((min(rows, m), left.shape[1]), dtype=np.float32)
+    _, exp = np.frexp(_abs_max(right, 1))
+    right = np.ldexp(right, -exp[:, None], out=np.empty(right.shape, np.float32))
+    with np.errstate(over="ignore"):
+        left = np.ldexp(left, exp, out=np.empty(left.shape, np.float32))
     out = np.empty((min(rows, m), n), dtype=np.float32)
     if base is not None:
         piece = min(rows, max(1, _BASE_PIECE_BYTES // (base.storage.itemsize * max(n, 1))))
@@ -269,8 +271,7 @@ def _render_f32(left, right, base=None):
     for i in range(0, max(m, 1), rows):
         k = min(rows, m - i)
         with np.errstate(over="ignore", invalid="ignore"):
-            np.ldexp(left[i : i + k], exp, out=left32[:k])
-            block = np.matmul(left32[:k], right32, out=out[:k])
+            block = np.matmul(left[i : i + k], right, out=out[:k])
             if base is not None:
                 for j in range(0, k, piece):
                     p = min(piece, k - j)
@@ -316,16 +317,20 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
     eigendecompositions (_truncated_factors, within its stated bound of the
     dense truncation) and rounded to f32 once. Delta
     and fused blocks are _render_f32's f32 products, within its stated bound
-    of the f64 oracle; each views a buffer the next block reuses.
+    of the f64 oracle; each views a buffer the next block reuses. merged is
+    dropped before the first block, so given the only reference to it, its
+    f64 factors are freed once their f32 copies or truncations are made.
     """
     keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
     if mode == "lowrank":
         b, a = _truncated_factors(merged.left, merged.right, rank)
+        del merged
         yield keys[0], b.astype(np.float32)
         yield keys[1], a.astype(np.float32)
     else:
-        record = base[keys[0]] if mode == "fused" else None
-        for block in _render_f32(merged.left, merged.right, record):
+        blocks = _render_f32(merged.left, merged.right, base[keys[0]] if mode == "fused" else None)
+        del merged
+        for block in blocks:
             yield keys[0], block
 
 
@@ -349,9 +354,11 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     The header is laid out from output_shapes first, so a bad base or rank,
     or two layers writing one tensor (an AlignmentError naming both), fails
-    before any merge. Each layer is then merged, its blocks checked finite
-    and streamed, and released before the next. path is always replaced,
-    and left as it was on any error, a non-finite block's ValueError too.
+    before any merge. Each layer's stacks (AdapterSet.stacks) then go to
+    _merged_factors and its MergedLayer to output_blocks, each call given the
+    only reference, and its blocks are checked finite and streamed, so one
+    layer's factors are held once, in f64 until rendered. path is always
+    replaced, and left as it was on any error, a non-finite block's ValueError too.
     """
     layout, owners = {}, {}
     for layer_key in adapters.layer_keys:
@@ -364,15 +371,17 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     def records():
         for layer_key in adapters.layer_keys:
-            layer = merge_layer(adapters.group(layer_key), config)
-            stats[layer_key] = {"shape": list(layer.shape)}
-            if layer.ortho_stats is not None:
-                stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in layer.ortho_stats.items()}
-            for key, block in output_blocks(layer, mode, rank, base):
+            left, right, ortho = _merged_factors(adapters.stacks(layer_key), config)
+            stats[layer_key] = {"shape": [left.shape[0], right.shape[1]]}
+            if ortho is not None:
+                stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}
+            blocks = output_blocks(MergedLayer(layer_key, left, right), mode, rank, base)
+            del left, right
+            for key, block in blocks:
                 if not np.isfinite(block).all():
                     raise ValueError(f"merged tensor {key!r} is not finite; {path} not written")
                 yield key, TensorRecord.from_array(key, block, "f32")
-            del layer, block
+            del blocks, block
 
     save_checkpoint(records(), path, layout=layout)
     return stats

@@ -12,6 +12,7 @@ layer-at-a-time stream avoids.
 
 import numpy as np
 
+from domerge.checkpoint import LoraLayer
 from domerge.linalg import Decoupled, decouple, recompose
 from domerge.merge import MergeConfig, assemble_full_rank, merge_layer, output_blocks
 from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
@@ -138,6 +139,17 @@ def dense_merge_delta(layers, config) -> np.ndarray:
     return lam * recompose(Decoupled(alpha, direction, config.magnitude_mode))
 
 
+def decoded_group(adapters, key) -> list:
+    """The layer in every adapter of an AdapterSet as a LoraLayer, each factor
+    decoded on its own to a new f64 array: what AdapterSet.stacks decodes
+    into slices of its two stacks."""
+    layers = []
+    for adapter, scaling in zip(adapters.adapters, adapters.scalings):
+        b, a = adapter[key]
+        layers.append(LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], scaling))
+    return layers
+
+
 def dense_report(adapters):
     """(magnitude_variance, per_layer_cross_gram, per_layer_magnitude_stats) of
     build_report, from each layer's dense W_i = s_i B_i A_i: the sum over layers
@@ -145,7 +157,7 @@ def dense_report(adapters):
     after decouple()'s floor."""
     variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
-        ws = [assemble_full_rank(layer) for layer in adapters.group(key)]
+        ws = [assemble_full_rank(layer) for layer in decoded_group(adapters, key)]
         variance += float(np.var([decouple(w, "matrix").magnitude[0] for w in ws]))
         grams[key] = np.array([[np.linalg.norm(wi.T @ wj) for wj in ws] for wi in ws])
         stats[key] = [float(np.linalg.norm(decouple(w, "column").magnitude)) for w in ws]
@@ -167,7 +179,7 @@ def merge_adapter_set(adapters, config=None) -> dict:
         config = MergeConfig()
     if adapters.n < 1:
         raise ValueError("need at least one adapter")
-    return {key: merge_layer(adapters.group(key), config) for key in adapters.layer_keys}
+    return {key: merge_layer(decoded_group(adapters, key), config) for key in adapters.layer_keys}
 
 
 def layer_outputs(merged, mode: str, rank: int | None = None, base=None) -> dict:

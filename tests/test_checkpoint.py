@@ -492,18 +492,43 @@ def test_extract_adapters_aligned(adapter_files):
     adapters = extract_adapters(adapter_files)
     assert adapters.n == 3
     assert len(adapters.layer_keys) == 4
-    group = adapters.group(adapters.layer_keys[0])
-    assert len(group) == 3
-    assert all(layer.rank == 4 for layer in group)
-    assert all(layer.full_shape == (16, 12) for layer in group)
+    b, a, s, ranks = adapters.stacks(adapters.layer_keys[0])
+    assert ranks == [4, 4, 4]
+    assert b.shape == (16, 12) and a.shape == (12, 12) and s.shape == (12,)
+
+
+@pytest.mark.parametrize(
+    "dtypes", [("f64",) * 3, ("f32",) * 3, ("f16",) * 3, ("bf16",) * 3, ("bf16", "f16", "f32")]
+)
+def test_stacks_are_each_adapters_decoded_factors_bit_for_bit(tmp_path, rng, dtypes):
+    files = []
+    for i, (rank, dtype) in enumerate(zip((2, 5, 3), dtypes)):
+        files.append(tmp_path / f"a{i}.safetensors")
+        save_checkpoint(make_adapter_records(["x", "y"], rank, (9, 7), rng, dtype=dtype), files[-1])
+    adapters = extract_adapters(files, scalings=[0.5, 1.0, 3.0])
+    for key in adapters.layer_keys:
+        b, a, s, ranks = adapters.stacks(key)
+        pairs = [adapter[key] for adapter in adapters.adapters]
+        want_b, want_a = np.hstack([p[0].to_array() for p in pairs]), np.vstack([p[1].to_array() for p in pairs])
+        assert b.dtype == a.dtype == np.float64 and b.shape == (9, 10) and a.shape == (10, 7)
+        assert b.tobytes() == want_b.tobytes() and a.tobytes() == want_a.tobytes()
+        assert ranks == [2, 5, 3] and s.tolist() == [0.5] * 2 + [1.0] * 5 + [3.0] * 3
+
+
+def test_save_checkpoint_in_no_directory_names_the_path(tmp_path):
+    target = tmp_path / "nodir" / "x.safetensors"
+    with pytest.raises(NotADirectoryError) as info:
+        save_checkpoint({"w": TensorRecord.from_array("w", np.ones(2), "f32")}, target)
+    assert str(info.value) == f"{target}: {target.parent} is not a directory"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_extract_adapters_applies_scaling(adapter_files):
     plain = extract_adapters(adapter_files[:1])
     scaled = extract_adapters(adapter_files[:1], scalings=[2.5])
     key = plain.layer_keys[0]
-    assert scaled.group(key)[0].scaling == 2.5
-    assert plain.group(key)[0].scaling == 1.0
+    assert (scaled.stacks(key)[2] == 2.5).all()
+    assert (plain.stacks(key)[2] == 1.0).all()
 
 
 @pytest.mark.parametrize(
@@ -578,8 +603,7 @@ def test_extract_adapters_mixed_ranks_allowed(tmp_path, rng):
     save_checkpoint(make_adapter_records(["x"], 2, (6, 5), rng), p1)
     save_checkpoint(make_adapter_records(["x"], 3, (6, 5), rng), p2)
     adapters = extract_adapters([p1, p2])
-    ranks = sorted(layer.rank for layer in adapters.group("x"))
-    assert ranks == [2, 3]
+    assert adapters.stacks("x")[3] == [2, 3]
 
 
 def test_extract_adapters_rejects_non_finite(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 
 from domerge import cli
 from domerge import merge as merge_module
-from domerge.checkpoint import TensorRecord, load_checkpoint, save_checkpoint
+from domerge.checkpoint import AdapterSet, TensorRecord, load_checkpoint, save_checkpoint
 from domerge.cli import build_parser, main
 
 from conftest import LAYER_KEYS, make_adapter_records
@@ -198,7 +198,7 @@ def test_merge_fused_base_missing_layer_exit_3_before_any_merge(
         {k: TensorRecord.from_array(k, rng.standard_normal((16, 12)), "f32") for k in weights}, base
     )
     merged = []
-    monkeypatch.setattr(merge_module, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: merged.append(key))
     out = tmp_path / "fused.safetensors"
     code, _, err = run(
         capsys, "merge", *(str(p) for p in adapter_files), "--base", str(base),
@@ -223,7 +223,7 @@ def test_merge_non_finite_last_layer_of_last_adapter_exit_3_before_any_merge(
     last = tmp_path / "last.safetensors"
     save_checkpoint(records, last)
     merged = []
-    monkeypatch.setattr(merge_module, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: merged.append(key))
     out = tmp_path / "m.safetensors"
     code, _, err = run(capsys, "merge", *map(str, adapter_files), str(last), "--output", str(out))
     assert code == 3
@@ -253,15 +253,19 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
     for i in range(2):
         adapters.append(tmp_path / f"adapter{i}.safetensors")
         save_checkpoint(make_adapter_records(keys, 2, (6, 5), rng), adapters[-1])
-    events, merged, held = [], [], []
-    real_merge, real_save = merge_module.merge_layer, merge_module.save_checkpoint
+    events, factors, held = [], [], []
+    real_stacks, real_factors = AdapterSet.stacks, merge_module._merged_factors
+    real_save = merge_module.save_checkpoint
 
-    def logged_merge(layers, config):
-        held.append(sum(ref() is not None for ref in merged))
-        layer = real_merge(layers, config)
-        merged.append(weakref.ref(layer))
-        events.append(("merge", layer.layer_key))
-        return layer
+    def logged_stacks(self, key):
+        held.append(sum(ref() is not None for ref in factors))
+        events.append(("merge", key))
+        return real_stacks(self, key)
+
+    def logged_factors(*args):
+        left, right, stats = real_factors(*args)
+        factors.extend((weakref.ref(left), weakref.ref(right)))
+        return left, right, stats
 
     def logged_save(records, path, layout=None):
         def logged():
@@ -271,7 +275,8 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
 
         real_save(logged(), path, layout=layout)
 
-    monkeypatch.setattr(merge_module, "merge_layer", logged_merge)
+    monkeypatch.setattr(AdapterSet, "stacks", logged_stacks)
+    monkeypatch.setattr(merge_module, "_merged_factors", logged_factors)
     monkeypatch.setattr(merge_module, "save_checkpoint", logged_save)
     out = tmp_path / "lr.safetensors"
     code, _, err = run(
@@ -282,7 +287,7 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
     for key in keys:
         expected += [("merge", key), ("write", key + ".lora_B.weight"), ("write", key + ".lora_A.weight")]
     assert events == expected
-    assert held == [0, 0, 0]  # no earlier merged layer is alive when the next is merged
+    assert held == [0, 0, 0]  # no earlier layer's merged factors are alive when the next is decoded
 
 
 def test_merge_fused_output_key_collision_exit_3(tmp_path, capsys, rng):
@@ -1071,3 +1076,61 @@ def test_manifest_adapters_may_share_a_file_stem(adapter_files, tmp_path, capsys
     code, stdout, err = run(capsys, "merge", "--manifest", str(manifest), "--output", str(tmp_path / "o"))
     assert code == 0, err
     assert json.loads(stdout)["adapters"] == ["adapter_model", "adapter_model"]
+
+
+def _deep_json(depth: int = 200_000) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+def _header_file(path, header: bytes):
+    path.write_bytes(len(header).to_bytes(8, "little") + header)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, where",
+    [("inspect", "header"), ("inspect", "metadata")]
+    + [(c, w) for c in ("merge", "diagnose") for w in ("header", "metadata", "manifest")],
+)
+def test_deeply_nested_json_exit_3_naming_the_file(adapter_files, tmp_path, capsys, command, where):
+    # nesting past the recursion limit is one error line, not a traceback
+    if where == "manifest":
+        bad = tmp_path / "deep.json"
+        bad.write_bytes(_deep_json())
+        sources = ["--manifest", str(bad)]
+    else:
+        header = _deep_json() if where == "header" else b'{"__metadata__":{"a":' + _deep_json() + b"}}"
+        bad = _header_file(tmp_path / "deep.safetensors", header)
+        sources = [str(bad)] if command == "inspect" else [str(adapter_files[0]), str(bad)]
+    out = tmp_path / "out"
+    extra = {"inspect": [], "merge": ["--output", str(out)], "diagnose": ["--report", str(out)]}[command]
+    code, stdout, err = run(capsys, command, *sources, *extra)
+    assert code == 3 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("domerge: error: ")
+    assert str(bad) in err and "recursion" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+@pytest.mark.parametrize("command", ["merge", "diagnose", "verify"])
+def test_output_in_no_directory_exit_4_before_any_work(
+    adapter_files, tmp_path, capsys, monkeypatch, command, parent
+):
+    # the message names the path given, with no temp file's random suffix,
+    # and nothing is read, merged, run or left behind
+    if parent == "file":
+        (tmp_path / "nodir").write_bytes(b"")
+    target = tmp_path / "nodir" / "x.out"
+    work = []
+    monkeypatch.setattr(cli, "extract_adapters", lambda *a, **k: work.append("extract"))
+    monkeypatch.setattr(cli, "SUITES", {name: ("missing_runner", "samples") for name in cli.SUITES})
+    before = sorted(p.name for p in tmp_path.iterdir())
+    argv = {
+        "merge": ["merge", str(adapter_files[0]), "--output", str(target)],
+        "diagnose": ["diagnose", str(adapter_files[0]), "--report", str(target)],
+        "verify": ["verify", "--report", str(target)],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 4 and stdout == "" and work == []
+    assert err == f"domerge: error: {target}: {target.parent} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before

@@ -14,7 +14,7 @@ from domerge.diagnostics import (
     format_float,
 )
 
-from oracles import dense_report
+from oracles import decoded_group, dense_report
 from test_merge import adapter_set, degenerate_group
 
 
@@ -90,7 +90,7 @@ def test_orthogonality_report_symmetric_unsquared(adapter_files):
     for key, gram in report.items():
         assert gram.shape == (3, 3)
         assert np.allclose(gram, gram.T)
-        group = adapters.group(key)
+        group = decoded_group(adapters, key)
         w0 = group[0].scaling * (group[0].B @ group[0].A)
         w1 = group[1].scaling * (group[1].B @ group[1].A)
         # entries are unsquared product norms
@@ -125,8 +125,8 @@ def test_build_report_fields(adapter_files):
 def test_build_report_decodes_each_layer_once(adapter_files, monkeypatch):
     adapters = extract_adapters(adapter_files)
     calls = []
-    group = AdapterSet.group
-    monkeypatch.setattr(AdapterSet, "group", lambda self, key: calls.append(key) or group(self, key))
+    stacks = AdapterSet.stacks
+    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: calls.append(key) or stacks(self, key))
     build_report(adapters)
     assert calls == adapters.layer_keys
 

@@ -33,6 +33,7 @@ from conftest import make_adapter_records
 from oracles import (
     EPS32,
     assert_within_render_bound,
+    decoded_group,
     dense_merge_delta,
     layer_outputs,
     merge_adapter_set,
@@ -188,7 +189,7 @@ def test_merge_adapter_set_sorted_by_layer_key(rng):
     merged = merge_adapter_set(adapters)
     assert list(merged) == ["a", "b"]
     for key, layer in merged.items():
-        alone = merge_layer(adapters.group(key), MergeConfig())
+        alone = merge_layer(decoded_group(adapters, key), MergeConfig())
         assert layer.layer_key == key
         assert np.array_equal(layer.delta, alone.delta)
 
@@ -347,10 +348,11 @@ def test_merge_keeps_only_the_current_layers_adapter_pages(tmp_path, rng):
 
 @pytest.mark.skipif(_rss_file_kb() is None, reason="needs RssFile in /proc/self/status")
 def test_fused_render_keeps_no_base_file_pages(tmp_path, rng, monkeypatch):
-    # a 16 MB bf16 base layer of 4096 x 2048, rendered in 16 blocks of 256
-    # rows, each 1 MB of stored base rows: the resident pages of mapped files,
-    # sampled after each read of base rows and at each block, must stay
-    # within 1 MB of where they started, so no block holds file pages
+    # a 16 MB bf16 base layer of 4096 x 2048, rendered in 32 MB /
+    # _RENDER_BLOCK_BYTES blocks (64 of 64 rows, each 256 KB of stored base
+    # rows): the resident pages of mapped files, sampled after each read of
+    # base rows and at each block, must stay within 1 MB of where they
+    # started, so no block holds file pages
     m, n = 4096, 2048
     path = tmp_path / "base.safetensors"
     words = rng.integers(0, 0x3F80, size=m * n, dtype=np.uint16).tobytes()  # finite bf16 in [0, 1)
@@ -372,7 +374,7 @@ def test_fused_render_keeps_no_base_file_pages(tmp_path, rng, monkeypatch):
     for _ in _render_f32(left, right, base):
         growth.append((_rss_file_kb() - before) * 1024)
         blocks += 1
-    assert blocks == 16 and max(growth) < 1 << 20, growth
+    assert blocks == 4 * m * n // merge_module._RENDER_BLOCK_BYTES and max(growth) < 1 << 20, growth
 
 
 def lowrank_factors(merged, rank):
@@ -500,6 +502,41 @@ def test_merge_layer_peak_memory_at_model_shapes(shape, mode):
     assert peak < 1.9 * factors, (peak / factors, peak)
 
 
+@pytest.fixture(scope="module")
+def gate_proj_files(tmp_path_factory):
+    """4 bf16 rank-16 adapters of one 11008 x 4096 layer (a Llama-2-7B
+    gate_proj) and a zero bf16 base of it."""
+    d, rng, m, n = tmp_path_factory.mktemp("gate_proj"), np.random.default_rng(0), 11008, 4096
+    files = []
+    for i in range(4):
+        files.append(d / f"adapter{i}.safetensors")
+        save_checkpoint(make_adapter_records(["l"], 16, (m, n), rng, dtype="bf16"), files[-1])
+    save_checkpoint({"l.weight": TensorRecord("l.weight", "bf16", (m, n), bytes(2 * m * n))}, d / "base.safetensors")
+    return files, d / "base.safetensors"
+
+
+@pytest.mark.parametrize("mode", ["delta", "fused"])
+def test_write_merged_peak_memory_at_a_model_shape(gate_proj_files, tmp_path, mode):
+    """One write_merged of the gate_proj layer holds its two f64 stacks,
+    the descent's one more copy of the A stack, and then the f32 copies of
+    the merged factors and one render block: its tracemalloc peak stays
+    below 1.5 times the stacks' bytes (8 (m + n) R). Decoding each adapter
+    to its own f64 arrays before stacking, a third R x n array for the final
+    product, and keeping the f64 factors while rendering took it to 2.3."""
+    files, base = gate_proj_files
+    adapters = extract_adapters(files)
+    out = tmp_path / "out.safetensors"
+    tracemalloc.start()
+    try:
+        write_merged(adapters, MergeConfig(), out, mode, base=load_checkpoint(base) if mode == "fused" else None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        out.unlink(missing_ok=True)
+    stacks = 8 * (11008 + 4096) * 64
+    assert peak < 1.5 * stacks, (peak / stacks, peak)
+
+
 def lowrank_layers(rng):
     return [make_layer(rng, m=20, n=14, rank=r) for r in (2, 4, 3)]
 
@@ -593,7 +630,7 @@ def test_write_merged_key_collision_fails_before_any_merge(tmp_path, rng, monkey
     base = tmp_path / "base.safetensors"
     save_checkpoint({"a.weight": TensorRecord.from_array("a.weight", rng.standard_normal((6, 5)), "f32")}, base)
     merged = []
-    monkeypatch.setattr(merge_module, "merge_layer", lambda layers, config: merged.append(layers[0].layer_key))
+    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: merged.append(key))
     out = tmp_path / "fused.safetensors"
     out.write_bytes(b"occupied")
     with pytest.raises(AlignmentError, match=r"'a'.*'a\.weight'.*'a\.weight'"):

@@ -261,7 +261,7 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
 
 
 def check_output_path(path) -> Path:
-    """path as a Path; an OSError naming it (not a temp file) unless it is no directory, in one."""
+    """path as a Path; if it is a directory or has none, an OSError naming it, not atomic_file's temp file."""
     path = Path(path)
     if path.is_dir() and not path.is_symlink():
         raise IsADirectoryError(f"{path}: is a directory")

@@ -463,7 +463,7 @@ def test_merge_delta_peak_memory_is_bounded(tmp_path, rng):
 
 def _render_block_corpus(tmp_path, rng):
     """2 adapters of 2 layers of 4096 x 2048 at rank 4, and a bf16 base of
-    the same layers; one f32 output tensor is 32 MB, 16x the 2 MB render block."""
+    the same layers; one f32 output tensor is 32 MB, 64x the 512 KB render block."""
     keys, shape = ["layer0", "layer1"], (4096, 2048)
     adapters = []
     for i in range(2):

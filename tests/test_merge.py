@@ -520,9 +520,9 @@ def test_write_merged_peak_memory_at_a_model_shape(gate_proj_files, tmp_path, mo
     """One write_merged of the gate_proj layer holds its two f64 stacks,
     the descent's one more copy of the A stack, and then the f32 copies of
     the merged factors and one render block: its tracemalloc peak stays
-    below 1.5 times the stacks' bytes (8 (m + n) R). Decoding each adapter
-    to its own f64 arrays before stacking, a third R x n array for the final
-    product, and keeping the f64 factors while rendering took it to 2.3."""
+    below 1.5 times the stacks' bytes (8 (m + n) R). Per-adapter f64 decodes
+    kept alive next to the stacks, and f64 factors kept while rendering, took
+    it to 2.3."""
     files, base = gate_proj_files
     adapters = extract_adapters(files)
     out = tmp_path / "out.safetensors"

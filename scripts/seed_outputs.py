@@ -6,7 +6,11 @@ perfbench/corpus.make_corpus under WORK_DIR/<workload>/corpus and runs
 `python -m domerge.cli merge` on it with the workload's flags, as the
 benchmark does. It prints one line per hashed stream: the merged output
 and the merge's stdout summary, and for ortho-dense also the `diagnose`
-report and stdout and `inspect --json` of the first adapter.
+report and stdout and `inspect --json` of the first adapter. After each
+merge's hashes it prints the descent's work from the summary, which is as
+deterministic as the hashes: the total steps and trials over all factor
+groups, and lo_kept, the mean final_lo / initial_lo over the groups that
+start with cross-Gram mass ("-" when there are none), as perfbench reports it.
 
     python scripts/seed_outputs.py /tmp/seed7 > new.txt
     python scripts/seed_outputs.py /tmp/seed7 --src ../parent/src > old.txt
@@ -20,6 +24,7 @@ is removed and rebuilt on each run. Exits 1 when a domerge run fails.
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -37,6 +42,14 @@ SEED = 7
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _descent(summary: bytes) -> str:
+    """'steps S trials T lo_kept K' of a merge's stdout summary, summed over its factor groups."""
+    groups = [g for layer in json.loads(summary)["layers"].values() for g in layer.get("ortho", {}).values()]
+    kept = [g["final_lo"] / g["initial_lo"] for g in groups if g["initial_lo"] > 0]
+    lo_kept = f"{sum(kept) / len(kept):.6f}" if kept else "-"
+    return f"steps {sum(g['steps_taken'] for g in groups)} trials {sum(g['trials'] for g in groups)} lo_kept {lo_kept}"
 
 
 def main() -> int:
@@ -64,6 +77,7 @@ def main() -> int:
         summary = domerge("merge", *inputs, *WORKLOADS[name].args, "--output", output, "--force")
         print(f"{name} merge.output {_sha(output.read_bytes())}")
         print(f"{name} merge.stdout {_sha(summary)}")
+        print(f"{name} merge.descent {_descent(summary)}")
         if name == "ortho-dense":
             report = work / "report.json"
             stdout = domerge("diagnose", "--manifest", corpus.manifest, "--report", report)

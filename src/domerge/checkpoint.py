@@ -10,10 +10,12 @@ Parsing is strict: every declared tensor must land inside the buffer, byte
 ranges must not overlap, and each range must match shape x dtype width.
 Failures raise distinct error types carrying the file byte position.
 
-Loaded records name byte ranges of the open file, read on demand with
-positional reads; no file is mapped. Saving writes the header first and
-then each tensor at its offset, so tensors can be produced and written one
-at a time, or one row block at a time.
+A header longer than the reference reader's limit is refused unread, and
+so is a key that is not text. Loaded records name byte ranges of the open
+file, read on demand with positional reads; no file is mapped. Saving
+writes the header and then each record at its tensor's cursor with
+positional writes, so tensors can be produced and written one at a time,
+or one row block at a time, the blocks of different tensors interleaved.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import stat
 import sys
 import weakref
@@ -38,6 +41,11 @@ _DTYPES = {
     "bf16": ("BF16", 2, "<u2"),
 }
 _WIRE_TO_DTYPE = {wire: name for name, (wire, _, _) in _DTYPES.items()}
+
+# the longest header the reference safetensors reader accepts
+_MAX_HEADER_BYTES = 100_000_000
+# a JSON "\ud800" escape decodes to a lone surrogate: a str no output can encode
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 # a LoRA factor pair is stored under <layer key><suffix>
 LORA_A_SUFFIX = ".lora_A.weight"
@@ -186,11 +194,13 @@ def _encode_bf16(arr: np.ndarray) -> np.ndarray:
 
 def _unique_keys(pairs) -> dict:
     # json keeps the last of repeated keys; a header that names a tensor
-    # twice is ambiguous, so it is rejected instead
+    # twice is ambiguous, so it is rejected instead, as is a key that is not text
     out = {}
     for key, value in pairs:
         if key in out:
-            raise MalformedHeaderError(f"header repeats key {key!r}", 8)
+            raise ValueError(f"repeats key {key!r}")
+        if _SURROGATE.search(key):
+            raise ValueError(f"key {key!r} is not text")
         out[key] = value
     return out
 
@@ -198,7 +208,8 @@ def _unique_keys(pairs) -> dict:
 def load_checkpoint(path) -> dict[str, TensorRecord]:
     """Parse a container file's header into records, header order preserved.
 
-    Only the header is read. Each record names its payload's byte range in
+    Only the header is read, after its declared length is checked against
+    _MAX_HEADER_BYTES and the file size. Each record names its payload's byte range in
     the one open file, which stays readable after its path is replaced or
     unlinked, and is closed once no record refers to it. Reading a record
     past the end of a file cut short since raises TruncatedPayloadError.
@@ -206,12 +217,14 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
     file = _InputFile(path)
     size = os.fstat(file.fd).st_size
     header_len = int.from_bytes(os.pread(file.fd, 8, 0), "little")
+    if header_len > _MAX_HEADER_BYTES:
+        raise MalformedHeaderError(f"{path}: {header_len}-byte header is over the {_MAX_HEADER_BYTES}-byte limit", 0)
     if 8 + header_len > size:
         raise MalformedHeaderError(f"file size {size} is too short for a {header_len}-byte header", 0)
     try:
         header = json.loads(os.pread(file.fd, header_len, 8), object_pairs_hook=_unique_keys)
-    except (ValueError, RecursionError) as e:  # JSONDecodeError, bytes that are not text, or too deep
-        raise MalformedHeaderError(f"{path}: header is not valid JSON: {e}", 8) from e
+    except (ValueError, RecursionError) as e:  # bad JSON or _unique_keys' keys, bytes that are not text, too deep
+        raise MalformedHeaderError(f"{path}: bad header: {e}", 8) from e
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object", 8)
 
@@ -288,26 +301,32 @@ def atomic_file(path, mode: str = "wb"):
         raise
 
 
+def _pwrite(fd: int, data, at: int) -> None:
+    """Write all of data (bytes or a 1-D byte view) to fd at byte position at."""
+    view = memoryview(data)
+    while view:  # one call writes at most about 2 GB
+        done = os.pwrite(fd, view, at)
+        view, at = view[done:], at + done
+
+
 def save_checkpoint(records, path, layout=None) -> None:
     """Serialize tensors deterministically (sorted keys) and atomically.
 
-    records is a key -> TensorRecord map. Given layout, a key -> (dtype,
-    shape) map, records is instead an iterable of (key, TensorRecord) pairs
-    in any order, which is consumed one pair at a time. The header comes
-    from the layout alone and is padded with spaces so the byte buffer
-    starts 8-byte aligned; each record is then written as it arrives. A
-    tensor of one or more dimensions may arrive as consecutive row blocks:
-    records of its dtype and trailing shape whose rows add up to its own. A
-    tensor missing from the layout, repeated, of another dtype or trailing
-    shape, with too many or too few rows, or never produced is a ValueError.
-    On any error path is left as it was. Equal tensors give byte-identical
-    files in either form.
+    records is a key -> TensorRecord map, or given layout, a key -> (dtype,
+    shape) map, an iterable of (key, TensorRecord) pairs consumed one at a
+    time. The header comes from the layout alone, padded with spaces so the
+    byte buffer starts 8-byte aligned. Each record is written as it arrives,
+    at the cursor of its tensor's byte range, so a tensor may arrive as row
+    blocks in row order, interleaved with other tensors' blocks. A key not
+    in the layout, a record of another dtype, rank or trailing shape or past
+    the end of its range, and a range left short (a tensor of no bytes needs
+    no record) are each a ValueError, and path is left as it was on any
+    error. Equal tensors give byte-identical files in either form.
     """
     if layout is None:
         layout = {key: (rec.dtype, rec.shape) for key, rec in records.items()}
         records = records.items()
-    header: dict[str, dict] = {}
-    begin = 0
+    header, cursors, begin = {}, {}, 0  # cursors: key -> [next, end] buffer offsets of its range
     for key in sorted(layout):
         dtype, shape = layout[key]
         if dtype not in _DTYPES:
@@ -318,39 +337,25 @@ def save_checkpoint(records, path, layout=None) -> None:
             "shape": list(shape),
             "data_offsets": [begin, end],
         }
-        begin = end
+        cursors[key], begin = [begin, end], end
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     pad = -(8 + len(body)) % 8
     body += b" " * pad
-    buf_start = 8 + len(body)
-    pending = dict(layout)
-    current, rows_left = None, 0  # the tensor being written and the rows it still needs
     with atomic_file(path) as fh:
-        fh.write(len(body).to_bytes(8, "little"))
-        fh.write(body)
+        _pwrite(fh.fileno(), len(body).to_bytes(8, "little") + body, 0)
         for key, rec in records:
-            if key != current or not rows_left:
-                if rows_left:
-                    raise ValueError(f"{current}: {rows_left} rows were never written")
-                if key not in pending:
-                    raise ValueError(f"{key}: not in the layout, or written twice")
-                dtype, shape = pending.pop(key)
-                current, rows_left = key, shape[0] if shape else 1
-                fh.seek(buf_start + header[key]["data_offsets"][0])
-            rows = rec.shape[0] if rec.shape else 1
-            block = (rec.dtype, len(rec.shape), rec.shape[1:])
-            if block != (dtype, len(shape), tuple(shape[1:])) or rows > rows_left:
-                raise ValueError(
-                    f"{key}: got {rec.dtype} {rec.shape}, layout says {dtype} {tuple(shape)} "
-                    f"with {rows_left} rows left"
-                )
-            fh.write(rec.raw)
-            rows_left -= rows
+            if key not in layout:
+                raise ValueError(f"{key}: not in the layout")
+            (dtype, shape), (at, end) = layout[key], cursors[key]
+            need = math.prod(rec.shape) * _DTYPES[rec.dtype][1]
+            if (rec.dtype, len(rec.shape), rec.shape[1:]) != (dtype, len(shape), tuple(shape[1:])) or at + need > end:
+                raise ValueError(f"{key}: {rec.dtype} {rec.shape} does not fit the rest of {dtype} {tuple(shape)}")
+            _pwrite(fh.fileno(), rec.raw, 8 + len(body) + at)
+            cursors[key][0] = at + need
             del rec  # let the block go before the next one is produced
-        if rows_left:
-            raise ValueError(f"{current}: {rows_left} rows were never written")
-        if pending:
-            raise ValueError(f"tensors {sorted(pending)} were never written")
+        short = sorted(key for key, (at, end) in cursors.items() if at < end)
+        if short:
+            raise ValueError(f"tensors {short} were left short of their bytes: too few rows, or never written")
 
 
 def check_factors(layer_key: str, b_shape, a_shape, scaling: float) -> None:
@@ -514,9 +519,9 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
     """Read an adapter manifest: a JSON list of {path, name?, scaling?}.
 
     path is a non-empty string; relative paths resolve against the
-    manifest's directory. name, when given, is a string no other entry
-    gives (names left out default to file stems, which may repeat), and
-    scaling a positive finite JSON number.
+    manifest's directory. name, when given, is a string of text (no lone
+    surrogate) no other entry gives (names left out default to file stems,
+    which may repeat), and scaling a positive finite JSON number.
     """
     path = Path(path)
     try:
@@ -540,8 +545,8 @@ def load_manifest(path) -> tuple[list[Path], list[str], list[float]]:
                 "it must be a positive, finite number"
             )
         name = entry.get("name", p.stem)
-        if not isinstance(name, str):
-            raise AlignmentError(f"manifest {path}: entry {i} ({p}) has name {name!r}; it must be a string")
+        if not isinstance(name, str) or _SURROGATE.search(name):
+            raise AlignmentError(f"manifest {path}: entry {i} ({p}) has name {name!r}, which is not text")
         if "name" in entry and given.setdefault(name, i) != i:
             raise AlignmentError(f"manifest {path}: entries {given[name]} and {i} are both named {name!r}")
         paths.append(p)

@@ -38,6 +38,7 @@ METHODS = ("do_merging", "task_arithmetic", "average")
 
 _RENDER_BLOCK_BYTES = 512 << 10  # size of the reused f32 output block one row block is rendered into
 _BASE_PIECE_BYTES = 128 << 10  # stored bytes of base rows read and added to a block at a time
+_PRODUCT_COLUMNS = 256  # columns of the A stack one in-place product forms at a time
 
 # Hugging Face PEFT saves adapter keys under this prefix; the base model's keys lack it
 _PEFT_PREFIX = "base_model.model."
@@ -127,6 +128,20 @@ def _unit_magnitudes(gram, right, ranks, mode: str, left=None) -> list[np.ndarra
     return mags
 
 
+def _times(m, a):
+    """a = m @ a in place, for a square m: _PRODUCT_COLUMNS columns at a time
+    and the last block the rest, through one temporary of that block's size.
+    No block is narrower than _PRODUCT_COLUMNS (unless a is), as a narrow one
+    can take another BLAS kernel, with other rounding, than the whole product."""
+    n = a.shape[1]
+    starts = range(0, max(n - _PRODUCT_COLUMNS, 0) + 1, _PRODUCT_COLUMNS)
+    tmp = np.empty((a.shape[0], n - starts[-1]))
+    for i, j in zip(starts, [*starts[1:], n]):
+        block = a[:, i:j]
+        block[...] = np.matmul(m, block, out=tmp[:, : j - i])
+    return a
+
+
 def _merged_factors(stacks, config: MergeConfig):
     """(L, R, ortho stats) of stacks = AdapterSet.stacks' (B, A, s, ranks), merged
     delta L @ R = B K A~ lam: B the B stack as given, K = diag(s) (I + E_B),
@@ -134,8 +149,8 @@ def _merged_factors(stacks, config: MergeConfig):
     coordinates (ortho.gram_descent), A on transposes; row mode scales the
     rows of B K, and then L is that matrix and K = I. Every method ends in
     the scaling by lam K, so the fully ablated method is task_arithmetic
-    bitwise. Passed the only reference to stacks, the call frees A once A~
-    is formed (with no descent, R is A scaled in place)."""
+    bitwise. A~ and then R are formed in the A stack's own buffer (_times),
+    so R is A's array and no second R x n array is made."""
     left, right, s, ranks = stacks
     del stacks
     r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
@@ -146,7 +161,7 @@ def _merged_factors(stacks, config: MergeConfig):
         ie = np.eye(r) + z
         k, gram = s[:, None] * ie, ie.T @ gram @ ie
         z, a_stats = gram_descent(gram_a, ranks, config.ortho)
-        right = (np.eye(r) + z).T @ right
+        right = _times((np.eye(r) + z).T, right)
         stats = {"B": b_stats, "A": a_stats}
     if config.decouple_enabled:
         if config.magnitude_mode == "row":
@@ -157,7 +172,7 @@ def _merged_factors(stacks, config: MergeConfig):
         for i, j, c in zip(bounds, bounds[1:], mags):
             units[i:j] *= np.divide(alpha, c, out=np.zeros_like(c), where=c > 0)
     k = config.resolve_lam(len(ranks)) * k
-    return left, (k @ right if k.ndim == 2 else np.multiply(right, k[:, None], out=right)), stats
+    return left, (_times(k, right) if k.ndim == 2 else np.multiply(right, k[:, None], out=right)), stats
 
 
 def _abs_max(x, axis):

@@ -27,8 +27,10 @@ class OrthoConfig:
 
     step_size: first trial step, scaled by 1 / (sum_j ||W_j||_F^2 + mu) as a
         crude curvature estimate; the step then doubles after each accepted
-        step and halves on each rejected trial, so any value reaches the same
-        budgeted optimum.
+        step and halves on each rejected trial. It still shapes the result:
+        a step whose first gain is below _REL_LOSS_TOL stops the descent
+        there as "converged", and where member norms differ widely the
+        step_cap result, and even the converged one, depend on it (README).
     max_rel_perturbation: hard cap on ||delta_i||_F / ||W_i||_F, enforced by
         projection every step, never just at convergence.
 

@@ -243,6 +243,61 @@ def test_streamed_save_takes_row_blocks(tmp_path, rng):
     assert whole.read_bytes() == streamed.read_bytes()
 
 
+def test_streamed_save_takes_interleaved_row_blocks(tmp_path):
+    # each tensor has its own cursor, so one tensor's blocks need not arrive back to back
+    records = {
+        "a": TensorRecord.from_array("a", np.arange(6.0).reshape(2, 3), "f32"),
+        "b": TensorRecord.from_array("b", np.arange(4.0), "f32"),
+    }
+    a, b = records["a"], records["b"]
+    whole, streamed = tmp_path / "whole.safetensors", tmp_path / "streamed.safetensors"
+    save_checkpoint(records, whole)
+    save_checkpoint([("a", a.rows(0, 1)), ("b", b.rows(0, 3)), ("a", a.rows(1, 2)), ("b", b.rows(3, 4))],
+                    streamed, layout=_layout(records))
+    assert whole.read_bytes() == streamed.read_bytes()
+
+
+_SHAPES = st.lists(st.integers(0, 4), max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tensors=st.lists(st.tuples(_SHAPES, st.sampled_from(["f64", "f32", "f16", "bf16"])), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_interleaved_row_blocks_write_the_map_save(tmp_path_factory, tensors, data):
+    rng = np.random.default_rng(0)
+    records = {
+        f"t{i}": TensorRecord.from_array(f"t{i}", rng.standard_normal(shape), dtype)
+        for i, (shape, dtype) in enumerate(tensors)
+    }
+    blocks = {}  # key -> its row blocks in row order; a 0-d tensor is one block
+    for key, rec in records.items():
+        if not rec.shape:
+            blocks[key] = [rec]
+            continue
+        cuts = sorted(data.draw(st.lists(st.integers(0, rec.shape[0]), max_size=3)))
+        blocks[key] = [rec.rows(i, j) for i, j in zip([0, *cuts], [*cuts, rec.shape[0]])]
+    order = data.draw(st.permutations([key for key in blocks for _ in blocks[key]]))
+    queues = {key: iter(blocks[key]) for key in blocks}
+    stream = [(key, next(queues[key])) for key in order]  # interleaved, each tensor's blocks in row order
+    work = tmp_path_factory.mktemp("stream")
+    whole, streamed = work / "whole.safetensors", work / "streamed.safetensors"
+    save_checkpoint(records, whole)
+    save_checkpoint(iter(stream), streamed, layout=_layout(records))
+    assert whole.read_bytes() == streamed.read_bytes()
+
+    # a block that holds bytes, left out or written twice, is too few or too many rows
+    full = [i for i, (_, rec) in enumerate(stream) if rec.raw]
+    if full:
+        i = data.draw(st.sampled_from(full))
+        streamed.unlink()
+        for bad in (stream[:i] + stream[i + 1 :], stream[: i + 1] + stream[i:]):
+            with pytest.raises(ValueError):
+                save_checkpoint(iter(bad), streamed, layout=_layout(records))
+            assert sorted(p.name for p in work.iterdir()) == ["whole.safetensors"]
+
+
 def test_rows_views_the_same_bytes(tmp_path, rng, monkeypatch):
     path = tmp_path / "r.safetensors"
     save_checkpoint({"w": TensorRecord.from_array("w", rng.standard_normal((6, 4)), "bf16")}, path)
@@ -285,13 +340,12 @@ def _bad_streams(records):
         "block_trailing_shape": [("a", a.rows(0, 1)), ("a", narrow_row), ("b", b)],
         "block_rank": [("a", a.rows(0, 1)), ("a", flat_row), ("b", b)],
         "block_dtype": [("a", a.rows(0, 1)), ("a", f64_row), ("b", b)],
-        "interleaved": [("a", a.rows(0, 1)), ("b", b), ("a", a.rows(1, 2))],
     }
 
 
 _BAD_STREAMS = [
     "missing", "extra", "duplicate", "wrong_shape", "wrong_dtype", "too_many_rows", "too_few_rows",
-    "too_few_rows_last", "block_trailing_shape", "block_rank", "block_dtype", "interleaved",
+    "too_few_rows_last", "block_trailing_shape", "block_rank", "block_dtype",
 ]
 
 
@@ -690,6 +744,35 @@ def test_load_checkpoint_refuses_a_directory(tmp_path):
 def test_parse_errors_are_parse_error_subclasses():
     for cls in (MalformedHeaderError, UnknownDtypeError, OffsetError, TruncatedPayloadError):
         assert issubclass(cls, ParseError)
+
+
+def test_header_over_the_size_limit_is_rejected_before_it_is_read(tmp_path, monkeypatch):
+    # a sparse file whose 8-byte prefix declares a 150 MB header, and is that long
+    path = tmp_path / "big.safetensors"
+    path.write_bytes((150_000_000).to_bytes(8, "little"))
+    os.truncate(path, 8 + 150_000_000)
+    reads, real_pread = [], os.pread
+    monkeypatch.setattr(os, "pread", lambda fd, n, at: reads.append((n, at)) or real_pread(fd, n, at))
+    with pytest.raises(MalformedHeaderError, match="150000000-byte header is over the 100000000-byte limit") as info:
+        load_checkpoint(path)
+    assert info.value.position == 0 and str(path) in str(info.value)
+    assert reads and all(at + n <= 8 for n, at in reads)  # nothing past the prefix
+    path.write_bytes((100_000_000).to_bytes(8, "little"))  # at the limit, the next check speaks
+    with pytest.raises(MalformedHeaderError, match="too short for a 100000000-byte header"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("where", ["tensor", "metadata"])
+def test_header_key_that_is_not_text_rejected(tmp_path, where):
+    # the JSON escape \ud800 decodes to a lone surrogate, which no output can encode
+    entry = '{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
+    header = f'{{"w\\ud800x":{entry}}}' if where == "tensor" else f'{{"__metadata__":{{"\\ud800":"v"}},"w":{entry}}}'
+    path = tmp_path / "odd.safetensors"
+    path.write_bytes(struct.pack("<Q", len(header)) + header.encode() + b"\0" * 4)
+    with pytest.raises(MalformedHeaderError, match=r"key '.*\\ud800.*' is not text") as info:
+        load_checkpoint(path)
+    assert info.value.position == 8 and str(path) in str(info.value)
+    str(info.value).encode()  # the message itself is text
 
 
 def test_duplicate_header_key_rejected(tmp_path):

@@ -1111,6 +1111,34 @@ def test_deeply_nested_json_exit_3_naming_the_file(adapter_files, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, where", [("inspect", "header"), ("merge", "header"), ("diagnose", "header"),
+                       ("merge", "manifest"), ("diagnose", "manifest")],
+)
+def test_names_that_are_not_text_exit_3_before_any_work(adapter_files, tmp_path, capsys, rng, command, where):
+    # the JSON escape \ud800 decodes to a lone surrogate: in a layer key or an
+    # adapter's name it fails at load, not after the output is written
+    if where == "manifest":
+        bad = tmp_path / "m.json"
+        bad.write_text('[{"path": "adapter0.safetensors", "name": "a\\ud800"}, {"path": "adapter1.safetensors"}]')
+        sources = ["--manifest", str(bad)]
+    else:
+        sources = []
+        for i in range(1 if command == "inspect" else 2):
+            sources.append(str(tmp_path / f"odd{i}.safetensors"))
+            save_checkpoint(make_adapter_records(["l\ud800x"], 2, (6, 5), rng), sources[-1])
+        bad = sources[0]
+    out = tmp_path / "out"
+    extra = {"inspect": [], "merge": ["--output", str(out)], "diagnose": ["--report", str(out)]}[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, stdout, err = run(capsys, command, *sources, *extra)
+    assert code == 3 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("domerge: error: ")
+    assert str(bad) in err and "\\ud800" in err and "not text" in err
+    err.encode()  # the message itself is text
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output, no temp file
+
+
 @pytest.mark.parametrize("parent", ["missing", "file"])
 @pytest.mark.parametrize("command", ["merge", "diagnose", "verify"])
 def test_output_in_no_directory_exit_4_before_any_work(

@@ -20,6 +20,7 @@ from domerge.merge import (
     MergeConfig,
     MergedLayer,
     _render_f32,
+    _times,
     _truncated_factors,
     assemble_full_rank,
     merge_layer,
@@ -502,28 +503,52 @@ def test_merge_layer_peak_memory_at_model_shapes(shape, mode):
     assert peak < 1.9 * factors, (peak / factors, peak)
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 700])
+def test_times_forms_the_product_in_the_given_buffer(rng, n):
+    # a's column blocks (256 wide, the last taking the rest) are replaced by
+    # m times them, each entry within the f64 GEMM rounding bound of m @ a
+    m, a = rng.standard_normal((6, 6)), rng.standard_normal((6, n))
+    for factor in (m, m.T):  # C- and F-ordered, as the merge passes both
+        given = a.copy()
+        got = _times(factor, given)
+        assert got is given
+        assert np.all(np.abs(got - factor @ a) <= 6 * np.finfo(np.float64).eps * (np.abs(factor) @ np.abs(a)))
+
+
 @pytest.fixture(scope="module")
-def gate_proj_files(tmp_path_factory):
-    """4 bf16 rank-16 adapters of one 11008 x 4096 layer (a Llama-2-7B
-    gate_proj) and a zero bf16 base of it."""
-    d, rng, m, n = tmp_path_factory.mktemp("gate_proj"), np.random.default_rng(0), 11008, 4096
-    files = []
-    for i in range(4):
-        files.append(d / f"adapter{i}.safetensors")
-        save_checkpoint(make_adapter_records(["l"], 16, (m, n), rng, dtype="bf16"), files[-1])
-    save_checkpoint({"l.weight": TensorRecord("l.weight", "bf16", (m, n), bytes(2 * m * n))}, d / "base.safetensors")
-    return files, d / "base.safetensors"
+def model_layer_files(tmp_path_factory):
+    """(m, n) -> 4 bf16 rank-16 adapters of one m x n layer and a zero bf16
+    base of it, made once per shape: 11008 x 4096 is a Llama-2-7B gate_proj,
+    4096 x 11008 its down_proj."""
+    made = {}
+
+    def files(m, n):
+        if (m, n) not in made:
+            d, rng = tmp_path_factory.mktemp(f"layer{m}x{n}"), np.random.default_rng(0)
+            adapters = [d / f"adapter{i}.safetensors" for i in range(4)]
+            for path in adapters:
+                save_checkpoint(make_adapter_records(["l"], 16, (m, n), rng, dtype="bf16"), path)
+            base = {"l.weight": TensorRecord("l.weight", "bf16", (m, n), bytes(2 * m * n))}
+            save_checkpoint(base, d / "base.safetensors")
+            made[m, n] = adapters, d / "base.safetensors"
+        return made[m, n]
+
+    return files
 
 
-@pytest.mark.parametrize("mode", ["delta", "fused"])
-def test_write_merged_peak_memory_at_a_model_shape(gate_proj_files, tmp_path, mode):
-    """One write_merged of the gate_proj layer holds its two f64 stacks,
-    the descent's one more copy of the A stack, and then the f32 copies of
-    the merged factors and one render block: its tracemalloc peak stays
-    below 1.5 times the stacks' bytes (8 (m + n) R). Per-adapter f64 decodes
-    kept alive next to the stacks, and f64 factors kept while rendering, took
-    it to 2.3."""
-    files, base = gate_proj_files
+@pytest.mark.parametrize(
+    "mode, shape", [("delta", (11008, 4096)), ("fused", (11008, 4096)), ("delta", (4096, 11008))],
+    ids=["delta", "fused", "delta-down_proj"],
+)
+def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, mode, shape):
+    """One write_merged of a gate_proj or down_proj layer holds its two f64
+    stacks, the descent's products formed in the A stack's buffer through
+    an R x 256 temporary, and then the f32 copies of the merged factors and
+    one render block: its tracemalloc peak stays below 1.5 times the stacks'
+    bytes (8 (m + n) R). Per-adapter f64 decodes kept alive next to the
+    stacks, and f64 factors kept while rendering, took gate_proj to 2.3;
+    forming (I + E_A)^T A and lam K A~ as new R x n arrays took down_proj to 1.8."""
+    files, base = model_layer_files(*shape)
     adapters = extract_adapters(files)
     out = tmp_path / "out.safetensors"
     tracemalloc.start()
@@ -533,7 +558,7 @@ def test_write_merged_peak_memory_at_a_model_shape(gate_proj_files, tmp_path, mo
     finally:
         tracemalloc.stop()
         out.unlink(missing_ok=True)
-    stacks = 8 * (11008 + 4096) * 64
+    stacks = 8 * sum(shape) * 64
     assert peak < 1.5 * stacks, (peak / stacks, peak)
 
 

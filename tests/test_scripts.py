@@ -77,6 +77,12 @@ def test_seed_outputs_repeats_its_hashes(tmp_path):
     first, second = _run(tmp_path, *argv), _run(tmp_path, *argv)
     assert first.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [["lowrank-many", "merge.output"], ["lowrank-many", "merge.stdout"]]
-    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) for line in lines)
+    assert [line.split()[:2] for line in lines] == [
+        ["lowrank-many", "merge.output"], ["lowrank-many", "merge.stdout"], ["lowrank-many", "merge.descent"]
+    ]
+    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) for line in lines[:2])
+    # the descent's counts over the 16 layers' 32 factor groups, and its mean share of Lo kept
+    counts = re.fullmatch(r"lowrank-many merge\.descent steps (\d+) trials (\d+) lo_kept (\S+)", lines[2])
+    steps, trials, kept = counts.groups()
+    assert 32 <= int(steps) <= int(trials) <= 32 * 200 * 30 and 0 < float(kept) < 1
     assert second.stdout == first.stdout

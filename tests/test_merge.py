@@ -517,20 +517,16 @@ def test_times_forms_the_product_in_the_given_buffer(rng, n):
 
 @pytest.fixture(scope="module")
 def model_layer_files(tmp_path_factory):
-    """(m, n) -> 4 bf16 rank-16 adapters of one m x n layer and a zero bf16
-    base of it, made once per shape: 11008 x 4096 is a Llama-2-7B gate_proj,
-    4096 x 11008 its down_proj."""
+    """(m, n) -> 4 bf16 rank-16 adapters of one m x n layer, made once per
+    shape: 11008 x 4096 is a Llama-2-7B gate_proj, 4096 x 11008 its down_proj."""
     made = {}
 
     def files(m, n):
         if (m, n) not in made:
             d, rng = tmp_path_factory.mktemp(f"layer{m}x{n}"), np.random.default_rng(0)
-            adapters = [d / f"adapter{i}.safetensors" for i in range(4)]
-            for path in adapters:
+            made[m, n] = [d / f"adapter{i}.safetensors" for i in range(4)]
+            for path in made[m, n]:
                 save_checkpoint(make_adapter_records(["l"], 16, (m, n), rng, dtype="bf16"), path)
-            base = {"l.weight": TensorRecord("l.weight", "bf16", (m, n), bytes(2 * m * n))}
-            save_checkpoint(base, d / "base.safetensors")
-            made[m, n] = adapters, d / "base.safetensors"
         return made[m, n]
 
     return files
@@ -543,17 +539,21 @@ def model_layer_files(tmp_path_factory):
 def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, mode, shape):
     """One write_merged of a gate_proj or down_proj layer holds its two f64
     stacks, the descent's products formed in the A stack's buffer through
-    an R x 256 temporary, and then the f32 copies of the merged factors and
-    one render block: its tracemalloc peak stays below 1.5 times the stacks'
-    bytes (8 (m + n) R). Per-adapter f64 decodes kept alive next to the
-    stacks, and f64 factors kept while rendering, took gate_proj to 2.3;
-    forming (I + E_A)^T A and lam K A~ as new R x n arrays took down_proj to 1.8."""
-    files, base = model_layer_files(*shape)
-    adapters = extract_adapters(files)
+    one small temporary, and then the f32 copies of the merged factors and
+    one render block (fused: plus base pieces, here of a zero bf16 base):
+    its tracemalloc peak stays below 1.5 times the stacks' bytes
+    (8 (m + n) R). Per-adapter f64 decodes kept alive next to the stacks,
+    and f64 factors kept while rendering, took gate_proj to 2.3; forming
+    (I + E_A)^T A and lam K A~ as new R x n arrays took down_proj to 1.8."""
+    adapters, (m, n) = extract_adapters(model_layer_files(*shape)), shape
+    base = None
+    if mode == "fused":
+        save_checkpoint({"l.weight": TensorRecord("l.weight", "bf16", (m, n), bytes(2 * m * n))}, tmp_path / "b")
+        base = load_checkpoint(tmp_path / "b")
     out = tmp_path / "out.safetensors"
     tracemalloc.start()
     try:
-        write_merged(adapters, MergeConfig(), out, mode, base=load_checkpoint(base) if mode == "fused" else None)
+        write_merged(adapters, MergeConfig(), out, mode, base=base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -59,7 +59,7 @@ class CheckpointError(Exception):
 class ParseError(CheckpointError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (byte {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 class MalformedHeaderError(ParseError):
@@ -213,18 +213,26 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
     the one open file, which stays readable after its path is replaced or
     unlinked, and is closed once no record refers to it. Reading a record
     past the end of a file cut short since raises TruncatedPayloadError.
+    Every ParseError's message starts with path.
     """
     file = _InputFile(path)
+    try:
+        return _parse_header(file)
+    except ParseError as e:
+        raise type(e)(f"{path}: {e.message}", e.position) from e.__cause__
+
+
+def _parse_header(file: _InputFile) -> dict[str, TensorRecord]:
     size = os.fstat(file.fd).st_size
     header_len = int.from_bytes(os.pread(file.fd, 8, 0), "little")
     if header_len > _MAX_HEADER_BYTES:
-        raise MalformedHeaderError(f"{path}: {header_len}-byte header is over the {_MAX_HEADER_BYTES}-byte limit", 0)
+        raise MalformedHeaderError(f"{header_len}-byte header is over the {_MAX_HEADER_BYTES}-byte limit", 0)
     if 8 + header_len > size:
         raise MalformedHeaderError(f"file size {size} is too short for a {header_len}-byte header", 0)
     try:
         header = json.loads(os.pread(file.fd, header_len, 8), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:  # bad JSON or _unique_keys' keys, bytes that are not text, too deep
-        raise MalformedHeaderError(f"{path}: bad header: {e}", 8) from e
+        raise MalformedHeaderError(f"bad header: {e}", 8) from e
     if not isinstance(header, dict):
         raise MalformedHeaderError("header must be a JSON object", 8)
 
@@ -284,15 +292,15 @@ def check_output_path(path) -> Path:
 
 
 @contextlib.contextmanager
-def atomic_file(path, mode: str = "wb"):
-    """Yield a sibling temp file opened with mode; it replaces path on a clean
-    exit, and on any error it is removed and path is left as it was. It is
-    created, after check_output_path, with open()'s mode, 0o666 less the umask."""
+def atomic_file(path):
+    """Yield a sibling temp file opened for binary writing (callers encode their own
+    text); it replaces path on a clean exit, and on any error it is removed and path
+    is left as it was. It is created, after check_output_path, with mode 0o666 less the umask."""
     path = check_output_path(path)
     tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, mode) as fh:
+        with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -358,19 +366,20 @@ def save_checkpoint(records, path, layout=None) -> None:
             raise ValueError(f"tensors {short} were left short of their bytes: too few rows, or never written")
 
 
-def check_factors(layer_key: str, b_shape, a_shape, scaling: float) -> None:
-    """Raise AlignmentError unless B and A chain into a LoRA pair of rank at
-    most min of the full shape, with a positive finite scaling."""
+def check_factors(label: str, b_shape, a_shape, scaling: float) -> None:
+    """Raise AlignmentError, its message starting with label, unless B and A
+    chain into a LoRA pair of rank at least 1 and at most min of the full
+    shape (PEFT refuses rank 0), with a positive finite scaling."""
     if len(b_shape) != 2 or len(a_shape) != 2:
-        raise AlignmentError(f"{layer_key}: factors must be 2-D")
+        raise AlignmentError(f"{label}: factors must be 2-D")
     if b_shape[1] != a_shape[0]:
-        raise AlignmentError(f"{layer_key}: inner dimensions differ, B is {b_shape}, A is {a_shape}")
+        raise AlignmentError(f"{label}: inner dimensions differ, B is {b_shape}, A is {a_shape}")
+    if b_shape[1] < 1:
+        raise AlignmentError(f"{label}: rank 0; a LoRA pair has rank at least 1")
     if b_shape[1] > min(b_shape[0], a_shape[1]):
-        raise AlignmentError(
-            f"{layer_key}: rank {b_shape[1]} exceeds min of full shape {(b_shape[0], a_shape[1])}"
-        )
+        raise AlignmentError(f"{label}: rank {b_shape[1]} exceeds min of full shape {(b_shape[0], a_shape[1])}")
     if not 0 < scaling < math.inf:
-        raise AlignmentError(f"{layer_key}: scaling must be positive and finite")
+        raise AlignmentError(f"{label}: scaling must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -484,7 +493,7 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
                 f"{f}: no {LORA_A_SUFFIX!r}/{LORA_B_SUFFIX!r} factor pairs; not a LoRA adapter"
             )
         for key, (b, a) in pairs.items():
-            check_factors(key, b.shape, a.shape, scale)
+            check_factors(f"{f.name}: {key}", b.shape, a.shape, scale)
             if not (np.isfinite(b.values()).all() and np.isfinite(a.values()).all()):
                 raise AlignmentError(f"{f.name}: non-finite values in layer {key!r}")
         adapters.append(pairs)

@@ -7,6 +7,7 @@ every selected suite's property holds, 1 when one is violated, 2 on usage
 errors. Identical invocations with the same seed produce byte-identical
 outputs and reports. The merge draws no random numbers: only verify uses
 --seed, and merge accepts the flag and ignores it, as it does --threads.
+stdout and every file written are UTF-8 with surrogateescape, stderr with backslashreplace.
 """
 
 from __future__ import annotations
@@ -271,6 +272,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     json_mode = bool(getattr(args, "json", False))

@@ -19,10 +19,10 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see a
-    partially written file."""
-    with atomic_file(path, "w") as fh:
-        fh.write(text)
+    """Write text as UTF-8 via a sibling temp file and rename, so readers never see a
+    partially written file; surrogateescape gives back the bytes of undecodable file names."""
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8", "surrogateescape"))
 
 
 def _numpy_to_python(obj):
@@ -65,18 +65,22 @@ def build_report(adapters: AdapterSet) -> DiagnosticsReport:
     adapter) of the task matrices' Frobenius norms. With M = B_i^T B_j and
     P_i = A_i A_i^T, ||W_i^T W_j||_F^2 is the sum of M * (P_i M P_j), so the
     cross-Gram norms come from factor Grams and no m x n product is formed.
+    A value that overflows f64 is a ValueError naming its layer.
     """
     variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
         b, a, s, ranks = adapters.stacks(key)
-        gram_b, gram_a = _grams(b, a, s)
-        variance += float(np.var(_unit_magnitudes(gram_b, a, ranks, "matrix")))
-        own_a = np.where(_owner_mask(ranks), 0.0, gram_a)  # block-diagonal P_i
-        starts = np.cumsum([0, *ranks[:-1]])
-        sq = gram_b * (own_a @ gram_b @ own_a)
-        sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
-        grams[key] = np.sqrt(np.maximum(0.5 * (sq + sq.T), 0.0))
-        stats[key] = [float(np.linalg.norm(c)) for c in _unit_magnitudes(gram_b, a, ranks, "column")]
+        with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked for instead
+            gram_b, gram_a = _grams(key, b, a, s)
+            variance += float(np.var(_unit_magnitudes(key, gram_b, a, ranks, "matrix")))
+            own_a = np.where(_owner_mask(ranks), 0.0, gram_a)  # block-diagonal P_i
+            starts = np.cumsum([0, *ranks[:-1]])
+            sq = gram_b * (own_a @ gram_b @ own_a)
+            sq = np.add.reduceat(np.add.reduceat(sq, starts, axis=0), starts, axis=1)
+            grams[key] = np.sqrt(np.maximum(0.5 * (sq + sq.T), 0.0))
+            stats[key] = [float(np.linalg.norm(c)) for c in _unit_magnitudes(key, gram_b, a, ranks, "column")]
+        if not (np.isfinite(grams[key]).all() and np.isfinite([variance, *stats[key]]).all()):
+            raise ValueError(f"layer {key!r}: its measurements overflow float64")
     return DiagnosticsReport(
         magnitude_variance=variance,
         per_layer_cross_gram=grams,

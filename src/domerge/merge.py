@@ -108,14 +108,20 @@ def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
     return layer.scaling * (layer.B @ layer.A)
 
 
-def _grams(left, right, s):
-    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right."""
-    return (left.T @ left) * np.outer(s, s), right @ right.T
+def _grams(layer_key, left, right, s):
+    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right;
+    a ValueError naming the layer if either overflows f64 (callers ignore
+    numpy's overflow warnings: every overflow is checked for instead)."""
+    grams = (left.T @ left) * np.outer(s, s), right @ right.T
+    if not all(np.isfinite(g).all() for g in grams):
+        raise ValueError(f"layer {layer_key!r}: factor Grams overflow float64")
+    return grams
 
 
-def _unit_magnitudes(gram, right, ranks, mode: str, left=None) -> list[np.ndarray]:
+def _unit_magnitudes(layer_key, gram, right, ranks, mode: str, left=None) -> list[np.ndarray]:
     """decouple()'s magnitudes of each W_i = L_i right_i from the r_i x r_i blocks
-    of gram = L^T L and right right^T (row mode: of L = left), no W_i formed."""
+    of gram = L^T L and right right^T (row mode: of L = left), no W_i formed;
+    a ValueError naming the layer if ||W_i||_F^2 overflows f64."""
     bounds, mags = np.cumsum([0, *ranks]), []
     for i, j in zip(bounds, bounds[1:]):
         a = right[i:j]
@@ -124,6 +130,8 @@ def _unit_magnitudes(gram, right, ranks, mode: str, left=None) -> list[np.ndarra
         else:  # quadratic forms in the columns of A_i, or of L_i^T
             x, q = (left[:, i:j].T, a @ a.T) if mode == "row" else (a, gram[i:j, i:j])
             sq = np.einsum("ij,ij->j", x, q @ x)
+        if not np.isfinite(sq.sum()):  # _floor_degenerate would zero an infinite norm
+            raise ValueError(f"layer {layer_key!r}: the task matrix of adapter {len(mags)} overflows float64")
         mags.append(_floor_degenerate(np.sqrt(np.maximum(sq, 0.0))))
     return mags
 
@@ -142,41 +150,49 @@ def _times(m, a):
     return a
 
 
-def _merged_factors(stacks, config: MergeConfig):
-    """(L, R, ortho stats) of stacks = AdapterSet.stacks' (B, A, s, ranks), merged
+def _merged_factors(layer_key, stacks, config: MergeConfig):
+    """(L, R, ortho stats) of layer_key's stacks = AdapterSet.stacks' (B, A, s, ranks), merged
     delta L @ R = B K A~ lam: B the B stack as given, K = diag(s) (I + E_B),
     A~ = (I + E_A)^T A decoupled in place. Both groups descend in R x R
     coordinates (ortho.gram_descent), A on transposes; row mode scales the
     rows of B K, and then L is that matrix and K = I. Every method ends in
     the scaling by lam K, so the fully ablated method is task_arithmetic
     bitwise. A~ and then R are formed in the A stack's own buffer (_times),
-    so R is A's array and no second R x n array is made."""
+    so R is A's array and no second R x n array is made. Any f64 overflow is
+    a ValueError naming the layer."""
     left, right, s, ranks = stacks
     del stacks
-    r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
-    if config.ortho is not None or config.decouple_enabled:
-        gram, gram_a = _grams(left, right, s)  # gram: of left K
-    if config.ortho is not None:
-        z, b_stats = gram_descent(gram, ranks, config.ortho)
-        ie = np.eye(r) + z
-        k, gram = s[:, None] * ie, ie.T @ gram @ ie
-        z, a_stats = gram_descent(gram_a, ranks, config.ortho)
-        right = _times((np.eye(r) + z).T, right)
-        stats = {"B": b_stats, "A": a_stats}
-    if config.decouple_enabled:
-        if config.magnitude_mode == "row":
-            left, k = (left @ k if k.ndim == 2 else left * k), np.ones(r)
-        mags = _unit_magnitudes(gram, right, ranks, config.magnitude_mode, left)
-        alpha, bounds = sum(mags), np.cumsum([0, *ranks])
-        units = left.T if config.magnitude_mode == "row" else right  # rows of units, scaled in place
-        for i, j, c in zip(bounds, bounds[1:], mags):
-            units[i:j] *= np.divide(alpha, c, out=np.zeros_like(c), where=c > 0)
-    k = config.resolve_lam(len(ranks)) * k
-    return left, (_times(k, right) if k.ndim == 2 else np.multiply(right, k[:, None], out=right)), stats
+    with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked for instead
+        r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
+        if config.ortho is not None or config.decouple_enabled:
+            gram, gram_a = _grams(layer_key, left, right, s)  # gram: of left K
+        if config.ortho is not None:
+            z, b_stats = gram_descent(gram, ranks, config.ortho)
+            ie = np.eye(r) + z
+            k, gram = s[:, None] * ie, ie.T @ gram @ ie
+            z, a_stats = gram_descent(gram_a, ranks, config.ortho)
+            right = _times((np.eye(r) + z).T, right)
+            stats = {"B": b_stats, "A": a_stats}
+            if not all(math.isfinite(st.initial_lo) for st in stats.values()):  # then no descent step was taken
+                raise ValueError(f"layer {layer_key!r}: the cross-Gram mass overflows float64")
+        if config.decouple_enabled:
+            if config.magnitude_mode == "row":
+                left, k = (left @ k if k.ndim == 2 else left * k), np.ones(r)
+            mags = _unit_magnitudes(layer_key, gram, right, ranks, config.magnitude_mode, left)
+            alpha, bounds = sum(mags), np.cumsum([0, *ranks])
+            units = left.T if config.magnitude_mode == "row" else right  # rows of units, scaled in place
+            for i, j, c in zip(bounds, bounds[1:], mags):
+                units[i:j] *= np.divide(alpha, c, out=np.zeros_like(c), where=c > 0)
+        k = config.resolve_lam(len(ranks)) * k
+        right = _times(k, right) if k.ndim == 2 else np.multiply(right, k[:, None], out=right)
+        if not (np.isfinite(_abs_max(left, None)) and np.isfinite(_abs_max(right, None))):  # no m x R temporary
+            raise ValueError(f"layer {layer_key!r}: the merged factors overflow float64")
+    return left, right, stats
 
 
 def _abs_max(x, axis):
-    """The largest |entry| of each row (axis 1) or column (axis 0) of x, 0 if empty."""
+    """The largest |entry| of each row (axis 1) or column (axis 0) of x, or of x (axis None),
+    0 if empty; NaN if x holds one."""
     return np.maximum(x.max(axis=axis, initial=0.0), -x.min(axis=axis, initial=0.0))
 
 
@@ -207,13 +223,18 @@ def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
     """
     _, e = np.frexp(_abs_max(right, 1))
     right = np.ldexp(right, -e[:, None])
-    _, s = np.frexp(np.ldexp(_abs_max(left, 0), e).max(initial=0.0))
+    peaks = _abs_max(left, 0)
+    with np.errstate(over="ignore"):
+        top = np.ldexp(peaks, e).max(initial=0.0)
+    # a term past f64's range takes the exponent from its parts, and B overflows below
+    s = np.frexp(top)[1] if np.isfinite(top) else (np.frexp(peaks)[1] + e).max()
     left = np.ldexp(left, e - s)
     s_l, v_l = _gram_roots(left.T @ left)
     s_r, v_r = _gram_roots(right @ right.T)
     u, sigma, wt = np.linalg.svd((v_l * s_l).T @ (v_r * s_r), full_matrices=False)
     k = min(r, sigma.size)
-    b = np.ldexp(left @ ((v_l / s_l) @ (u[:, :k] * sigma[:k])), s)
+    with np.errstate(over="ignore"):  # B past f64's range is inf, which write_merged refuses
+        b = np.ldexp(left @ ((v_l / s_l) @ (u[:, :k] * sigma[:k])), s)
     a = ((wt[:k] / s_r) @ v_r.T) @ right
     return np.pad(b, ((0, 0), (0, r - k))), np.pad(a, ((0, r - k), (0, 0)))
 
@@ -231,7 +252,8 @@ def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
             raise ValueError(f"layer {layer.layer_key!r}: adapter {i} has non-finite factors")
     ranks, b, a = [layer.rank for layer in layers], [layer.B for layer in layers], [layer.A for layer in layers]
     s = np.repeat([layer.scaling for layer in layers], ranks)
-    return MergedLayer(layers[0].layer_key, *_merged_factors((np.hstack(b), np.vstack(a), s, ranks), config))
+    key = layers[0].layer_key
+    return MergedLayer(key, *_merged_factors(key, (np.hstack(b), np.vstack(a), s, ranks), config))
 
 
 def resolve_base_key(base: dict, layer_key: str) -> str:
@@ -340,8 +362,10 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
     if mode == "lowrank":
         b, a = _truncated_factors(merged.left, merged.right, rank)
         del merged
-        yield keys[0], b.astype(np.float32)
-        yield keys[1], a.astype(np.float32)
+        with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
+            b, a = b.astype(np.float32), a.astype(np.float32)
+        yield keys[0], b
+        yield keys[1], a
     else:
         blocks = _render_f32(merged.left, merged.right, base[keys[0]] if mode == "fused" else None)
         del merged
@@ -386,7 +410,7 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     def records():
         for layer_key in adapters.layer_keys:
-            left, right, ortho = _merged_factors(adapters.stacks(layer_key), config)
+            left, right, ortho = _merged_factors(layer_key, adapters.stacks(layer_key), config)
             stats[layer_key] = {"shape": [left.shape[0], right.shape[1]]}
             if ortho is not None:
                 stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}

@@ -4,11 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from domerge import cli
 from domerge import merge as merge_module
@@ -1162,3 +1165,221 @@ def test_output_in_no_directory_exit_4_before_any_work(
     assert code == 4 and stdout == "" and work == []
     assert err == f"domerge: error: {target}: {target.parent} is not a directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def _decades(lo: int, hi: int):
+    """m 10^e for m in [0.1, 10] and e in -3..3 or lo..hi: ordinary sizes as often as extreme ones."""
+    return st.builds(lambda m, e: m * 10.0**e, st.floats(0.1, 10.0), st.integers(-3, 3) | st.integers(lo, hi))
+
+
+@st.composite
+def _merge_cases(draw):
+    """Adapters of layer "l" (and "k" in some), their manifest scalings and merge flags."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    adapters = []
+    for _ in range(draw(st.integers(1, 3))):
+        rank = draw(st.integers(1, 3) | st.integers(0, 3))
+        dtype, seed = draw(st.sampled_from(["f64", "f32", "f16", "bf16"])), draw(st.integers(0, 2**16))
+        adapters.append((rank, draw(_decades(-300, 300)), dtype, seed, draw(st.booleans()), draw(_decades(-300, 299))))
+    mode = draw(st.sampled_from(["delta", "fused", "lowrank:1", "lowrank:2", "lowrank:3"]))
+    flags = ["--output-mode", mode, "--method", draw(st.sampled_from(merge_module.METHODS))]
+    flags += ["--magnitude-mode", draw(st.sampled_from(["column", "row", "matrix"]))]
+    flags += [flag for flag in ("--no-ortho", "--no-decouple", "--lenient") if draw(st.booleans())]
+    return (m, n), adapters, flags
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(24)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_merge_cases())
+def test_merge_fuzz_exits_cleanly(tmp_path, capsys, case):
+    # any mix of ranks, dtypes, magnitudes, scalings and flags either merges
+    # with nothing on stderr or fails with one error line and no output left
+    (m, n), adapters, flags = case
+    shapes = {"l": (m, n), "k": (n, m)}
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work, manifest = Path(work), []
+        for i, (rank, size, dtype, seed, with_k, scaling) in enumerate(adapters):
+            rng, records = np.random.default_rng(seed), {}
+            for key in ("l", "k") if with_k else ("l",):
+                (rows, cols) = shapes[key]
+                for suffix, shape in (("lora_B", (rows, rank)), ("lora_A", (rank, cols))):
+                    name = f"{key}.{suffix}.weight"
+                    with np.errstate(over="ignore"):  # past a narrow dtype's range is inf, which merge refuses
+                        records[name] = TensorRecord.from_array(name, rng.standard_normal(shape) * size, dtype)
+            save_checkpoint(records, work / f"a{i}.safetensors")
+            manifest.append({"path": f"a{i}.safetensors", "scaling": scaling})
+        (work / "m.json").write_text(json.dumps(manifest))
+        base = {f"{k}.weight": TensorRecord.from_array(f"{k}.weight", np.ones(shapes[k]), "bf16") for k in shapes}
+        save_checkpoint(base, work / "base.safetensors")
+        before = sorted(p.name for p in work.iterdir())
+        out = work / "o.safetensors"
+        argv = ["merge", "--manifest", str(work / "m.json"), "--base", str(work / "base.safetensors"), *flags]
+        code, stdout, err = run(capsys, *argv, "--output", str(out))
+        assert code in (0, 2, 3, 4)
+        if code:
+            assert stdout == "" and err.count("\n") == 1 and err.startswith("domerge: error: "), err
+            assert sorted(p.name for p in work.iterdir()) == before
+        else:
+            assert err == ""
+            assert sorted(p.name for p in work.iterdir()) == sorted([*before, out.name])
+
+
+def _bad_pair(b=(), a=()) -> bytes:
+    """A one-pair adapter file written byte by byte, its factors' header entries updated with b and a."""
+    header = {
+        "l.lora_B.weight": {"dtype": "F32", "shape": [6, 2], "data_offsets": [0, 48], **dict(b)},
+        "l.lora_A.weight": {"dtype": "F32", "shape": [2, 5], "data_offsets": [48, 88], **dict(a)},
+    }
+    blob = json.dumps(header).encode()
+    return len(blob).to_bytes(8, "little") + blob + b"\0" * max(e["data_offsets"][1] for e in header.values())
+
+
+_BAD_FILES = {
+    "too_short": (50).to_bytes(8, "little") + b"{}",
+    "not_an_object": (2).to_bytes(8, "little") + b"[]",
+    "unknown_dtype": _bad_pair(b={"dtype": "I9"}),
+    "bad_shape": _bad_pair(b={"shape": [6, -2]}),
+    "bad_offsets": _bad_pair(b={"data_offsets": [48, 0]}),
+    "overlapping_ranges": _bad_pair(b={"data_offsets": [40, 88]}),
+    "rank_over_shape": _bad_pair(b={"shape": [4, 8], "data_offsets": [0, 128]},
+                                 a={"shape": [8, 4], "data_offsets": [128, 256]}),
+}
+
+
+@pytest.mark.parametrize(
+    "case, role",
+    [(case, "adapter") for case in _BAD_FILES] + [(case, "base") for case in _BAD_FILES if "rank" not in case],
+)
+def test_merge_names_the_bad_input_file(adapter_files, tmp_path, capsys, case, role):
+    # with several inputs, the one error line says which file is at fault
+    bad = tmp_path / "bad.safetensors"
+    bad.write_bytes(_BAD_FILES[case])
+    out = tmp_path / "o.safetensors"
+    inputs = [str(bad)] if role == "adapter" else ["--base", str(bad), "--output-mode", "fused"]
+    code, stdout, err = run(capsys, "merge", str(adapter_files[0]), *inputs, "--output", str(out))
+    assert code == 3 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith("domerge: error: ") and "bad.safetensors" in err, err
+    assert not out.exists()
+
+
+def _rank_zero_pair(path):
+    """An adapter whose one pair is an m x 0 B and a 0 x n A."""
+    records = {
+        "x.lora_B.weight": TensorRecord.from_array("x.lora_B.weight", np.zeros((4, 0))),
+        "x.lora_A.weight": TensorRecord.from_array("x.lora_A.weight", np.zeros((0, 3))),
+    }
+    save_checkpoint(records, path)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["delta", "lowrank:2", "diagnose"])
+def test_rank_zero_pairs_exit_3(tmp_path, capsys, command):
+    # PEFT refuses rank 0; a merge would write zeros, or fail in the SVD
+    inputs = [_rank_zero_pair(tmp_path / f"z{i}.safetensors") for i in range(2)]
+    out = tmp_path / "out"
+    extra = ["--report", str(out)] if command == "diagnose" else ["--output-mode", command, "--output", str(out)]
+    code, stdout, err = run(capsys, "merge" if command != "diagnose" else "diagnose", *inputs, *extra)
+    assert code == 3 and stdout == ""
+    assert err == f"domerge: error: z0.safetensors: x: rank 0; a LoRA pair has rank at least 1\n"
+    assert not out.exists()
+    code, stdout, _ = run(capsys, "inspect", inputs[0])
+    assert code == 0 and stdout.endswith("lora pairs: 1\n  x: rank 0; a LoRA pair has rank at least 1\n")
+    code, stdout, _ = run(capsys, "inspect", inputs[0], "--json")
+    assert code == 0 and json.loads(stdout)["lora_pairs"] == [{"layer": "x", "rank": None, "full_shape": None}]
+
+
+def _scaled_adapters(tmp_path, rng, sizes, scalings):
+    """A manifest of f64 one-layer ("l") adapters: B times sizes[i][0], A times sizes[i][1]."""
+    manifest = []
+    for i, ((b_size, a_size), scaling) in enumerate(zip(sizes, scalings)):
+        records = make_adapter_records(["l"], rank=2, full_shape=(6, 5), rng=rng, dtype="f64")
+        for key, size in (("l.lora_B.weight", b_size), ("l.lora_A.weight", a_size)):
+            records[key] = TensorRecord.from_array(key, records[key].to_array() * size, "f64")
+        save_checkpoint(records, tmp_path / f"a{i}.safetensors")
+        manifest.append({"path": f"a{i}.safetensors", "scaling": scaling})
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    return str(tmp_path / "m.json")
+
+
+_OVERFLOWS = {
+    # the first adapter's scaling squared overflows its B Gram
+    "gram": ([(1, 1), (1, 1)], [1e300, 1.0], [], "factor Grams overflow float64"),
+    "gram_no_ortho": ([(1, 1), (1, 1)], [1e300, 1.0], ["--no-ortho"], "factor Grams overflow float64"),
+    # finite Grams, but ||W||_F^2 = <G_B, G_A> overflows, so its magnitudes would be zeroed
+    "task_matrix": ([(1e104, 1e104)], [1.0], ["--no-ortho"], "the task matrix of adapter 0 overflows float64"),
+    # finite Grams, but Lo = sum of squared cross-Gram entries overflows before the descent
+    "cross_gram": ([(1e80, 1e-80), (1e80, 1e-80)], [1.0, 1.0], [], "the cross-Gram mass overflows float64"),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_OVERFLOWS))
+def test_merge_layer_that_overflows_f64_exits_2_leaving_the_output(tmp_path, capsys, rng, case):
+    sizes, scalings, flags, message = _OVERFLOWS[case]
+    manifest = _scaled_adapters(tmp_path, rng, sizes, scalings)
+    out = tmp_path / "o.safetensors"
+    out.write_bytes(b"occupied")
+    code, stdout, err = run(capsys, "merge", "--manifest", manifest, *flags, "--output", str(out), "--force")
+    assert (code, stdout, err) == (2, "", f"domerge: error: layer 'l': {message}\n")
+    assert out.read_bytes() == b"occupied"
+    inputs = [f"a{i}.safetensors" for i in range(len(sizes))]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["m.json", "o.safetensors", *inputs])  # no temp file
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diagnose_layer_whose_grams_overflow_exits_2_before_writing(tmp_path, capsys, rng):
+    manifest = _scaled_adapters(tmp_path, rng, [(1, 1), (1, 1)], [1e300, 1.0])
+    report = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "diagnose", "--manifest", manifest, "--report", str(report))
+    assert (code, stdout, err) == (2, "", "domerge: error: layer 'l': factor Grams overflow float64\n")
+    assert not report.exists()
+
+
+# an ASCII locale with neither UTF-8 mode nor locale coercion, and UTF-8 mode
+_LOCALES = {"ascii": {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}, "utf8": {"PYTHONUTF8": "1"}}
+
+
+def _domerge(locale, *argv):
+    """Run `python -m domerge.cli` in a child under one of _LOCALES."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    command = [sys.executable, "-m", "domerge.cli", *argv]
+    return subprocess.run(command, env={**env, **_LOCALES[locale]}, capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["inspect", "inspect_json", "merge", "diagnose_json", "diagnose_csv"])
+def test_outputs_are_the_same_utf8_bytes_in_any_locale(tmp_path, rng, command):
+    # layer key "é" and manifest name "Ä" print and write as UTF-8, whatever the locale
+    for i in range(2):
+        save_checkpoint(make_adapter_records(["é"], 2, (6, 5), rng), tmp_path / f"a{i}.safetensors")
+    (tmp_path / "m.json").write_text(json.dumps([{"path": "a0.safetensors", "name": "Ä"}, {"path": "a1.safetensors"}]))
+    outputs, stdouts = {}, {}
+    for locale in _LOCALES:
+        out = tmp_path / f"{locale}.out"
+        argv = {
+            "inspect": ["inspect", tmp_path / "a0.safetensors"],
+            "inspect_json": ["inspect", tmp_path / "a0.safetensors", "--json"],
+            "merge": ["merge", "--manifest", tmp_path / "m.json", "--output", out],
+            "diagnose_json": ["diagnose", "--manifest", tmp_path / "m.json", "--report", out],
+            "diagnose_csv": ["diagnose", "--manifest", tmp_path / "m.json", "--report", out, "--format", "csv"],
+        }[command]
+        done = _domerge(locale, *map(str, argv))
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr
+        stdouts[locale] = done.stdout.replace(str(out).encode(), b"OUT")
+        outputs[locale] = out.read_bytes() if out.exists() else None
+    assert stdouts["ascii"] == stdouts["utf8"] and outputs["ascii"] == outputs["utf8"]
+    assert "é".encode() in stdouts["utf8"] + (outputs["utf8"] or b"")
+    if command in ("merge", "diagnose_json"):
+        assert "Ä".encode() in stdouts["utf8"] + outputs["utf8"]
+
+
+def test_diagnose_writes_an_undecodable_file_name_back_as_its_bytes(adapter_files, tmp_path):
+    odd = tmp_path / os.fsdecode(b"x\xff.safetensors")
+    odd.write_bytes(adapter_files[0].read_bytes())
+    report = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-m", "domerge.cli", "diagnose", str(adapter_files[1]), odd, "--report", str(report)],
+        capture_output=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (0, b""), done.stderr
+    assert b'"adapter_names":["adapter1","x\xff"]' in report.read_bytes()

@@ -625,6 +625,16 @@ def test_truncated_factors_hard_inputs(case):
         assert np.linalg.norm(err / scale) <= 8 * EPS32 if scale else not err.any()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_truncated_factors_term_past_f64_is_an_infinite_b(rng):
+    # the product 1e400 has no f64 factors; B overflows quietly, A stays finite
+    left, right = rng.standard_normal((5, 2)), rng.standard_normal((2, 4))
+    left[:, 0] *= 1e200
+    right[0] *= 1e200
+    b, a = _truncated_factors(left, right, 2)
+    assert not np.isfinite(b).all() and np.isfinite(a).all()
+
+
 def test_lowrank_rank_beyond_shape_rejected():
     layers = lowrank_layers(np.random.default_rng(7))
     out = merge_layer(layers, MergeConfig())

@@ -23,7 +23,6 @@ is removed and rebuilt on each run. Exits 1 when a domerge run fails.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -37,11 +36,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from corpus import make_corpus  # noqa: E402
 from run import SCRUBBED_ENV, WORKLOADS  # noqa: E402
 
+from golden_outputs import sha  # noqa: E402
+
 SEED = 7
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _descent(summary: bytes) -> str:
@@ -75,15 +72,15 @@ def main() -> int:
         inputs = ["--manifest", corpus.manifest, *(["--base", corpus.base] if corpus.base else [])]
         output = work / "merged.safetensors"
         summary = domerge("merge", *inputs, *WORKLOADS[name].args, "--output", output, "--force")
-        print(f"{name} merge.output {_sha(output.read_bytes())}")
-        print(f"{name} merge.stdout {_sha(summary)}")
+        print(f"{name} merge.output {sha(output.read_bytes())}")
+        print(f"{name} merge.stdout {sha(summary)}")
         print(f"{name} merge.descent {_descent(summary)}")
         if name == "ortho-dense":
             report = work / "report.json"
             stdout = domerge("diagnose", "--manifest", corpus.manifest, "--report", report)
-            print(f"{name} diagnose.report {_sha(report.read_bytes())}")
-            print(f"{name} diagnose.stdout {_sha(stdout)}")
-            print(f"{name} inspect.stdout {_sha(domerge('inspect', corpus.adapter_paths[0], '--json'))}")
+            print(f"{name} diagnose.report {sha(report.read_bytes())}")
+            print(f"{name} diagnose.stdout {sha(stdout)}")
+            print(f"{name} inspect.stdout {sha(domerge('inspect', corpus.adapter_paths[0], '--json'))}")
     return 0
 
 

@@ -327,9 +327,10 @@ def save_checkpoint(records, path, layout=None) -> None:
     at the cursor of its tensor's byte range, so a tensor may arrive as row
     blocks in row order, interleaved with other tensors' blocks. A key not
     in the layout, a record of another dtype, rank or trailing shape or past
-    the end of its range, and a range left short (a tensor of no bytes needs
-    no record) are each a ValueError, and path is left as it was on any
-    error. Equal tensors give byte-identical files in either form.
+    the end of its range, a range left short (a tensor of no bytes needs
+    no record), and a tensor keyed "__metadata__" are each a ValueError, and
+    path is left as it was on any error. Equal tensors give byte-identical
+    files in either form.
     """
     if layout is None:
         layout = {key: (rec.dtype, rec.shape) for key, rec in records.items()}
@@ -339,6 +340,8 @@ def save_checkpoint(records, path, layout=None) -> None:
         dtype, shape = layout[key]
         if dtype not in _DTYPES:
             raise ValueError(f"{key}: unsupported dtype {dtype!r}")
+        if key == "__metadata__":  # a reader takes that entry for the header's metadata, not a tensor
+            raise ValueError("no tensor can be saved as '__metadata__': safetensors reserves that key")
         end = begin + math.prod(shape) * _DTYPES[dtype][1]
         header[key] = {
             "dtype": _DTYPES[dtype][0],

@@ -55,10 +55,15 @@ def decouple(w, mode: str = "column") -> Decoupled:
 
     Degenerate units (norm below a relative floor) get magnitude 0 and a zero
     direction slice, so recompose() stays exact instead of dividing by ~0.
+    The split is taken of w 2^-e, its largest |entry| in [0.5, 1), and the
+    magnitudes scaled back by the exact 2^e, so no square overflows f64; a
+    magnitude itself past f64's range is a ValueError.
     """
     w = _as_matrix(w)
     if mode not in MAGNITUDE_MODES:
         raise ValueError(f"unknown magnitude mode {mode!r}")
+    _, e = np.frexp(np.abs(w).max())
+    w = np.ldexp(w, -e)
     if mode == "matrix":
         norms = np.array([np.linalg.norm(w)])
     else:
@@ -67,6 +72,10 @@ def decouple(w, mode: str = "column") -> Decoupled:
     unit_shape = {"column": (1, -1), "row": (-1, 1), "matrix": (1, 1)}[mode]
     keep = (magnitude > 0).reshape(unit_shape)
     direction = np.where(keep, w / np.where(keep, magnitude.reshape(unit_shape), 1.0), 0.0)
+    with np.errstate(over="ignore"):  # checked for below
+        magnitude = np.ldexp(magnitude, e)
+    if not np.isfinite(magnitude).all():
+        raise ValueError(f"a {mode} norm of W overflows float64")
     return Decoupled(magnitude=magnitude, direction=direction, mode=mode)
 
 

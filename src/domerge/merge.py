@@ -18,6 +18,7 @@ any kind, and write_merged streams a whole merge into one checkpoint.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -204,9 +205,11 @@ def _gram_roots(gram):
     return np.sqrt(lam[keep]), vec[:, keep]
 
 
-def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best rank-r factors (B, A) of left @ right, 1 <= r <= min(m, n), singular
-    values folded into B; components past the product's rank are zero.
+def _truncated_factors(left, right, r: int):
+    """Yield the best rank-r f64 factors B, then A, of left @ right, 1 <= r <=
+    min(m, n), singular values folded into B; components past the product's
+    rank are zero. The balanced copies below replace this generator's
+    references to left and right, and left's is dropped once B is formed.
 
     No m x R or n x R basis is formed. Each rank-1 term is first balanced by
     exact powers of two, as in _render_f32 (right's row k by 2^-e_k, left's
@@ -235,8 +238,9 @@ def _truncated_factors(left, right, r: int) -> tuple[np.ndarray, np.ndarray]:
     k = min(r, sigma.size)
     with np.errstate(over="ignore"):  # B past f64's range is inf, which write_merged refuses
         b = np.ldexp(left @ ((v_l / s_l) @ (u[:, :k] * sigma[:k])), s)
-    a = ((wt[:k] / s_r) @ v_r.T) @ right
-    return np.pad(b, ((0, 0), (0, r - k))), np.pad(a, ((0, r - k), (0, 0)))
+    del left
+    yield np.pad(b, ((0, 0), (0, r - k)))
+    yield np.pad(((wt[:k] / s_r) @ v_r.T) @ right, ((0, r - k), (0, 0)))
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
@@ -349,28 +353,24 @@ def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=
     contributes to an output checkpoint, each tensor's blocks in row order.
 
     Keys, shapes and errors are output_shapes'. "delta": the merged delta;
-    "fused": base weights plus the delta; "lowrank": the best rank-`rank`
-    factors, one block each, computed in f64 from two R x R Gram
-    eigendecompositions (_truncated_factors, within its stated bound of the
-    dense truncation) and rounded to f32 once. Delta
-    and fused blocks are _render_f32's f32 products, within its stated bound
-    of the f64 oracle; each views a buffer the next block reuses. merged is
-    dropped before the first block, so given the only reference to it, its
-    f64 factors are freed once their f32 copies or truncations are made.
+    "fused": base weights plus the delta; both are _render_f32's f32 blocks,
+    within its stated bound of the f64 oracle, each viewing a buffer the next
+    block reuses. "lowrank": the best rank-`rank` factors, one block each,
+    _truncated_factors' f64 B and A (within its stated bound of the dense
+    truncation) rounded to f32 once. merged is dropped before the first
+    block, so given the only reference to it, each f64 factor is held once:
+    the block source drops it as it makes its f32 or balanced copy.
     """
     keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
     if mode == "lowrank":
-        b, a = _truncated_factors(merged.left, merged.right, rank)
-        del merged
-        with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
-            b, a = b.astype(np.float32), a.astype(np.float32)
-        yield keys[0], b
-        yield keys[1], a
+        blocks = _truncated_factors(merged.left, merged.right, rank)
     else:
         blocks = _render_f32(merged.left, merged.right, base[keys[0]] if mode == "fused" else None)
-        del merged
-        for block in blocks:
-            yield keys[0], block
+    del merged
+    for key, block in zip(itertools.cycle(keys), blocks):  # lowrank's two keys, or one key's row blocks
+        with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
+            block = block.astype(np.float32, copy=False)
+        yield key, block
 
 
 def _stats_dict(stats: OrthoStats) -> dict:

@@ -198,6 +198,14 @@ def test_saved_buffer_is_8_byte_aligned(tmp_path):
     assert (8 + header_len) % 8 == 0
 
 
+def test_save_refuses_a_tensor_keyed_metadata(tmp_path):
+    # a reader takes a "__metadata__" entry for the header's metadata, so the tensor would be lost
+    rec = TensorRecord.from_array("__metadata__", np.ones((2, 2)), "f32")
+    with pytest.raises(ValueError, match="'__metadata__': safetensors reserves that key"):
+        save_checkpoint({"__metadata__": rec, "x": rec}, tmp_path / "a.safetensors")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_save_leaves_no_temp_files(tmp_path):
     target = tmp_path / "isdir"
     target.mkdir()

@@ -1225,6 +1225,147 @@ def test_merge_fuzz_exits_cleanly(tmp_path, capsys, case):
             assert sorted(p.name for p in work.iterdir()) == sorted([*before, out.name])
 
 
+def _json_text(value) -> str:
+    """JSON text of value, a tuple of (key, value) pairs standing for an object whose keys may repeat."""
+    if isinstance(value, tuple):
+        return "{" + ",".join(f"{json.dumps(k)}:{_json_text(v)}" for k, v in value) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_json_text, value)) + "]"
+    return json.dumps(value)  # a lone surrogate goes out as its \ud800 escape, NaN and inf as NaN and Infinity
+
+
+_KEYS = st.sampled_from(["l.lora_A.weight", "l.lora_B.weight", "__metadata__", "dtype", "shape", "path", "l\ud800"])
+_INTS = st.integers(-3, 100) | st.sampled_from([2**31, 2**53 + 1, 2**63, 2**64, 10**30, -(2**63)])
+_SCALARS = st.none() | st.booleans() | _INTS | st.floats() | _KEYS | st.text(max_size=3)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.lists(st.tuples(_KEYS, inner), max_size=3).map(tuple),
+    max_leaves=6,
+)
+
+
+def _one_in(draw, n: int) -> bool:
+    """True about once in n draws; hypothesis favours a range's ends, so the rare value is its middle."""
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+def _object(draw, fields):
+    """An object of fields' (key, value, wild values) triples: each value kept or
+    drawn from its wild strategy, some fields dropped or repeated, a stray one added."""
+    pairs = []
+    for key, valid, wild in fields:
+        if not _one_in(draw, 40):  # most fields are present, most of them valid
+            pairs.append((key, draw(wild) if _one_in(draw, 10) else valid))
+        if _one_in(draw, 40):
+            pairs.append((key, draw(wild)))
+    if _one_in(draw, 20):
+        pairs.append((draw(_KEYS), draw(_VALUES)))
+    return tuple(pairs)
+
+
+@st.composite
+def _adapter_files(draw):
+    """(layer, safetensors file of its LoRA pair: f32 6 x 2 and 2 x 5 at [0, 48) and [48, 88)), header
+    fields valid or generated, entries repeated or odd, an odd __metadata__ or no object at all, 0-120 data bytes."""
+    layer = draw(st.sampled_from(["l", "__metadata__", "", "é"]))
+    pairs = (("B", [6, 2], [0, 48]), ("A", [2, 5], [48, 88]))
+    entries = [(f"{layer}.lora_{ab}.weight", shape, offsets) for ab, shape, offsets in pairs]
+    header = []
+    for key, shape, offsets in entries:
+        fields = [
+            ("dtype", "F32", st.sampled_from(["F16", "BF16", "F64", "I8", "f32"]) | _VALUES),
+            ("shape", shape, st.lists(st.integers(0, 8) | _INTS, max_size=3) | _VALUES),
+            ("data_offsets", offsets, st.lists(st.integers(0, 120) | _INTS, max_size=3) | _VALUES),
+        ]
+        header += [(key, _object(draw, fields))] * (2 if _one_in(draw, 20) else 1)
+    if _one_in(draw, 4):
+        header.append(("__metadata__", draw(_VALUES)))
+    if _one_in(draw, 8):
+        header.append((draw(_KEYS | st.text(max_size=3)), draw(_VALUES)))
+    text = _json_text(draw(_VALUES) if _one_in(draw, 20) else tuple(header)).encode()
+    data = (np.arange(30) % 7 - 3).astype("<f4").tobytes()[: draw(st.integers(0, 120)) if _one_in(draw, 6) else 88]
+    return layer, len(text).to_bytes(8, "little") + text + data
+
+
+@st.composite
+def _manifests(draw):
+    """Manifest JSON text: a list of entries for good0/good1.safetensors, each field valid or generated."""
+    entries = []
+    for i in range(draw(st.integers(1, 3))):
+        fields = [
+            ("path", f"good{i % 2}.safetensors", st.sampled_from(["missing.safetensors", ".", "", "m.json"]) | _VALUES),
+            ("name", f"n{i}", st.sampled_from(["n0", "", "a\ud800"]) | _VALUES),
+            ("scaling", 1.0, st.floats() | _INTS | st.sampled_from([1e-320, 1e300]) | _VALUES),
+        ]
+        entries.append(_object(draw, fields))
+    return _json_text(draw(_VALUES) if _one_in(draw, 20) else entries)
+
+
+def _check_clean_exit(capsys, work, argv, output=None) -> tuple[int, str]:
+    # exit 0 with nothing on stderr, or 2-4 with one error line; nothing left
+    # in work but, on success, the output
+    before = sorted(p.name for p in work.iterdir())
+    code, stdout, err = run(capsys, *argv)
+    assert code in (0, 2, 3, 4), (code, err)
+    if code:
+        assert err.count("\n") == 1 and err.startswith("domerge: error: "), err
+    else:
+        assert err == ""
+    after = sorted(p.name for p in work.iterdir())
+    assert after == sorted([*before, output] if code == 0 and output else before)
+    return code, stdout
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(25)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_adapter_files())
+def test_header_grammar_fuzz_exits_cleanly(tmp_path, capsys, rng, case):
+    # a generated adapter file, alone in inspect and next to a good one of its layer in merge and diagnose
+    (layer, file) = case
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work = Path(work)
+        save_checkpoint(make_adapter_records([layer], 2, (6, 5), rng), work / "good.safetensors")
+        (work / "x.safetensors").write_bytes(file)
+        _check_clean_exit(capsys, work, ["inspect", str(work / "x.safetensors")])
+        inputs = [str(work / "good.safetensors"), str(work / "x.safetensors")]
+        code, stdout = _check_clean_exit(capsys, work, ["merge", *inputs, "--output", str(work / "o")], "o")
+        if code == 0:  # and the output reads back with each merged layer's tensor
+            assert sorted(load_checkpoint(work / "o")) == sorted(json.loads(stdout)["layers"])
+        _check_clean_exit(capsys, work, ["diagnose", *inputs, "--report", str(work / "r")], "r")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(25)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(manifest=_manifests())
+def test_manifest_grammar_fuzz_exits_cleanly(tmp_path, capsys, rng, manifest):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as work:
+        work = Path(work)
+        for i in range(2):
+            save_checkpoint(make_adapter_records(["l"], 2, (6, 5), rng), work / f"good{i}.safetensors")
+        (work / "m.json").write_text(manifest)
+        source = ["--manifest", str(work / "m.json")]
+        _check_clean_exit(capsys, work, ["merge", *source, "--output", str(work / "o")], "o")
+        _check_clean_exit(capsys, work, ["diagnose", *source, "--report", str(work / "r")], "r")
+
+
+@pytest.mark.parametrize("mode", ["delta", "lowrank:1"])
+def test_layer_named_metadata_exits_2_and_writes_nothing(tmp_path, capsys, rng, mode):
+    # delta output would save layer "__metadata__" under the key a reader skips as the header's metadata
+    save_checkpoint(make_adapter_records(["__metadata__"], 2, (6, 5), rng), tmp_path / "a.safetensors")
+    out = tmp_path / "o.safetensors"
+    code, stdout, err = run(
+        capsys, "merge", str(tmp_path / "a.safetensors"), "--output-mode", mode, "--output", str(out)
+    )
+    if mode == "delta":
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert err == "domerge: error: no tensor can be saved as '__metadata__': safetensors reserves that key\n"
+    else:  # lowrank keys carry the lora suffixes
+        assert code == 0
+        assert sorted(load_checkpoint(out)) == ["__metadata__.lora_A.weight", "__metadata__.lora_B.weight"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["a.safetensors", *([out.name] if code == 0 else [])])
+
+
 def _bad_pair(b=(), a=()) -> bytes:
     """A one-pair adapter file written byte by byte, its factors' header entries updated with b and a."""
     header = {

@@ -1,0 +1,104 @@
+"""Output bits pinned: the sha256 of every output, summary and report of
+scripts/golden_outputs.py's fixed inputs, against tests/golden_outputs.json.
+
+Floating-point bits depend on numpy, its BLAS and the CPU's kernels, so the
+hashes are compared only in the environment the file records. In every
+environment the same outputs are also checked against tests/oracles.py at
+the bounds the code states, and the test prints which checks it ran.
+Regenerate the file after a deliberate change of bits with
+`python scripts/golden_outputs.py`.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from domerge.checkpoint import LORA_A_SUFFIX, LORA_B_SUFFIX, extract_adapters, load_checkpoint, load_manifest
+from domerge.merge import MergeConfig, merge_layer
+
+from oracles import (
+    EPS32,
+    assert_within_render_bound,
+    cross_gram_sum,
+    decoded_group,
+    dense_merge_delta,
+    dense_report,
+    svd_truncate,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import golden_outputs  # noqa: E402
+
+CONFIGS = {  # golden_outputs.MERGES' flags as the MergeConfig the CLI builds
+    "delta": MergeConfig(),
+    "row": MergeConfig(magnitude_mode="row"),
+    "matrix": MergeConfig(magnitude_mode="matrix"),
+    "no_ortho": MergeConfig(ortho=None),
+    "no_decouple": MergeConfig(decouple_enabled=False),
+    "task_arithmetic": MergeConfig(method="task_arithmetic"),
+    "average": MergeConfig(method="average"),
+    "fused": MergeConfig(),
+    "lowrank": MergeConfig(),
+}
+
+
+def check_merge(work: Path, name: str, adapters, base) -> None:
+    """One merge's output and summary against the oracles: its merged delta
+    within 1e-12 relative of dense_merge_delta; each delta or fused tensor
+    within the f32 render bound of the f64 factors; lowrank B A within
+    _truncated_factors' stated 8 eps32 sum_k ||left_k|| ||right_k|| of the
+    dense rank-3 truncation, plus the rounding of B and A to f32; and each
+    descent's starting Lo the dense cross-Gram sum, to 1e-12 relative, and
+    never raised."""
+    config, written = CONFIGS[name], load_checkpoint(work / f"out_{name}.safetensors")
+    summary = json.loads((work / f"out_{name}.json").read_bytes())
+    assert sorted(summary["layers"]) == adapters.layer_keys == sorted(golden_outputs.LAYERS)
+    for key in adapters.layer_keys:
+        layers = decoded_group(adapters, key)
+        merged, want = merge_layer(layers, config), dense_merge_delta(layers, config)
+        assert np.linalg.norm(merged.delta - want) <= 1e-12 * np.linalg.norm(want)
+        if name == "lowrank":
+            b, a = (written[key + suffix].to_array() for suffix in (LORA_B_SUFFIX, LORA_A_SUFFIX))
+            left, right = merged.left, merged.right
+            scale = (np.hypot.reduce(left, axis=0) * np.hypot.reduce(right, axis=1)).sum()
+            err = np.linalg.norm(b @ a - np.matmul(*svd_truncate(merged.delta, 3)))
+            assert err <= 8 * EPS32 * scale + 2 * EPS32 * np.linalg.norm(b) * np.linalg.norm(a)
+        elif name == "fused":
+            values = base[key + ".weight"].to_array()
+            assert_within_render_bound(written[key + ".weight"].to_array(), merged.left, merged.right, values)
+        else:
+            assert_within_render_bound(written[key].to_array(), merged.left, merged.right)
+        groups = summary["layers"][key].get("ortho", {})
+        assert sorted(groups) == ([] if config.ortho is None else ["A", "B"])
+        members = {"B": [layer.scaling * layer.B for layer in layers], "A": [layer.A.T for layer in layers]}
+        for group, stats in groups.items():
+            lo = cross_gram_sum(members[group])
+            assert abs(stats["initial_lo"] - lo) <= 1e-12 * lo
+            assert 0 <= stats["final_lo"] <= stats["initial_lo"] and stats["stop_reason"] == "converged"
+
+
+def test_outputs_match_golden_hashes_or_oracles(tmp_path):
+    golden = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+    hashes = golden_outputs.output_hashes(tmp_path)
+    assert sorted(hashes) == sorted(golden["hashes"])
+    checks = ["oracles"]
+    if golden["environment"] == golden_outputs.environment():
+        changed = sorted(name for name in hashes if hashes[name] != golden["hashes"][name])
+        assert not changed, f"output bits changed: {changed}; see scripts/golden_outputs.py"
+        checks.insert(0, "sha256")
+    else:  # inspect lists no floats, so its bytes are the same everywhere
+        assert all(hashes[n] == golden["hashes"][n] for n in hashes if n.startswith("inspect."))
+    paths, names, scalings = load_manifest(tmp_path / "manifest.json")
+    adapters = extract_adapters(paths, scalings=scalings, names=names)
+    base = load_checkpoint(tmp_path / "base.safetensors")
+    for name in golden_outputs.MERGES:
+        check_merge(tmp_path, name, adapters, base)
+    report = json.loads((tmp_path / "report.json").read_bytes())
+    variance, grams, stats = dense_report(adapters)
+    assert abs(report["magnitude_variance"] - variance) <= 1e-12 * variance
+    for key in adapters.layer_keys:
+        np.testing.assert_allclose(report["per_layer_cross_gram"][key], grams[key], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(report["per_layer_magnitude_stats"][key], stats[key], rtol=1e-12, atol=0)
+    print(f"golden outputs: checked {' and '.join(checks)} ({golden_outputs.environment()})")

@@ -63,6 +63,23 @@ def test_decouple_rejects_unknown_mode():
         Decoupled(magnitude=np.ones(1), direction=np.ones((2, 2)), mode="diagonal")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mode", MAGNITUDE_MODES)
+def test_decouple_norms_whose_squares_overflow(mode):
+    # 1e200 squared is past f64's range; its norms are not, and they are the
+    # exact 2^e multiples of the norms of the scaled-down matrix
+    rng = np.random.default_rng(4)
+    w = rng.standard_normal((5, 3))
+    small, big = decouple(w, mode), decouple(w * 2.0**660, mode)
+    assert np.array_equal(big.magnitude, small.magnitude * 2.0**660)
+    assert np.array_equal(big.direction, small.direction)
+    d = decouple(np.full((3, 3), 1e200), mode)
+    assert np.all(d.magnitude > 1e200) and np.isfinite(d.magnitude).all()
+    assert np.allclose(recompose(d), 1e200, rtol=1e-15, atol=0)
+    with pytest.raises(ValueError, match=f"a {mode} norm of W overflows float64"):
+        decouple(np.full((3, 3), 1.5e308), mode)
+
+
 def test_decouple_rejects_non_finite():
     w = np.ones((2, 2))
     w[0, 0] = np.nan

@@ -533,8 +533,10 @@ def model_layer_files(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "mode, shape", [("delta", (11008, 4096)), ("fused", (11008, 4096)), ("delta", (4096, 11008))],
-    ids=["delta", "fused", "delta-down_proj"],
+    "mode, shape",
+    [("delta", (11008, 4096)), ("fused", (11008, 4096)), ("delta", (4096, 11008)), ("fused", (4096, 11008)),
+     ("lowrank", (11008, 4096)), ("lowrank", (4096, 11008))],
+    ids=["delta", "fused", "delta-down_proj", "fused-down_proj", "lowrank", "lowrank-down_proj"],
 )
 def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, mode, shape):
     """One write_merged of a gate_proj or down_proj layer holds its two f64
@@ -544,7 +546,10 @@ def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, 
     its tracemalloc peak stays below 1.5 times the stacks' bytes
     (8 (m + n) R). Per-adapter f64 decodes kept alive next to the stacks,
     and f64 factors kept while rendering, took gate_proj to 2.3; forming
-    (I + E_A)^T A and lam K A~ as new R x n arrays took down_proj to 1.8."""
+    (I + E_A)^T A and lam K A~ as new R x n arrays took down_proj to 1.8.
+    lowrank:16 holds each merged factor and at most one balanced copy of
+    one of them: below 1.8 times. Keeping both merged factors alive next
+    to both balanced copies took either shape to 2.5."""
     adapters, (m, n) = extract_adapters(model_layer_files(*shape)), shape
     base = None
     if mode == "fused":
@@ -553,13 +558,13 @@ def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, 
     out = tmp_path / "out.safetensors"
     tracemalloc.start()
     try:
-        write_merged(adapters, MergeConfig(), out, mode, base=base)
+        write_merged(adapters, MergeConfig(), out, mode, 16 if mode == "lowrank" else None, base=base)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
         out.unlink(missing_ok=True)
     stacks = 8 * sum(shape) * 64
-    assert peak < 1.5 * stacks, (peak / stacks, peak)
+    assert peak < (1.8 if mode == "lowrank" else 1.5) * stacks, (peak / stacks, peak)
 
 
 def lowrank_layers(rng):

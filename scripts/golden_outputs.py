@@ -5,9 +5,10 @@ make_corpus writes three adapters (f32, bf16 and f16, ranks 4, 2 and 3, by a
 manifest with scalings) over two layers, one of them several render blocks
 long, and a bf16 base. output_hashes runs `domerge.cli.main` on them
 in-process: a merge per entry of MERGES (every output mode, method and
-magnitude mode, --no-ortho and --no-decouple), hashing the output and the
-stdout summary, then `diagnose` (json and csv reports, and stdout) and
-`inspect --json` of the bf16 and f16 adapters. Paths are given relative to
+magnitude mode, --no-ortho and --no-decouple, and a lowrank rank past the
+merge's), hashing the output and the stdout summary, then `diagnose` (json
+and csv reports, and stdout) and `inspect --json` of the bf16 and f16
+adapters. Paths are given relative to
 the work directory, so the summaries do not depend on where it is.
 
 tests/test_golden.py recomputes the hashes and compares them with the file
@@ -53,6 +54,7 @@ MERGES = {  # name -> merge flags after --manifest
     "average": ["--method", "average"],
     "fused": ["--output-mode", "fused", "--base", "base.safetensors"],
     "lowrank": ["--output-mode", "lowrank:3"],
+    "lowrank_padded": ["--output-mode", "lowrank:12"],  # past the merge's rank 9: B and A end in zeros
 }
 
 

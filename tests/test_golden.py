@@ -41,7 +41,9 @@ CONFIGS = {  # golden_outputs.MERGES' flags as the MergeConfig the CLI builds
     "average": MergeConfig(method="average"),
     "fused": MergeConfig(),
     "lowrank": MergeConfig(),
+    "lowrank_padded": MergeConfig(),
 }
+LOWRANK = {"lowrank": 3, "lowrank_padded": 12}  # the lowrank merges' ranks; the merge's is 9
 
 
 def check_merge(work: Path, name: str, adapters, base) -> None:
@@ -49,9 +51,9 @@ def check_merge(work: Path, name: str, adapters, base) -> None:
     within 1e-12 relative of dense_merge_delta; each delta or fused tensor
     within the f32 render bound of the f64 factors; lowrank B A within
     _truncated_factors' stated 8 eps32 sum_k ||left_k|| ||right_k|| of the
-    dense rank-3 truncation, plus the rounding of B and A to f32; and each
-    descent's starting Lo the dense cross-Gram sum, to 1e-12 relative, and
-    never raised."""
+    dense truncation, plus the rounding of B and A to f32, and zero past the
+    merge's rank; and each descent's starting Lo the dense cross-Gram sum, to
+    1e-12 relative, and never raised."""
     config, written = CONFIGS[name], load_checkpoint(work / f"out_{name}.safetensors")
     summary = json.loads((work / f"out_{name}.json").read_bytes())
     assert sorted(summary["layers"]) == adapters.layer_keys == sorted(golden_outputs.LAYERS)
@@ -59,12 +61,13 @@ def check_merge(work: Path, name: str, adapters, base) -> None:
         layers = decoded_group(adapters, key)
         merged, want = merge_layer(layers, config), dense_merge_delta(layers, config)
         assert np.linalg.norm(merged.delta - want) <= 1e-12 * np.linalg.norm(want)
-        if name == "lowrank":
+        if name in LOWRANK:
             b, a = (written[key + suffix].to_array() for suffix in (LORA_B_SUFFIX, LORA_A_SUFFIX))
-            left, right = merged.left, merged.right
+            left, right, r = merged.left, merged.right, merged.left.shape[1]
             scale = (np.hypot.reduce(left, axis=0) * np.hypot.reduce(right, axis=1)).sum()
-            err = np.linalg.norm(b @ a - np.matmul(*svd_truncate(merged.delta, 3)))
+            err = np.linalg.norm(b @ a - np.matmul(*svd_truncate(merged.delta, LOWRANK[name])))
             assert err <= 8 * EPS32 * scale + 2 * EPS32 * np.linalg.norm(b) * np.linalg.norm(a)
+            assert not (b[:, r:].any() or a[r:].any())
         elif name == "fused":
             values = base[key + ".weight"].to_array()
             assert_within_render_bound(written[key + ".weight"].to_array(), merged.left, merged.right, values)

@@ -410,8 +410,8 @@ class AdapterSet:
     """Adapters aligned by layer key, in input order.
 
     Each adapter maps a layer key to its stored (B, A) factor records, whose
-    shapes and values were checked at load; stacks() decodes one layer when it
-    is asked for, so a merge holds only the factors of the layer it merges.
+    shapes and values were checked at load; factors() decodes one layer's A
+    when it is asked for, and a merge reads its B records a piece at a time.
     """
 
     adapters: list[dict[str, tuple[TensorRecord, TensorRecord]]]
@@ -431,22 +431,21 @@ class AdapterSet:
         b, a = self.adapters[0][key]
         return (b.shape[0], a.shape[1])
 
-    def stacks(self, key: str):
-        """(B, A, s, ranks): new f64 stacks B = [B_1 ... B_n] and A = [A_1; ...; A_n], each
-        adapter's stored numbers read into its slice; s each unit's scaling; B diag(s) A = sum_i W_i."""
-        pairs, (m, n) = [adapter[key] for adapter in self.adapters], self.full_shape(key)
+    def factors(self, key: str):
+        """(B, A, s, ranks): B the adapters' stored B records [B_1 ... B_n], which merge reads in row
+        pieces; A = [A_1; ...; A_n] a new f64 stack of each adapter's stored numbers; s each unit's
+        scaling; B diag(s) A = sum_i W_i."""
+        pairs, n = [adapter[key] for adapter in self.adapters], self.full_shape(key)[1]
         ranks = [b.shape[1] for b, _ in pairs]
-        bounds = np.cumsum([0, *ranks])
-        left, right = np.empty((m, bounds[-1])), np.empty((bounds[-1], n))
-        for (b, a), i, j in zip(pairs, bounds, bounds[1:]):
-            left[:, i:j], right[i:j] = b.values(), a.values()
-        return left, right, np.repeat(self.scalings, ranks), ranks
+        bounds, right = np.cumsum([0, *ranks]), np.empty((sum(ranks), n))
+        for (_, a), i, j in zip(pairs, bounds, bounds[1:]):
+            right[i:j] = a.values()
+        return [b for b, _ in pairs], right, np.repeat(self.scalings, ranks), ranks
 
     def group(self, key: str) -> list[LoraLayer]:
-        """The layer in every adapter, its factors views of slices of stacks(key)."""
-        b, a, _, ranks = self.stacks(key)
-        bounds = np.cumsum([0, *ranks])
-        return [LoraLayer(key, b[:, i : i + r], a[i : i + r], r, s) for i, r, s in zip(bounds, ranks, self.scalings)]
+        """The layer in every adapter, each factor decoded to a new f64 array."""
+        pairs = [adapter[key] for adapter in self.adapters]
+        return [LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], s) for (b, a), s in zip(pairs, self.scalings)]
 
 
 def lora_pairs(records) -> tuple[dict[str, tuple[TensorRecord, TensorRecord]], list[str]]:

@@ -7,13 +7,13 @@ merges the two separately: delta = lam * (sum_i alpha_i) applied to
 baselines, and both stages can be disabled independently; with both off
 the main method is exactly the task-arithmetic code path.
 
-Every method works on a layer's decoded stacks B = [B_1 ... B_n] (m x R)
-and A = [A_1; ...; A_n] (R x n), R = sum_i rank_i: descent, decoupling and
-unit norms are R x R algebra on their Grams, whatever the layer's shape, and
-the merged delta is B (in row mode another m x R matrix) times one R x n
-factor. write_merged streams a whole merge into one checkpoint, rendering
-each layer's two factors per output mode as the f32 row blocks that are
-written, with no m x n array of any kind.
+Every method works on a layer's stored B records [B_1 ... B_n] (m x R) and decoded A
+stack [A_1; ...; A_n] (R x n), R = sum_i rank_i: descent, decoupling and unit norms are
+R x R algebra on their Grams, and the merged delta is B (in row mode another m x R matrix)
+times one R x n factor. Every consumer of that left factor reads it through one reader,
+_pieces, a row piece of at most one render block at a time, so outside row mode a layer
+holds O(R n + R^2) plus one piece and one block, whatever m is. write_merged streams a
+whole merge into one checkpoint as f32 row blocks.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ from .ortho import OrthoConfig, OrthoStats, gram_descent
 
 METHODS = ("do_merging", "task_arithmetic", "average")
 
-_RENDER_BLOCK_BYTES = 512 << 10  # size of the reused f32 output block one row block is rendered into
-_BASE_PIECE_BYTES = 128 << 10  # stored bytes of base rows read and added to a block at a time
+_RENDER_BLOCK_BYTES = 512 << 10  # bytes of the reused f32 output block, and at most of one f64 piece of left
+_BASE_PIECE_BYTES = 128 << 10  # stored bytes of base rows read, and f64 bytes of left decoded, at a time
 _PRODUCT_COLUMNS = 256  # columns of the A stack one in-place product forms at a time
+_MIN_EXP = -1100  # below the exponent of any nonzero f64: a zero column's in _gram_pass
 
 # Hugging Face PEFT saves adapter keys under this prefix; the base model's keys lack it
 _PEFT_PREFIX = "base_model.model."
@@ -109,11 +110,41 @@ def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
     return layer.scaling * (layer.B @ layer.A)
 
 
-def _grams(layer_key, left, right, s):
-    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right;
-    a ValueError naming the layer if either overflows f64 (callers ignore
+def _pieces(left, rows: int):
+    """Yield (i, rows [i, i + rows) of left) for i = 0, rows, ...: left is m-row TensorRecords side
+    by side (B's, or one f64 record of an array), each piece decoded exactly to f64 into one
+    reused buffer the consumer may overwrite, valid until the next is asked for; m = 0 yields one."""
+    m, bounds = left[0].shape[0], np.cumsum([0, *(rec.shape[1] for rec in left)])
+    buf = np.empty((min(rows, m), bounds[-1]))
+    for i in range(0, max(m, 1), rows):
+        piece = buf[: min(rows, m - i)]
+        for rec, j, k in zip(left, bounds, bounds[1:]):
+            piece[:, j:k] = rec.rows(i, i + len(piece)).values()
+        yield i, piece
+
+
+def _gram_pass(left):
+    """(G, c) of left in one pass of _pieces: c the exponents of its column peaks (_MIN_EXP for a
+    zero column), G the Gram of left 2^-c, so no entry overflows. Pieces and sum are rescaled by powers
+    of two as the peaks rise, so in f64's normal range G has the bits of left's piece-summed Gram."""
+    r = sum(rec.shape[1] for rec in left)
+    gram, c = np.zeros((r, r)), np.full(r, _MIN_EXP)
+    for _, piece in _pieces(left, max(1, _RENDER_BLOCK_BYTES // (8 * r))):
+        peaks = _abs_max(piece, 0)
+        rise = np.maximum(np.where(peaks > 0, np.frexp(peaks)[1], _MIN_EXP) - c, 0)
+        if rise.any():
+            c += rise
+            np.ldexp(gram, -(rise[:, None] + rise), out=gram)
+        gram += np.ldexp(piece, -c, out=piece).T @ piece
+    return gram, c
+
+
+def _grams(layer_key, left_gram, right, s):
+    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right, left_gram
+    = _gram_pass(left); a ValueError naming the layer if either overflows f64 (callers ignore
     numpy's overflow warnings: every overflow is checked for instead)."""
-    grams = (left.T @ left) * np.outer(s, s), right @ right.T
+    gram, c = left_gram
+    grams = np.ldexp(gram, c[:, None] + c) * np.outer(s, s), right @ right.T
     if not all(np.isfinite(g).all() for g in grams):
         raise ValueError(f"layer {layer_key!r}: factor Grams overflow float64")
     return grams
@@ -138,35 +169,35 @@ def _unit_magnitudes(layer_key, gram, right, ranks, mode: str, left=None) -> lis
 
 
 def _times(m, a):
-    """a = m @ a in place, for a square m: _PRODUCT_COLUMNS columns at a time
-    and the last block the rest, through one temporary of that block's size.
-    No block is narrower than _PRODUCT_COLUMNS (unless a is), as a narrow one
-    can take another BLAS kernel, with other rounding, than the whole product."""
-    n = a.shape[1]
+    """a[:k] = m @ a in place for m of k <= len(a) rows, returning a: _PRODUCT_COLUMNS
+    columns at a time and the last block the rest, through one temporary of that
+    block's size. No block is narrower than _PRODUCT_COLUMNS (unless a is), as a
+    narrow one can take another BLAS kernel, with other rounding, than the whole product."""
+    n, k = a.shape[1], m.shape[0]
     starts = range(0, max(n - _PRODUCT_COLUMNS, 0) + 1, _PRODUCT_COLUMNS)
-    tmp = np.empty((a.shape[0], n - starts[-1]))
+    tmp = np.empty((k, n - starts[-1]))
     for i, j in zip(starts, [*starts[1:], n]):
-        block = a[:, i:j]
-        block[...] = np.matmul(m, block, out=tmp[:, : j - i])
+        a[:k, i:j] = np.matmul(m, a[:, i:j], out=tmp[:, : j - i])
     return a
 
 
-def _merged_factors(layer_key, stacks, config: MergeConfig):
-    """(L, R, ortho stats) of layer_key's stacks = AdapterSet.stacks' (B, A, s, ranks), merged
-    delta L @ R = B K A~ lam: B the B stack as given, K = diag(s) (I + E_B),
-    A~ = (I + E_A)^T A decoupled in place. Both groups descend in R x R
-    coordinates (ortho.gram_descent), A on transposes; row mode scales the
-    rows of B K, and then L is that matrix and K = I. Every method ends in
-    the scaling by lam K, so the fully ablated method is task_arithmetic
-    bitwise. A~ and then R are formed in the A stack's own buffer (_times),
-    so R is A's array and no second R x n array is made. Any f64 overflow is
-    a ValueError naming the layer."""
-    left, right, s, ranks = stacks
-    del stacks
+def _merged_factors(layer_key, factors, config: MergeConfig):
+    """(L, R, ortho stats, _gram_pass(L) or None) of layer_key's factors = AdapterSet.factors'
+    (B, A, s, ranks), merged delta L @ R = B K A~ lam: L the B records, read
+    by one Gram pass, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in
+    place. Both groups descend in R x R coordinates (ortho.gram_descent), A
+    on transposes; row mode scales the rows of a new B K, and then L is one
+    f64 record of it and K = I. Every method ends in the scaling by lam K, so
+    the fully ablated method is task_arithmetic bitwise. A~ and then R are
+    formed in the A stack's own buffer (_times). Any f64 overflow is a
+    ValueError naming the layer."""
+    left, right, s, ranks = factors
+    del factors
     with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked for instead
-        r, k, stats = right.shape[0], s, None  # k: K, or its diagonal
+        r, k, stats, left_gram, rows = right.shape[0], s, None, None, None  # k: K, or its diagonal
         if config.ortho is not None or config.decouple_enabled:
-            gram, gram_a = _grams(layer_key, left, right, s)  # gram: of left K
+            left_gram = _gram_pass(left)
+            gram, gram_a = _grams(layer_key, left_gram, right, s)  # gram: of left K
         if config.ortho is not None:
             z, b_stats = gram_descent(gram, ranks, config.ortho)
             ie = np.eye(r) + z
@@ -178,17 +209,21 @@ def _merged_factors(layer_key, stacks, config: MergeConfig):
                 raise ValueError(f"layer {layer_key!r}: the cross-Gram mass overflows float64")
         if config.decouple_enabled:
             if config.magnitude_mode == "row":
-                left, k = (left @ k if k.ndim == 2 else left * k), np.ones(r)
-            mags = _unit_magnitudes(layer_key, gram, right, ranks, config.magnitude_mode, left)
+                rows = np.empty((left[0].shape[0], r))
+                for i, piece in _pieces(left, max(1, _RENDER_BLOCK_BYTES // (8 * r))):
+                    (np.matmul if k.ndim == 2 else np.multiply)(piece, k, out=rows[i : i + len(piece)])
+                left, k, left_gram = [TensorRecord.from_array(layer_key, rows, "f64")], np.ones(r), None
+            mags = _unit_magnitudes(layer_key, gram, right, ranks, config.magnitude_mode, rows)
             alpha, bounds = sum(mags), np.cumsum([0, *ranks])
-            units = left.T if config.magnitude_mode == "row" else right  # rows of units, scaled in place
+            units = right if rows is None else rows.T  # rows of units, scaled in place
             for i, j, c in zip(bounds, bounds[1:], mags):
                 units[i:j] *= np.divide(alpha, c, out=np.zeros_like(c), where=c > 0)
         k = config.resolve_lam(len(ranks)) * k
         right = _times(k, right) if k.ndim == 2 else np.multiply(right, k[:, None], out=right)
-        if not (np.isfinite(_abs_max(left, None)) and np.isfinite(_abs_max(right, None))):  # no m x R temporary
+        # B itself was checked finite at load, and no m x R temporary is made
+        if not (np.isfinite(_abs_max(right, None)) and (rows is None or np.isfinite(_abs_max(rows, None)))):
             raise ValueError(f"layer {layer_key!r}: the merged factors overflow float64")
-    return left, right, stats
+    return left, right, stats, left_gram
 
 
 def _abs_max(x, axis):
@@ -205,42 +240,42 @@ def _gram_roots(gram):
     return np.sqrt(lam[keep]), vec[:, keep]
 
 
-def _truncated_factors(left, right, r: int):
-    """The best rank-r f64 factors (B, A) of left @ right, 1 <= r <= min(m, n),
-    singular values folded into B; components past the product's rank are
-    zero. left and right are balanced in place, so the caller hands over
-    its factors and must not use them again.
+def _truncated_factors(left, right, r: int, left_gram=None):
+    """Yield the best rank-r f64 factors of left @ right, 1 <= r <= min(m, n), singular
+    values folded into B: A (r x n), formed in right's buffer (handed over), then B's
+    rows, a block per piece of left, valid until the next; components past the
+    product's rank are zero. left_gram is _gram_pass(left), or None to make it here.
 
-    No m x R or n x R basis is formed. Each rank-1 term is first balanced by
-    exact powers of two, as in _render_f32 (right's row k by 2^-e_k, left's
-    column k by 2^e_k), then left as a whole by 2^-s so its largest |entry|
-    is below 1. With L^T L = V_l S_l^2 V_l^T, R R^T = V_r S_r^2 V_r^T
-    (_gram_roots) and the SVD U Sigma W^T of the core (V_l S_l)^T (V_r S_r),
-    B = L V_l S_l^-1 U_r Sigma_r 2^s and A = W_r^T S_r^-1 V_r^T R.
+    No m x R or n x R basis is formed. Each rank-1 term is first balanced by exact powers
+    of two, as in _render_f32 (right's row k by 2^-e_k, left's column k by 2^e_k), then
+    left as a whole by 2^-s so its largest |entry| is below 1. With L^T L = V_l S_l^2 V_l^T
+    (left_gram's, rescaled), R R^T = V_r S_r^2 V_r^T (_gram_roots) and the SVD U Sigma W^T
+    of the core (V_l S_l)^T (V_r S_r), B = L V_l S_l^-1 U_r Sigma_r 2^s, A = W_r^T S_r^-1 V_r^T R.
 
-    Gram eigenvalues at or below R eps64 lambda_max are dropped, so at
-    r >= rank(left @ right) the product is exact but for those components;
-    tests/ checks ||B A - T_r||_F <= 8 eps32 sum_k ||left[:, k]|| ||right[k]||
-    against the dense f64 truncation T_r on ill-scaled, ill-conditioned and
-    rank-deficient stacks.
+    Gram eigenvalues at or below R eps64 lambda_max are dropped, so at r >= rank(left @ right)
+    the product is exact but for those components; tests/ checks ||B A - T_r||_F <= 8 eps32
+    sum_k ||left[:, k]|| ||right[k]|| against the dense f64 truncation T_r on ill-scaled,
+    ill-conditioned and rank-deficient stacks.
     """
+    gram, c = _gram_pass(left) if left_gram is None else left_gram
     _, e = np.frexp(_abs_max(right, 1))
     np.ldexp(right, -e[:, None], out=right)
-    peaks = _abs_max(left, 0)
-    with np.errstate(over="ignore"):
-        top = np.ldexp(peaks, e).max(initial=0.0)
-    # a term past f64's range takes the exponent from its parts, and B overflows below
-    s = np.frexp(top)[1] if np.isfinite(top) else (np.frexp(peaks)[1] + e).max()
-    np.ldexp(left, e - s, out=left)
-    s_l, v_l = _gram_roots(left.T @ left)
+    s = (c + e).max()  # the exponent of left 2^e's largest |entry|; a term past f64's range overflows B below
+    d = c + e - s  # balances left 2^-c
+    s_l, v_l = _gram_roots(np.ldexp(gram, d[:, None] + d))
     s_r, v_r = _gram_roots(right @ right.T)
     u, sigma, wt = np.linalg.svd((v_l * s_l).T @ (v_r * s_r), full_matrices=False)
-    k = min(r, sigma.size)
-    b, a = np.zeros((left.shape[0], r)), np.zeros((r, right.shape[1]))
-    with np.errstate(over="ignore"):  # B past f64's range is inf, which write_merged refuses
-        np.ldexp(np.matmul(left, (v_l / s_l) @ (u[:, :k] * sigma[:k]), out=b[:, :k]), s, out=b[:, :k])
-    np.matmul((wt[:k] / s_r) @ v_r.T, right, out=a[:k])
-    return b, a
+    k, n = min(r, sigma.size), right.shape[1]
+    a = _times((wt[:k] / s_r) @ v_r.T, right)[:k]
+    yield a if k == r else np.concatenate([a, np.zeros((r - k, n))])
+    del a, right
+    to_b, rows = (v_l / s_l) @ (u[:, :k] * sigma[:k]), max(1, _RENDER_BLOCK_BYTES // (8 * max(len(c), r)))
+    b = np.zeros((min(rows, left[0].shape[0]), r))
+    for _, piece in _pieces(left, rows):
+        block = b[: len(piece)]
+        with np.errstate(over="ignore"):  # B past f64's range is inf, which write_merged refuses
+            np.ldexp(np.matmul(np.ldexp(piece, e - s, out=piece), to_b, out=block[:, :k]), s, out=block[:, :k])
+        yield block
 
 
 def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
@@ -254,10 +289,11 @@ def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
     for i, layer in enumerate(layers):
         if not (np.isfinite(layer.B).all() and np.isfinite(layer.A).all()):
             raise ValueError(f"layer {layer.layer_key!r}: adapter {i} has non-finite factors")
-    ranks, b, a = [layer.rank for layer in layers], [layer.B for layer in layers], [layer.A for layer in layers]
-    s = np.repeat([layer.scaling for layer in layers], ranks)
-    key = layers[0].layer_key
-    return MergedLayer(key, *_merged_factors(key, (np.hstack(b), np.vstack(a), s, ranks), config))
+    key, ranks = layers[0].layer_key, [layer.rank for layer in layers]
+    b = [TensorRecord.from_array(key, layer.B, "f64") for layer in layers]
+    a, s = np.vstack([layer.A for layer in layers]), np.repeat([layer.scaling for layer in layers], ranks)
+    left, right, stats, _ = _merged_factors(key, (b, a, s, ranks), config)
+    return MergedLayer(key, np.hstack([rec.values() for rec in left]), right, stats)
 
 
 def resolve_base_key(base: dict, layer_key: str) -> str:
@@ -279,15 +315,16 @@ def _render_f32(left, right, base=None):
     formed in f32.
 
     Each rank-1 term is rescaled by an exact power of two: right's row k by
-    2^-e_k, e_k the exponent of the row's largest |entry|, and left's column
-    k by 2^e_k, into f32 copies made once (right's first), each dropping this
-    generator's reference to its f64 factor. One f32 GEMM writes each row
-    block into the reused output buffer of about _RENDER_BLOCK_BYTES, which is
-    yielded: it is valid until the next block is asked for. The same rows of base (an
-    m x n TensorRecord) are read and added in pieces of at most
-    _BASE_PIECE_BYTES stored bytes, through one reused buffer (and one to
-    widen bf16). No m x n array exists. Overflow is silent: the block is
-    non-finite. No rows is one empty block.
+    2^-e_k, e_k the exponent of the row's largest |entry|, into an f32 copy
+    made once, dropping this generator's reference to the f64 right, and
+    left's column k by 2^e_k, from each f64 piece of left (whole blocks' rows in
+    about _BASE_PIECE_BYTES) into a reused f32 buffer. One f32 GEMM writes each
+    block into the reused output buffer of at most _RENDER_BLOCK_BYTES, which
+    is yielded: it is valid until the next block is asked for. The same rows of base (an m x n
+    TensorRecord) are read and added in pieces of at most _BASE_PIECE_BYTES
+    stored bytes, through one reused buffer (and one to widen bf16). No
+    m x n array exists. Overflow is silent: the block is non-finite. No rows
+    is one empty block.
 
     In f32's normal range the rescale changes no bit of the f32 product, and
     an entry of left overflows f32 only where its term of the product does,
@@ -298,27 +335,29 @@ def _render_f32(left, right, base=None):
     leaves f32's range renders non-finite (and the CLI exits 2), even if
     those terms would cancel in the sum.
     """
-    m, n = left.shape[0], right.shape[1]
-    rows = max(1, _RENDER_BLOCK_BYTES // (4 * max(n, 1)))
+    m, (r, n) = left[0].shape[0], right.shape
+    rows = max(1, _RENDER_BLOCK_BYTES // (4 * max(n, 2 * r)))  # a block's rows of left are at most a block of f64
+    step = rows * max(1, _BASE_PIECE_BYTES // (8 * r * rows))  # a piece of left: whole blocks' rows
     _, exp = np.frexp(_abs_max(right, 1))
     right = np.ldexp(right, -exp[:, None], out=np.empty(right.shape, np.float32))
-    with np.errstate(over="ignore"):
-        left = np.ldexp(left, exp, out=np.empty(left.shape, np.float32))
-    out = np.empty((min(rows, m), n), dtype=np.float32)
+    lhs, out = np.empty((min(step, m), r), np.float32), np.empty((min(rows, m), n), np.float32)
     if base is not None:
         piece = min(rows, max(1, _BASE_PIECE_BYTES // (base.storage.itemsize * max(n, 1))))
         stored = np.empty((min(piece, m), n), dtype=base.storage)
         wide = np.empty(stored.shape, dtype=np.uint32) if base.dtype == "bf16" else None
-    for i in range(0, max(m, 1), rows):
-        k = min(rows, m - i)
+    for start, rows_i in _pieces(left, step):
         with np.errstate(over="ignore", invalid="ignore"):
-            block = np.matmul(left[i : i + k], right, out=out[:k])
-            if base is not None:
-                for j in range(0, k, piece):
-                    p = min(piece, k - j)
-                    part = base.rows(i + j, i + j + p)
-                    block[j : j + p] += part.values(stored[:p], None if wide is None else wide[:p])
-        yield block
+            np.ldexp(rows_i, exp, out=lhs[: len(rows_i)])
+        for i in range(start, start + max(len(rows_i), 1), rows):  # no rows is one empty block
+            k = min(rows, m - i)
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = np.matmul(lhs[i - start : i - start + k], right, out=out[:k])
+                if base is not None:
+                    for j in range(0, k, piece):
+                        p = min(piece, k - j)
+                        part = base.rows(i + j, i + j + p)
+                        block[j : j + p] += part.values(stored[:p], None if wide is None else wide[:p])
+            yield block
 
 
 def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, base=None) -> dict:
@@ -327,7 +366,7 @@ def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, bas
 
     "delta": the bare layer key. "fused": the base's key for the layer, whose
     record must have the layer's shape; base is a load_checkpoint record map.
-    "lowrank": a lora_B / lora_A weight pair of rank `rank`, 1 <= rank <=
+    "lowrank": a lora_A / lora_B weight pair of rank `rank`, 1 <= rank <=
     min(shape). Nothing is merged, so a writer can lay out the file, and
     reject a bad base or rank, before the first layer is merged.
     """
@@ -344,11 +383,11 @@ def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, bas
     if mode == "lowrank":
         if rank is None or not 1 <= rank <= min(m, n):
             raise ValueError(f"rank {rank} out of range for shape {(m, n)}")
-        return {layer_key + LORA_B_SUFFIX: (m, rank), layer_key + LORA_A_SUFFIX: (rank, n)}
+        return {layer_key + LORA_A_SUFFIX: (rank, n), layer_key + LORA_B_SUFFIX: (m, rank)}
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def _output_blocks(keys, left, right, mode: str, rank: int | None, base):
+def _output_blocks(keys, left, right, mode: str, rank: int | None, base, left_gram=None):
     """Yield (key, f32 row block) pairs of the tensors one merged layer
     left @ right contributes to an output checkpoint, each tensor's blocks
     in row order; keys are output_shapes' for the layer, and the block
@@ -357,15 +396,13 @@ def _output_blocks(keys, left, right, mode: str, rank: int | None, base):
     "delta": the merged delta; "fused": base weights plus the delta; both
     are _render_f32's f32 blocks, within its stated bound of the f64
     oracle, each viewing a buffer the next block reuses. "lowrank": the
-    best rank-`rank` factors, one block each, _truncated_factors' f64 B and
-    A (within its stated bound of the dense truncation) rounded to f32 once.
+    best rank-`rank` factors, _truncated_factors' f64 A and B's row blocks
+    (within its stated bound of the dense truncation) rounded to f32 once.
     """
-    if mode == "lowrank":
-        blocks = _truncated_factors(left, right, rank)
-    else:
-        blocks = _render_f32(left, right, base[keys[0]] if mode == "fused" else None)
-    del left, right
-    for key, block in zip(itertools.cycle(keys), blocks):  # lowrank's two keys, or one key's row blocks
+    blocks = (_truncated_factors(left, right, rank, left_gram) if mode == "lowrank"
+              else _render_f32(left, right, base[keys[0]] if mode == "fused" else None))
+    del left, right, left_gram
+    for key, block in zip(itertools.chain(keys, itertools.repeat(keys[-1])), blocks):  # lowrank: A, then B's rows
         with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
             block = block.astype(np.float32, copy=False)
         yield key, block
@@ -391,11 +428,11 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     The header is laid out from output_shapes first, once per layer, so a bad
     base or rank, or two layers writing one tensor (an AlignmentError naming
-    both), fails before any merge. Each layer's stacks (AdapterSet.stacks)
-    then go to _merged_factors and its factors, with its keys, to
+    both), fails before any merge. Each layer's factors (AdapterSet.factors)
+    then go to _merged_factors and its merged factors, with its keys, to
     _output_blocks, each call given the only reference, and its blocks are
-    checked finite and streamed, so one layer's factors are held once, in
-    f64 until rendered. path is always replaced, and left as it was on any
+    checked finite and streamed, so a layer holds its A stack once and reads
+    B a piece at a time. path is always replaced, and left as it was on any
     error, a non-finite block's ValueError too.
     """
     layout, owners, keys = {}, {}, {}
@@ -411,12 +448,12 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     def records():
         for layer_key in adapters.layer_keys:
-            left, right, ortho = _merged_factors(layer_key, adapters.stacks(layer_key), config)
-            stats[layer_key] = {"shape": [left.shape[0], right.shape[1]]}
+            left, right, ortho, gram = _merged_factors(layer_key, adapters.factors(layer_key), config)
+            stats[layer_key] = {"shape": list(adapters.full_shape(layer_key))}
             if ortho is not None:
                 stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}
-            blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base)
-            del left, right
+            blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base, gram)
+            del left, right, gram
             for key, block in blocks:
                 if not np.isfinite(block).all():
                     raise ValueError(f"merged tensor {key!r} is not finite; {path} not written")

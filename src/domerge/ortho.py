@@ -92,16 +92,11 @@ def _owner_mask(widths) -> np.ndarray:
     return owner[:, None] != owner[None, :]
 
 
-def _off_gram(gram, off):
-    """(G_off, Lo): the stacked group's Gram X^T X with same-member blocks zeroed, and
-    Lo = sum_{i<j} ||X_i^T X_j||_F^2 = ||G_off||_F^2 / 2, as G_off holds each cross block twice."""
-    g = np.where(off, gram, 0.0)
-    return g, 0.5 * float(np.vdot(g, g))
-
-
-def _grad(x, g, d, mu):
-    """2 X G_off + 2 mu D: the loss gradient for the stacked perturbed group X = W + D."""
-    return 2.0 * x @ g + 2.0 * mu * d
+def _off_gram(gram, own):
+    """(G_off, Lo): the stacked group's Gram X^T X with its same-member blocks (own = ~_owner_mask) zeroed
+    in place, and Lo = sum_{i<j} ||X_i^T X_j||_F^2 = ||G_off||_F^2 / 2, as G_off holds each cross block twice."""
+    gram[own] = 0.0
+    return gram, 0.5 * float(np.vdot(gram, gram))
 
 
 def ortho_loss(mats, deltas, mu: float) -> float:
@@ -109,7 +104,7 @@ def ortho_loss(mats, deltas, mu: float) -> float:
     mats, deltas = _check_group(mats, deltas)
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
-    _, lo = _off_gram(x.T @ x, _owner_mask([w.shape[1] for w in mats]))
+    _, lo = _off_gram(x.T @ x, ~_owner_mask([w.shape[1] for w in mats]))
     return lo + mu * float(np.vdot(d, d))
 
 
@@ -125,8 +120,8 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     mats, deltas = _check_group(mats, deltas)
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
-    g, _ = _off_gram(x.T @ x, _owner_mask([w.shape[1] for w in mats]))
-    return np.hsplit(_grad(x, g, d, mu), np.cumsum([w.shape[1] for w in mats[:-1]]))
+    g, _ = _off_gram(x.T @ x, ~_owner_mask([w.shape[1] for w in mats]))
+    return np.hsplit(2.0 * x @ g + 2.0 * mu * d, np.cumsum([w.shape[1] for w in mats[:-1]]))
 
 
 def gram_descent(gram, widths, config: OrthoConfig):
@@ -138,12 +133,14 @@ def gram_descent(gram, widths, config: OrthoConfig):
     max_rel_perturbation * ||W_i||_F; the trial step doubles after an accepted
     step and halves on a rejected trial. D stays in W's column span whatever W's
     shape, so the descent runs on the R x R coordinates E, weighed by G, and each
-    coordinate step is the explicit step on D."""
+    coordinate step is the explicit step on D.
+
+    Trials reuse seven R x R buffers through out= arguments that keep each
+    operation's operands and order: the bits of the expressions in the comments."""
     starts = np.cumsum([0, *widths[:-1]])
-    off = _owner_mask(widths)
-    g, initial_lo = _off_gram(gram, off)
-    eye = x = np.eye(gram.shape[0])
-    z, z_norms = np.zeros_like(eye), np.zeros(len(widths))
+    own = ~_owner_mask(widths)
+    g, initial_lo = _off_gram(gram.copy(), own)
+    z, z_norms = np.zeros_like(gram), np.zeros(len(widths))
     if initial_lo == 0.0:  # nothing to remove, as in every one-member group
         return z, OrthoStats(0.0, 0.0, 0, 0, "converged", z_norms.tolist(), [0.0])
     member_norms = np.sqrt(np.add.reduceat(np.diag(gram), starts))
@@ -155,19 +152,25 @@ def gram_descent(gram, widths, config: OrthoConfig):
     t = config.step_size / (total_sq + mu)
     cur = cur_lo = initial_lo  # deltas are zero so the penalty term starts at 0
     trajectory, trials, stop_reason = [initial_lo], 0, "step_cap"
+    grad, trial, g_trial, new_x, new_g = (np.empty_like(gram) for _ in range(5))
     for _ in range(config.max_steps):
-        grad = _grad(x, g, z, mu)
+        # grad = 2 x @ g + 2 mu z, x = I + z as np.eye(R) + z has it (-0.0 + 0.0 is +0.0, as 0.0 + -0.0)
+        np.add(z, 0.0, out=trial).flat[:: len(z) + 1] += 1.0
+        np.matmul(np.multiply(trial, 2.0, out=trial), g, out=grad)
+        grad += np.multiply(z, 2.0 * mu, out=trial)
         for _ in range(_MAX_BACKTRACKS):
             trials += 1
-            trial = z - t * grad
-            g_trial = gram @ trial  # W^T D, so ||D_i||^2 sums E * (G E) over member i's columns
+            np.subtract(z, np.multiply(grad, t, out=trial), out=trial)  # trial = z - t * grad
+            np.matmul(gram, trial, out=g_trial)  # W^T D, so ||D_i||^2 sums E * (G E) over member i's columns
             norms = np.sqrt(np.add.reduceat(np.einsum("ij,ij->j", trial, g_trial), starts))
             shrink = np.divide(caps, norms, out=np.ones_like(norms), where=norms > caps)
             cols = np.repeat(shrink, widths)
-            trial, g_trial = trial * cols, g_trial * cols
-            new_x = eye + trial
-            new_g, new_lo = _off_gram(new_x.T @ (gram + g_trial), off)
-            new = new_lo + mu * float(np.vdot(trial, g_trial))
+            trial *= cols
+            g_trial *= cols
+            np.add(trial, 0.0, out=new_x).flat[:: len(z) + 1] += 1.0  # new_x = I + trial
+            penalty = mu * float(np.vdot(trial, g_trial))  # before g_trial becomes gram + g_trial
+            new_g, new_lo = _off_gram(np.matmul(new_x.T, np.add(gram, g_trial, out=g_trial), out=new_g), own)
+            new = new_lo + penalty
             if new < cur and new_lo <= cur_lo:
                 break
             t *= 0.5
@@ -176,7 +179,8 @@ def gram_descent(gram, widths, config: OrthoConfig):
             stop_reason = "converged" if cur_lo <= _REL_LOSS_TOL * initial_lo else "stalled"
             break
         rel_change = (cur - new) / cur
-        x, z, z_norms, g, cur, cur_lo = new_x, trial, norms * shrink, new_g, new, new_lo
+        z, trial, g, new_g = trial, z, new_g, g
+        z_norms, cur, cur_lo = norms * shrink, new, new_lo
         trajectory.append(cur_lo)
         t *= 2.0
         if rel_change < _REL_LOSS_TOL:

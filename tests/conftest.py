@@ -98,3 +98,28 @@ def base_file(tmp_path, rng):
     path = tmp_path / "base.safetensors"
     save_checkpoint(records, path)
     return path
+
+
+@pytest.fixture
+def factor_reads(monkeypatch):
+    """A list that logs every read of a layer's factors: ("factors", layer key)
+    for each AdapterSet.factors call, which decodes its A stack, and
+    ("piece", B record key, first row) for each piece merge's one reader of
+    left factors (merge._pieces) yields."""
+    from domerge import merge
+    from domerge.checkpoint import AdapterSet
+
+    log, factors, pieces = [], AdapterSet.factors, merge._pieces
+
+    def logged_factors(self, key):
+        log.append(("factors", key))
+        return factors(self, key)
+
+    def logged_pieces(left, rows):
+        for i, piece in pieces(left, rows):
+            log.append(("piece", left[0].key, i))
+            yield i, piece
+
+    monkeypatch.setattr(AdapterSet, "factors", logged_factors)
+    monkeypatch.setattr(merge, "_pieces", logged_pieces)
+    return log

@@ -12,7 +12,7 @@ layer-at-a-time stream avoids.
 
 import numpy as np
 
-from domerge.checkpoint import LoraLayer
+from domerge.checkpoint import LoraLayer, TensorRecord
 from domerge.linalg import Decoupled, decouple, recompose
 from domerge.merge import MergeConfig, _output_blocks, assemble_full_rank, merge_layer, output_shapes
 from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
@@ -185,10 +185,11 @@ def merge_adapter_set(adapters, config=None) -> dict:
 def layer_outputs(merged, mode: str, rank: int | None = None, base=None) -> dict:
     """The f32 tensors one merged layer (a MergedLayer) contributes to an output
     checkpoint, by key: write_merged's blocks (merge._output_blocks, given
-    copies of the factors, which lowrank output balances in place), copied
-    and joined."""
+    left as one f64 record and a copy of right, which lowrank output
+    overwrites), copied and joined."""
     keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
     blocks: dict[str, list] = {}
-    for key, block in _output_blocks(keys, merged.left.copy(), merged.right.copy(), mode, rank, base):
+    left = [TensorRecord.from_array(merged.layer_key, merged.left, "f64")]
+    for key, block in _output_blocks(keys, left, merged.right.copy(), mode, rank, base):
         blocks.setdefault(key, []).append(block.copy())
     return {key: np.concatenate(parts) for key, parts in blocks.items()}

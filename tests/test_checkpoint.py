@@ -24,6 +24,7 @@ from domerge.checkpoint import (
     lora_pairs,
     save_checkpoint,
 )
+from domerge.merge import _pieces
 
 from conftest import make_adapter_records, raw_safetensors
 
@@ -554,9 +555,9 @@ def test_extract_adapters_aligned(adapter_files):
     adapters = extract_adapters(adapter_files)
     assert adapters.n == 3
     assert len(adapters.layer_keys) == 4
-    b, a, s, ranks = adapters.stacks(adapters.layer_keys[0])
+    b, a, s, ranks = adapters.factors(adapters.layer_keys[0])
     assert ranks == [4, 4, 4]
-    assert b.shape == (16, 12) and a.shape == (12, 12) and s.shape == (12,)
+    assert [rec.shape for rec in b] == [(16, 4)] * 3 and a.shape == (12, 12) and s.shape == (12,)
 
 
 @pytest.mark.parametrize(
@@ -567,13 +568,17 @@ def test_stacks_are_each_adapters_decoded_factors_bit_for_bit(tmp_path, rng, dty
     for i, (rank, dtype) in enumerate(zip((2, 5, 3), dtypes)):
         files.append(tmp_path / f"a{i}.safetensors")
         save_checkpoint(make_adapter_records(["x", "y"], rank, (9, 7), rng, dtype=dtype), files[-1])
+    # B stays the stored records; the merge's reader decodes them, in pieces of 4 rows here
     adapters = extract_adapters(files, scalings=[0.5, 1.0, 3.0])
     for key in adapters.layer_keys:
-        b, a, s, ranks = adapters.stacks(key)
+        b, a, s, ranks = adapters.factors(key)
         pairs = [adapter[key] for adapter in adapters.adapters]
         want_b, want_a = np.hstack([p[0].to_array() for p in pairs]), np.vstack([p[1].to_array() for p in pairs])
-        assert b.dtype == a.dtype == np.float64 and b.shape == (9, 10) and a.shape == (10, 7)
-        assert b.tobytes() == want_b.tobytes() and a.tobytes() == want_a.tobytes()
+        assert all(got is want for got, (want, _) in zip(b, pairs))
+        pieces = [piece.copy() for _, piece in _pieces(b, 4)]
+        assert [len(piece) for piece in pieces] == [4, 4, 1]
+        assert a.dtype == pieces[0].dtype == np.float64 and a.shape == (10, 7)
+        assert np.concatenate(pieces).tobytes() == want_b.tobytes() and a.tobytes() == want_a.tobytes()
         assert ranks == [2, 5, 3] and s.tolist() == [0.5] * 2 + [1.0] * 5 + [3.0] * 3
 
 
@@ -589,8 +594,8 @@ def test_extract_adapters_applies_scaling(adapter_files):
     plain = extract_adapters(adapter_files[:1])
     scaled = extract_adapters(adapter_files[:1], scalings=[2.5])
     key = plain.layer_keys[0]
-    assert (scaled.stacks(key)[2] == 2.5).all()
-    assert (plain.stacks(key)[2] == 1.0).all()
+    assert (scaled.factors(key)[2] == 2.5).all()
+    assert (plain.factors(key)[2] == 1.0).all()
 
 
 @pytest.mark.parametrize(
@@ -665,7 +670,7 @@ def test_extract_adapters_mixed_ranks_allowed(tmp_path, rng):
     save_checkpoint(make_adapter_records(["x"], 2, (6, 5), rng), p1)
     save_checkpoint(make_adapter_records(["x"], 3, (6, 5), rng), p2)
     adapters = extract_adapters([p1, p2])
-    assert adapters.stacks("x")[3] == [2, 3]
+    assert adapters.factors("x")[3] == [2, 3]
 
 
 def test_extract_adapters_rejects_non_finite(tmp_path):

@@ -192,16 +192,12 @@ def test_merge_fused_base_shape_conflict_exit_3(adapter_files, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_merge_fused_base_missing_layer_exit_3_before_any_merge(
-    adapter_files, tmp_path, capsys, rng, monkeypatch
-):
+def test_merge_fused_base_missing_layer_exit_3_before_any_merge(adapter_files, tmp_path, capsys, rng, factor_reads):
     weights = [key + ".weight" for key in LAYER_KEYS if key != "enc.1.ffn.down"]
     base = tmp_path / "base.safetensors"
     save_checkpoint(
         {k: TensorRecord.from_array(k, rng.standard_normal((16, 12)), "f32") for k in weights}, base
     )
-    merged = []
-    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: merged.append(key))
     out = tmp_path / "fused.safetensors"
     code, _, err = run(
         capsys, "merge", *(str(p) for p in adapter_files), "--base", str(base),
@@ -210,11 +206,11 @@ def test_merge_fused_base_missing_layer_exit_3_before_any_merge(
     assert code == 3
     assert "'enc.1.ffn.down'" in err
     assert not out.exists()
-    assert merged == []
+    assert factor_reads == []
 
 
 def test_merge_non_finite_last_layer_of_last_adapter_exit_3_before_any_merge(
-    adapter_files, tmp_path, capsys, rng, monkeypatch
+    adapter_files, tmp_path, capsys, rng, factor_reads
 ):
     # factors are decoded only when their layer is merged, but checked at load
     last_layer = sorted(LAYER_KEYS)[-1]
@@ -225,14 +221,12 @@ def test_merge_non_finite_last_layer_of_last_adapter_exit_3_before_any_merge(
     records[key] = TensorRecord.from_array(key, a, "f32")
     last = tmp_path / "last.safetensors"
     save_checkpoint(records, last)
-    merged = []
-    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: merged.append(key))
     out = tmp_path / "m.safetensors"
     code, _, err = run(capsys, "merge", *map(str, adapter_files), str(last), "--output", str(out))
     assert code == 3
     assert last.name in err and repr(last_layer) in err and "non-finite" in err
     assert not out.exists()
-    assert merged == []
+    assert factor_reads == []
 
 
 def _logged_save(log):
@@ -250,36 +244,40 @@ def _logged_save(log):
     return logged_save
 
 
-def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, monkeypatch):
+def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, monkeypatch, factor_reads):
+    # lowrank output: the merge's Gram pass reads B, A is written, and then B's
+    # rows are read again and written; each read of B is one piece of 6 rows
     keys = ["l0", "l1", "l2"]
     adapters = []
     for i in range(2):
         adapters.append(tmp_path / f"adapter{i}.safetensors")
         save_checkpoint(make_adapter_records(keys, 2, (6, 5), rng), adapters[-1])
-    events, factors, held = [], [], []
-    real_stacks, real_factors = AdapterSet.stacks, merge_module._merged_factors
+    alive, held = [], []
+    real_factors, real_pieces = AdapterSet.factors, merge_module._pieces
+
+    def logged_factors(self, key):
+        held.append(sum(ref() is not None for ref in alive))
+        b, a, s, ranks = real_factors(self, key)
+        alive.append(weakref.ref(a))  # the A stack, which becomes the merged right factor
+        return b, a, s, ranks
+
+    def logged_pieces(left, rows):
+        for i, piece in real_pieces(left, rows):
+            alive.append(weakref.ref(piece.base))  # the reused piece buffer
+            yield i, piece
+
+    monkeypatch.setattr(AdapterSet, "factors", logged_factors)
+    monkeypatch.setattr(merge_module, "_pieces", logged_pieces)
     real_save = merge_module.save_checkpoint
-
-    def logged_stacks(self, key):
-        held.append(sum(ref() is not None for ref in factors))
-        events.append(("merge", key))
-        return real_stacks(self, key)
-
-    def logged_factors(*args):
-        left, right, stats = real_factors(*args)
-        factors.extend((weakref.ref(left), weakref.ref(right)))
-        return left, right, stats
 
     def logged_save(records, path, layout=None):
         def logged():
             for key, record in records:
-                events.append(("write", key))
+                factor_reads.append(("write", key))
                 yield key, record
 
         real_save(logged(), path, layout=layout)
 
-    monkeypatch.setattr(AdapterSet, "stacks", logged_stacks)
-    monkeypatch.setattr(merge_module, "_merged_factors", logged_factors)
     monkeypatch.setattr(merge_module, "save_checkpoint", logged_save)
     out = tmp_path / "lr.safetensors"
     code, _, err = run(
@@ -288,9 +286,11 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
     assert code == 0, err
     expected = []
     for key in keys:
-        expected += [("merge", key), ("write", key + ".lora_B.weight"), ("write", key + ".lora_A.weight")]
-    assert events == expected
-    assert held == [0, 0, 0]  # no earlier layer's merged factors are alive when the next is decoded
+        b = key + ".lora_B.weight"
+        a = key + ".lora_A.weight"
+        expected += [("factors", key), ("piece", b, 0), ("write", a), ("piece", b, 0), ("write", b)]
+    assert factor_reads == expected
+    assert held == [0, 0, 0]  # no earlier layer's A stack or piece of B is alive when the next is read
 
 
 def test_merge_fused_output_key_collision_exit_3(tmp_path, capsys, rng):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from domerge.checkpoint import AdapterSet, extract_adapters
+from domerge.checkpoint import extract_adapters
 from domerge.diagnostics import (
     DiagnosticsReport,
     atomic_write_text,
@@ -122,13 +122,13 @@ def test_build_report_fields(adapter_files):
         assert all(v > 0 for v in norms)
 
 
-def test_build_report_decodes_each_layer_once(adapter_files, monkeypatch):
+def test_build_report_decodes_each_layer_once(adapter_files, factor_reads):
+    # each layer's A is decoded once, and its B (16 rows) read in one Gram pass of one piece
     adapters = extract_adapters(adapter_files)
-    calls = []
-    stacks = AdapterSet.stacks
-    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: calls.append(key) or stacks(self, key))
     build_report(adapters)
-    assert calls == adapters.layer_keys
+    assert factor_reads == [
+        read for key in adapters.layer_keys for read in (("factors", key), ("piece", key + ".lora_B.weight", 0))
+    ]
 
 
 def test_emit_report_json_parses_and_is_stable(adapter_files, tmp_path):

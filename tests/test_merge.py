@@ -19,6 +19,7 @@ from domerge.checkpoint import (
 from domerge.merge import (
     MergeConfig,
     MergedLayer,
+    _pieces,
     _render_f32,
     _times,
     _truncated_factors,
@@ -47,6 +48,17 @@ def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):
         key, B=rng.standard_normal((m, rank)), A=rng.standard_normal((rank, n)),
         rank=rank, scaling=scaling,
     )
+
+
+def records(left):
+    """left as the one f64 record merge's reader (_pieces) reads."""
+    return [TensorRecord.from_array("left", left, "f64")]
+
+
+def truncated(left, right, rank):
+    """_truncated_factors' (B, A) of left @ right, joined; it writes right, so it is given a copy."""
+    a, *b = (block.copy() for block in _truncated_factors(records(left), right.copy(), rank))
+    return np.concatenate(b), a
 
 
 def adapter_set(adapters, names):
@@ -273,17 +285,18 @@ def test_render_f32_is_the_f32_of_the_f64_product(monkeypatch, rng, dtype, rows,
     (not necessarily its f32 rounding)."""
     n, r = 12, 9
     if rows is not None:  # 23 rows: four blocks of 5 and one of 3, or 23 blocks of 1
-        monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 4 * n * rows)
+        # a block's rows are 4 n bytes of output and 8 r of f64 piece
+        monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 4 * max(n, 2 * r) * rows)
     left, right = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     base, mode, base_values = None, "delta", None
     if dtype is not None:
         base, mode = {"w": TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)}, "fused"
         base_values = base["w"].to_array()
-    blocks = list(_render_f32(left, right, base and base["w"]))
+    blocks = list(_render_f32(records(left), right, base and base["w"]))
     # a tensor of no rows is one empty block
     assert len(blocks) == (1 if rows is None or m == 0 else -(-m // rows))
     assert all(np.shares_memory(b, blocks[0]) for b in blocks if b.size)  # one reused buffer
-    joined = np.concatenate([b.copy() for b in _render_f32(left, right, base and base["w"])])
+    joined = np.concatenate([b.copy() for b in _render_f32(records(left), right, base and base["w"])])
     assert joined.dtype == np.float32 and joined.shape == (m, n)
     assert_within_render_bound(joined, left, right, base_values)
     # layer_outputs joins copies of the same blocks, so no block's reuse shows
@@ -298,7 +311,7 @@ def test_render_f32_bound_holds_at_full_block_size(rng, m, n, r, dtype):
     # shapes whose row blocks BLAS splits differently from one whole product
     left, right = rng.standard_normal((m, r)), rng.standard_normal((r, n))
     base = None if dtype is None else TensorRecord.from_array("w", rng.standard_normal((m, n)), dtype)
-    blocks = [b.copy() for b in _render_f32(left, right, base)]
+    blocks = [b.copy() for b in _render_f32(records(left), right, base)]
     rows = merge_module._RENDER_BLOCK_BYTES // (4 * n)
     assert [len(b) for b in blocks] == [min(rows, m - i) for i in range(0, m, rows)]
     assert_within_render_bound(np.concatenate(blocks), left, right, base and base.to_array())
@@ -311,8 +324,51 @@ def test_render_f32_rescales_terms_out_of_f32_range(rng):
     right = np.ldexp(rng.standard_normal((9, 12)), 200)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(left.astype(np.float32) @ right.astype(np.float32)).all()
-    blocks = [b.copy() for b in _render_f32(left, right)]
+    blocks = [b.copy() for b in _render_f32(records(left), right)]
     assert_within_render_bound(np.concatenate(blocks), left, right)
+
+
+def whole_left_render(left, right, rows):
+    """The render's f32 blocks as made before it read left in pieces: all of
+    the f64 left rescaled into one f32 array, then one GEMM per block of rows."""
+    _, exp = np.frexp(np.abs(right).max(axis=1))
+    right = np.ldexp(right, -exp[:, None], out=np.empty(right.shape, np.float32))
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = np.ldexp(left, exp, out=np.empty(left.shape, np.float32))
+        return np.concatenate([left[i : i + rows] @ right for i in range(0, len(left), rows)])
+
+
+@pytest.mark.parametrize("dtype", ["bf16", "f16", "f32", "f64"])
+@pytest.mark.parametrize("m", [5, 8, 19], ids=["under_a_block", "one_block", "blocks"])
+def test_render_f32_from_row_pieces_is_the_whole_left_render_bitwise(monkeypatch, rng, dtype, m):
+    """Two B records of ranks 3 and 5, rendered in blocks of 8 rows from pieces
+    of 16, give the bits of the render from the whole f32 left: one piece
+    shorter than a block, one of one block, and pieces of two blocks and of
+    3 rows. Term 0 is rescaled into f32's subnormal range, term 1 past f32's
+    max in the even rows, and term 2 by 2^-19 or so, which in f16 would
+    round: each piece is widened to f64 first."""
+    n, rows = 24, 8
+    monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 4 * n * rows)  # n >= 2 R: blocks of 8 rows
+    monkeypatch.setattr(merge_module, "_BASE_PIECE_BYTES", 8 * 8 * 2 * rows)  # pieces of 16 rows of R = 8
+    pieces = []
+    monkeypatch.setattr(merge_module, "_pieces", lambda left, step: pieces.append(step) or _pieces(left, step))
+    raw = rng.standard_normal((m, 8))
+    raw[1::2, 1] *= 2.0**-12
+    b = [TensorRecord.from_array("b", raw[:, :3], dtype), TensorRecord.from_array("b", raw[:, 3:], dtype)]
+    right = rng.standard_normal((8, n)) * np.ldexp(1.0, [-140, 129, -21, 0, 0, 0, 0, 0])[:, None]
+    left = np.hstack([rec.to_array() for rec in b])
+    want = whole_left_render(left, right, rows)
+    blocks = [block.copy() for block in _render_f32(b, right.copy())]
+    assert pieces == [16] and [len(block) for block in blocks] == [min(rows, m - i) for i in range(0, m, rows)]
+    got = np.concatenate(blocks)
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert np.isinf(got[::2]).any() and np.isfinite(got[1::2]).all()  # term 1 leaves f32 in the even rows
+    e = np.frexp(np.abs(right).max(axis=1))[1]
+    assert e[0] < -126 and e[2] < -14  # into f32's subnormals; into f16's
+    if dtype == "f16":
+        stored = b[0].values()[:, 2]
+        in_f16 = np.ldexp(stored, e[2]).astype(np.float32)
+        assert not np.array_equal(in_f16, np.ldexp(stored.astype(np.float64), e[2]))
 
 
 def _rss_file_kb() -> int | None:
@@ -361,7 +417,7 @@ def test_fused_render_keeps_no_base_file_pages(tmp_path, rng, monkeypatch):
     assert path.stat().st_size >= 16 << 20
     base = load_checkpoint(path)["w"]
     left, right = rng.standard_normal((m, 4)), rng.standard_normal((4, n))
-    for _ in _render_f32(left[:8], right, base.rows(0, 8)):  # fault in the library code a render runs
+    for _ in _render_f32(records(left[:8]), right, base.rows(0, 8)):  # fault in the library code a render runs
         pass
     before, growth, read = _rss_file_kb(), [], TensorRecord.values
 
@@ -372,7 +428,7 @@ def test_fused_render_keeps_no_base_file_pages(tmp_path, rng, monkeypatch):
 
     monkeypatch.setattr(TensorRecord, "values", sampled_read)
     blocks = 0
-    for _ in _render_f32(left, right, base):
+    for _ in _render_f32(records(left), right, base):
         growth.append((_rss_file_kb() - before) * 1024)
         blocks += 1
     assert blocks == 4 * m * n // merge_module._RENDER_BLOCK_BYTES and max(growth) < 1 << 20, growth
@@ -382,8 +438,8 @@ def lowrank_factors(merged, rank):
     """The f64 rank-`rank` factors, checked to be what layer_outputs writes in f32."""
     out = layer_outputs(merged, "lowrank", rank)
     key = merged.layer_key
-    assert list(out) == [key + ".lora_B.weight", key + ".lora_A.weight"]
-    b, a = _truncated_factors(merged.left.copy(), merged.right.copy(), rank)  # it balances them in place
+    assert list(out) == [key + ".lora_A.weight", key + ".lora_B.weight"]
+    b, a = truncated(merged.left, merged.right, rank)
     for written, factor in ((out[key + ".lora_B.weight"], b), (out[key + ".lora_A.weight"], a)):
         assert written.dtype == np.float32
         assert np.array_equal(written, factor.astype(np.float32))
@@ -506,28 +562,30 @@ def test_merge_layer_peak_memory_at_model_shapes(shape, mode):
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 512, 700])
 def test_times_forms_the_product_in_the_given_buffer(rng, n):
     # a's column blocks (256 wide, the last taking the rest) are replaced by
-    # m times them, each entry within the f64 GEMM rounding bound of m @ a
+    # m times them, each entry within the f64 GEMM rounding bound of m @ a;
+    # a wide m of k rows replaces a's first k rows and leaves the rest
     m, a = rng.standard_normal((6, 6)), rng.standard_normal((6, n))
-    for factor in (m, m.T):  # C- and F-ordered, as the merge passes both
-        given = a.copy()
+    for factor in (m, m.T, m[:4]):  # C- and F-ordered, as the merge passes both, and lowrank's wide one
+        given, k = a.copy(), len(factor)
         got = _times(factor, given)
-        assert got is given
-        assert np.all(np.abs(got - factor @ a) <= 6 * np.finfo(np.float64).eps * (np.abs(factor) @ np.abs(a)))
+        assert got is given and np.array_equal(got[k:], a[k:])
+        assert np.all(np.abs(got[:k] - factor @ a) <= 6 * np.finfo(np.float64).eps * (np.abs(factor) @ np.abs(a)))
 
 
 @pytest.fixture(scope="module")
 def model_layer_files(tmp_path_factory):
-    """(m, n) -> 4 bf16 rank-16 adapters of one m x n layer, made once per
-    shape: 11008 x 4096 is a Llama-2-7B gate_proj, 4096 x 11008 its down_proj."""
+    """(m, n, count) -> count (default 4) bf16 rank-16 adapters of one m x n
+    layer, made once per shape and count: 11008 x 4096 is a Llama-2-7B
+    gate_proj, 4096 x 11008 its down_proj."""
     made = {}
 
-    def files(m, n):
-        if (m, n) not in made:
-            d, rng = tmp_path_factory.mktemp(f"layer{m}x{n}"), np.random.default_rng(0)
-            made[m, n] = [d / f"adapter{i}.safetensors" for i in range(4)]
-            for path in made[m, n]:
+    def files(m, n, count=4):
+        if (m, n, count) not in made:
+            d, rng = tmp_path_factory.mktemp(f"layer{m}x{n}x{count}"), np.random.default_rng(0)
+            made[m, n, count] = [d / f"adapter{i}.safetensors" for i in range(count)]
+            for path in made[m, n, count]:
                 save_checkpoint(make_adapter_records(["l"], 16, (m, n), rng, dtype="bf16"), path)
-        return made[m, n]
+        return made[m, n, count]
 
     return files
 
@@ -537,24 +595,24 @@ GATE, DOWN = (11008, 4096), (4096, 11008)
 
 @pytest.mark.parametrize(
     "mode, rank, shape, bound",
-    [("delta", None, GATE, 1.5), ("fused", None, GATE, 1.5), ("delta", None, DOWN, 1.5), ("fused", None, DOWN, 1.5),
-     ("lowrank", 16, GATE, 1.4), ("lowrank", 16, DOWN, 1.4), ("lowrank", 64, GATE, 2.3), ("lowrank", 64, DOWN, 2.3)],
+    [("delta", None, GATE, 0.6), ("fused", None, GATE, 0.6), ("delta", None, DOWN, 1.25),
+     ("fused", None, DOWN, 1.25), ("lowrank", 16, GATE, 0.6), ("lowrank", 16, DOWN, 1.15),
+     ("lowrank", 64, GATE, 0.75), ("lowrank", 64, DOWN, 1.45)],
     ids=["delta", "fused", "delta-down_proj", "fused-down_proj", "lowrank", "lowrank-down_proj",
          "lowrank64", "lowrank64-down_proj"],
 )
 def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, mode, rank, shape, bound):
-    """One write_merged of a gate_proj or down_proj layer holds its two f64
-    stacks, the descent's products formed in the A stack's buffer through
-    one small temporary, and then the f32 copies of the merged factors and
-    one render block (fused: plus base pieces, here of a zero bf16 base):
-    its tracemalloc peak stays below 1.5 times the stacks' bytes
-    (8 (m + n) R). Per-adapter f64 decodes kept alive next to the stacks,
-    and f64 factors kept while rendering, took gate_proj to 2.3; forming
-    (I + E_A)^T A and lam K A~ as new R x n arrays took down_proj to 1.8.
-    lowrank:r balances the merged factors in place and forms f64 B and A
-    next to them, (m + n) r more: below 1.4 times at r = 16 and 2.3 times
-    at r = R = 64. A balanced copy of `left` took r = 16 to 1.73 and
-    r = 64 to 2.66 (gate_proj) and 2.88 (down_proj)."""
+    """One write_merged of a gate_proj or down_proj layer holds its f64 A
+    stack, in whose buffer the descent's products are formed, and reads B a
+    piece at a time; then it holds the f32 copy of the merged right factor
+    and one piece and render block (fused: plus base pieces, here of a zero
+    bf16 base). Its tracemalloc peak, in units of the stacks' bytes
+    8 (m + n) R, measures 0.42 (gate_proj) and 1.10 (down_proj, where the
+    A stack alone is 0.73); each bound is the measurement plus 0.15 to 0.2.
+    lowrank:r forms A in the balanced right's buffer and then B's rows a
+    piece at a time: 0.43 and 1.00 at r = 16, 0.59 and 1.27 at r = R = 64.
+    Decoding B whole into an m x R stack held next to A measured 1.24 and
+    1.38 (delta and fused), and 1.28 and 2.03 (lowrank:16 and lowrank:64)."""
     adapters, (m, n) = extract_adapters(model_layer_files(*shape)), shape
     base = None
     if mode == "fused":
@@ -570,6 +628,24 @@ def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, 
         out.unlink(missing_ok=True)
     stacks = 8 * sum(shape) * 64
     assert peak < bound * stacks, (peak / stacks, peak)
+
+
+@pytest.mark.parametrize("mode, rank", [("delta", None), ("lowrank", 16)])
+def test_write_merged_holds_no_m_by_R_stack(model_layer_files, tmp_path, mode, rank):
+    """16 bf16 rank-16 adapters of a gate_proj (R = 256), where B's m x R is
+    most of the stacks: a layer holds its A stack (0.27 of the stacks' bytes
+    8 (m + n) R), the descent's R x R arrays and one piece of B, and its
+    tracemalloc peak measures 0.50. Decoding B into an m x R stack measured 1.26."""
+    adapters, out = extract_adapters(model_layer_files(*GATE, count=16)), tmp_path / "out.safetensors"
+    tracemalloc.start()
+    try:
+        write_merged(adapters, MergeConfig(), out, mode, rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        out.unlink(missing_ok=True)
+    stacks = 8 * sum(GATE) * 256
+    assert peak < 0.6 * stacks, (peak / stacks, peak)
 
 
 def lowrank_layers(rng):
@@ -629,7 +705,7 @@ def test_truncated_factors_hard_inputs(case):
     left, right = hard_stacks()[case]
     scale = (np.hypot.reduce(left, axis=0) * np.hypot.reduce(right, axis=1)).sum()
     for r in (4, min(*left.shape, right.shape[1])):
-        b, a = _truncated_factors(left.copy(), right.copy(), r)  # it balances them in place
+        b, a = truncated(left, right, r)
         assert np.isfinite(b).all() and np.isfinite(a).all()
         err = b @ a - np.matmul(*svd_truncate(left @ right, r))
         assert np.linalg.norm(err / scale) <= 8 * EPS32 if scale else not err.any()
@@ -640,7 +716,7 @@ def test_truncated_factors_term_past_f64_is_an_infinite_b(rng):
     left, right = rng.standard_normal((5, 2)), rng.standard_normal((2, 4))
     left[:, 0] *= 1e200
     right[0] *= 1e200
-    b, a = _truncated_factors(left, right, 2)
+    b, a = truncated(left, right, 2)
     assert not np.isfinite(b).all() and np.isfinite(a).all()
 
 
@@ -667,19 +743,18 @@ def test_write_merged_writes_what_the_cli_writes(adapter_files, base_file, tmp_p
         assert entry == summary["layers"][key]
 
 
-def test_write_merged_key_collision_fails_before_any_merge(tmp_path, rng, monkeypatch):
+def test_write_merged_key_collision_fails_before_any_merge(tmp_path, rng, factor_reads):
     # layers "a" and "a.weight" both resolve to the base's "a.weight"
     adapter = tmp_path / "ad.safetensors"
     save_checkpoint(make_adapter_records(["a", "a.weight"], 2, (6, 5), rng), adapter)
     base = tmp_path / "base.safetensors"
     save_checkpoint({"a.weight": TensorRecord.from_array("a.weight", rng.standard_normal((6, 5)), "f32")}, base)
-    merged = []
-    monkeypatch.setattr(AdapterSet, "stacks", lambda self, key: merged.append(key))
+    adapters = extract_adapters([adapter])
     out = tmp_path / "fused.safetensors"
     out.write_bytes(b"occupied")
     with pytest.raises(AlignmentError, match=r"'a'.*'a\.weight'.*'a\.weight'"):
-        write_merged(extract_adapters([adapter]), MergeConfig(), out, "fused", base=load_checkpoint(base))
-    assert merged == []
+        write_merged(adapters, MergeConfig(), out, "fused", base=load_checkpoint(base))
+    assert factor_reads == []
     assert out.read_bytes() == b"occupied"
 
 

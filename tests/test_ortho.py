@@ -1,9 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
+from domerge.ortho import (
+    _MAX_BACKTRACKS,
+    _REL_LOSS_TOL,
+    OrthoConfig,
+    gram_descent,
+    ortho_grad,
+    ortho_loss,
+    orthogonalize_group,
+)
 
 from oracles import cross_gram_sum, descend, pairwise_grad, pairwise_loss
 
@@ -310,3 +320,20 @@ def test_gram_coordinates_on_degenerate_tall_groups(build, step):
     assert max(measured) <= cfg.max_rel_perturbation
     assert stats.per_member_rel_perturbation == pytest.approx(measured, rel=1e-9)
     _assert_matches_oracle(mats, cfg, out, stats)
+
+
+def test_gram_descent_holds_seven_gram_sized_arrays():
+    """At R = 256 (16 members of width 16) the descent's tracemalloc peak,
+    beyond the Gram it is given, stays below 8 R x R f64 arrays: it measures
+    7.27, the seven reused trial buffers and the owner mask. A new array for
+    each trial operation, and an identity matrix, measured 10.14."""
+    w = np.random.default_rng(0).standard_normal((1024, 256))
+    gram = w.T @ w
+    tracemalloc.start()
+    try:
+        _, stats = gram_descent(gram, [16] * 16, OrthoConfig(max_steps=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.steps_taken == 5
+    assert peak < 8 * gram.nbytes, peak / gram.nbytes

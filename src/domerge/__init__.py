@@ -12,7 +12,6 @@ from .checkpoint import (
     AdapterSet,
     AlignmentError,
     CheckpointError,
-    LoraLayer,
     ParseError,
     TensorRecord,
     extract_adapters,
@@ -29,9 +28,6 @@ from .diagnostics import (
 from .linalg import Decoupled, decouple, recompose
 from .merge import (
     MergeConfig,
-    MergedLayer,
-    assemble_full_rank,
-    merge_layer,
     output_shapes,
     write_merged,
 )
@@ -43,14 +39,11 @@ __all__ = [
     "CheckpointError",
     "Decoupled",
     "DiagnosticsReport",
-    "LoraLayer",
     "MergeConfig",
-    "MergedLayer",
     "OrthoConfig",
     "OrthoStats",
     "ParseError",
     "TensorRecord",
-    "assemble_full_rank",
     "build_report",
     "decouple",
     "dumps_deterministic",
@@ -58,7 +51,6 @@ __all__ = [
     "extract_adapters",
     "load_checkpoint",
     "load_manifest",
-    "merge_layer",
     "ortho_grad",
     "ortho_loss",
     "orthogonalize_group",

@@ -385,26 +385,6 @@ def check_factors(label: str, b_shape, a_shape, scaling: float) -> None:
         raise AlignmentError(f"{label}: scaling must be positive and finite")
 
 
-@dataclass(frozen=True)
-class LoraLayer:
-    """One layer's matched low-rank factor pair for one adapter."""
-
-    layer_key: str
-    B: np.ndarray  # (m, r)
-    A: np.ndarray  # (r, n)
-    rank: int
-    scaling: float = 1.0
-
-    def __post_init__(self):
-        check_factors(self.layer_key, self.B.shape, self.A.shape, self.scaling)
-        if self.rank != self.B.shape[1]:
-            raise AlignmentError(f"{self.layer_key}: rank {self.rank} != inner dim {self.B.shape[1]}")
-
-    @property
-    def full_shape(self) -> tuple[int, int]:
-        return (self.B.shape[0], self.A.shape[1])
-
-
 @dataclass
 class AdapterSet:
     """Adapters aligned by layer key, in input order.
@@ -441,11 +421,6 @@ class AdapterSet:
         for (_, a), i, j in zip(pairs, bounds, bounds[1:]):
             right[i:j] = a.values()
         return [b for b, _ in pairs], right, np.repeat(self.scalings, ranks), ranks
-
-    def group(self, key: str) -> list[LoraLayer]:
-        """The layer in every adapter, each factor decoded to a new f64 array."""
-        pairs = [adapter[key] for adapter in self.adapters]
-        return [LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], s) for (b, a), s in zip(pairs, self.scalings)]
 
 
 def lora_pairs(records) -> tuple[dict[str, tuple[TensorRecord, TensorRecord]], list[str]]:

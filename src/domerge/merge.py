@@ -28,7 +28,6 @@ from .checkpoint import (
     LORA_A_SUFFIX,
     LORA_B_SUFFIX,
     AlignmentError,
-    LoraLayer,
     TensorRecord,
     save_checkpoint,
 )
@@ -84,30 +83,6 @@ class MergeConfig:
         if self.method == "average":
             return 1.0 / n
         return self.lam if self.lam is not None else 1.0 / (n * n)
-
-
-@dataclass(frozen=True)
-class MergedLayer:
-    """One merged layer as the rank-R product left @ right, R = sum of adapter ranks."""
-
-    layer_key: str
-    left: np.ndarray  # (m, R)
-    right: np.ndarray  # (R, n)
-    ortho_stats: dict[str, OrthoStats] | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.left.shape[0], self.right.shape[1])
-
-    @property
-    def delta(self) -> np.ndarray:
-        """The dense merged delta, formed on each access."""
-        return self.left @ self.right
-
-
-def assemble_full_rank(layer: LoraLayer) -> np.ndarray:
-    """scaling * (B @ A), the layer's full-rank task matrix."""
-    return layer.scaling * (layer.B @ layer.A)
 
 
 def _pieces(left, rows: int):
@@ -181,16 +156,23 @@ def _times(m, a):
     return a
 
 
-def _merged_factors(layer_key, factors, config: MergeConfig):
-    """(L, R, ortho stats, _gram_pass(L) or None) of layer_key's factors = AdapterSet.factors'
-    (B, A, s, ranks), merged delta L @ R = B K A~ lam: L the B records, read
-    by one Gram pass, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in
+def _plus_identity(z):
+    """I + z formed in z's buffer, with the bits of np.eye(len(z)) + z (-0.0 + 0.0 is +0.0)."""
+    np.add(z, 0.0, out=z).flat[:: len(z) + 1] += 1.0
+    return z
+
+
+def _merged_factors(layer_key, factors, config: MergeConfig, keep_gram: bool = False):
+    """(L, R, ortho stats, _gram_pass(L) if keep_gram, else None) of layer_key's factors =
+    AdapterSet.factors' (B, A, s, ranks), merged delta L @ R = B K A~ lam: L the B records,
+    read by one Gram pass, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in
     place. Both groups descend in R x R coordinates (ortho.gram_descent), A
     on transposes; row mode scales the rows of a new B K, and then L is one
     f64 record of it and K = I. Every method ends in the scaling by lam K, so
     the fully ablated method is task_arithmetic bitwise. A~ and then R are
-    formed in the A stack's own buffer (_times). Any f64 overflow is a
-    ValueError naming the layer."""
+    formed in the A stack's own buffer (_times), and I + E_B, then K, in E_B's,
+    so the A descent runs beside three R x R arrays (four with keep_gram). Any
+    f64 overflow is a ValueError naming the layer."""
     left, right, s, ranks = factors
     del factors
     with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked for instead
@@ -198,12 +180,14 @@ def _merged_factors(layer_key, factors, config: MergeConfig):
         if config.ortho is not None or config.decouple_enabled:
             left_gram = _gram_pass(left)
             gram, gram_a = _grams(layer_key, left_gram, right, s)  # gram: of left K
+            left_gram = left_gram if keep_gram else None
         if config.ortho is not None:
-            z, b_stats = gram_descent(gram, ranks, config.ortho)
-            ie = np.eye(r) + z
-            k, gram = s[:, None] * ie, ie.T @ gram @ ie
+            ie, b_stats = gram_descent(gram, ranks, config.ortho)  # E_B, made I + E_B, then K
+            gram = _plus_identity(ie).T @ gram @ ie
+            k = np.multiply(ie, s[:, None], out=ie)
             z, a_stats = gram_descent(gram_a, ranks, config.ortho)
-            right = _times((np.eye(r) + z).T, right)
+            del ie, gram_a
+            right = _times(_plus_identity(z).T, right)
             stats = {"B": b_stats, "A": a_stats}
             if not all(math.isfinite(st.initial_lo) for st in stats.values()):  # then no descent step was taken
                 raise ValueError(f"layer {layer_key!r}: the cross-Gram mass overflows float64")
@@ -276,24 +260,6 @@ def _truncated_factors(left, right, r: int, left_gram=None):
         with np.errstate(over="ignore"):  # B past f64's range is inf, which write_merged refuses
             np.ldexp(np.matmul(np.ldexp(piece, e - s, out=piece), to_b, out=block[:, :k]), s, out=block[:, :k])
         yield block
-
-
-def merge_layer(layers: list[LoraLayer], config: MergeConfig) -> MergedLayer:
-    """Merge one aligned layer group into the factors of its merged delta.
-    Non-finite factors are a ValueError naming the layer and the adapter's index."""
-    if not layers:
-        raise ValueError("empty layer group")
-    shapes = {layer.full_shape for layer in layers}
-    if len(shapes) > 1:
-        raise AlignmentError(f"layer group has conflicting shapes {sorted(shapes)}")
-    for i, layer in enumerate(layers):
-        if not (np.isfinite(layer.B).all() and np.isfinite(layer.A).all()):
-            raise ValueError(f"layer {layer.layer_key!r}: adapter {i} has non-finite factors")
-    key, ranks = layers[0].layer_key, [layer.rank for layer in layers]
-    b = [TensorRecord.from_array(key, layer.B, "f64") for layer in layers]
-    a, s = np.vstack([layer.A for layer in layers]), np.repeat([layer.scaling for layer in layers], ranks)
-    left, right, stats, _ = _merged_factors(key, (b, a, s, ranks), config)
-    return MergedLayer(key, np.hstack([rec.values() for rec in left]), right, stats)
 
 
 def resolve_base_key(base: dict, layer_key: str) -> str:
@@ -432,8 +398,10 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
     then go to _merged_factors and its merged factors, with its keys, to
     _output_blocks, each call given the only reference, and its blocks are
     checked finite and streamed, so a layer holds its A stack once and reads
-    B a piece at a time. path is always replaced, and left as it was on any
-    error, a non-finite block's ValueError too.
+    B a piece at a time. A non-finite fused block whose base rows hold a
+    non-finite value is an AlignmentError naming the base file and tensor,
+    any other a ValueError; those rows are read again only then. path is
+    always replaced, and left as it was on any error.
     """
     layout, owners, keys = {}, {}, {}
     for layer_key in adapters.layer_keys:
@@ -448,15 +416,22 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     def records():
         for layer_key in adapters.layer_keys:
-            left, right, ortho, gram = _merged_factors(layer_key, adapters.factors(layer_key), config)
+            left, right, ortho, gram = _merged_factors(
+                layer_key, adapters.factors(layer_key), config, keep_gram=mode == "lowrank"
+            )
             stats[layer_key] = {"shape": list(adapters.full_shape(layer_key))}
             if ortho is not None:
                 stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}
             blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base, gram)
             del left, right, gram
+            at = 0  # the block's first row, in fused output's one tensor per layer
             for key, block in blocks:
                 if not np.isfinite(block).all():
+                    if mode == "fused" and not np.isfinite(base[key].rows(at, at + len(block)).values()).all():
+                        source = getattr(base[key].payload, "path", "base checkpoint")
+                        raise AlignmentError(f"{source}: non-finite values in tensor {key!r}; {path} not written")
                     raise ValueError(f"merged tensor {key!r} is not finite; {path} not written")
+                at += len(block)
                 yield key, TensorRecord.from_array(key, block, "f32")
             del blocks, block
 

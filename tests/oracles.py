@@ -1,20 +1,21 @@
 """Dense reference formulations the factored engine is checked against.
 
 These are the original pairwise-loop orthogonalizer, the dense
-decouple-and-sum layer merge, a dense truncated SVD and the f64 product
-the f32 render is bounded against, and the diagnostics report from dense
-task matrices. They form every m x n task matrix and
-loop over member pairs, which is exactly what the package code avoids;
-tests compare the two at stated tolerances. The whole-set helpers at the
+decouple-and-sum layer merge of (B, A, scaling) factor triples, a dense
+truncated SVD and the f64 product the f32 render is bounded against, and
+the diagnostics report from dense task matrices. They form every m x n
+task matrix and loop over member pairs, which is exactly what the package
+code avoids; tests compare the two at stated tolerances. merged_factors is
+no oracle: it runs write_merged's own merge on such triples, densely joined. The whole-set helpers at the
 end hold every layer, or a whole output tensor, at once, which the CLI's
 layer-at-a-time stream avoids.
 """
 
 import numpy as np
 
-from domerge.checkpoint import LoraLayer, TensorRecord
+from domerge.checkpoint import TensorRecord
 from domerge.linalg import Decoupled, decouple, recompose
-from domerge.merge import MergeConfig, _output_blocks, assemble_full_rank, merge_layer, output_shapes
+from domerge.merge import MergeConfig, _merged_factors, _output_blocks, output_shapes
 from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
 
 
@@ -117,20 +118,26 @@ def descend(mats, config):
     return [w + d for w, d in zip(mats, deltas)], stats
 
 
+def task_matrix(layer) -> np.ndarray:
+    """s B A, the dense full-rank task matrix of one adapter's (B, A, s) layer."""
+    b, a, s = layer
+    return s * (b @ a)
+
+
 def dense_merge_delta(layers, config) -> np.ndarray:
-    """Merged delta of one layer group from per-adapter m x n task matrices."""
+    """Merged delta of one layer group of (B, A, scaling) triples from per-adapter m x n task matrices."""
     n = len(layers)
     lam = config.resolve_lam(n)
     if config.method == "average":
-        return sum(assemble_full_rank(layer) for layer in layers) / n
+        return sum(task_matrix(layer) for layer in layers) / n
     if config.method == "task_arithmetic":
-        return lam * sum(assemble_full_rank(layer) for layer in layers)
+        return lam * sum(task_matrix(layer) for layer in layers)
     if config.ortho is not None:
-        b_hat, _ = descend([layer.scaling * layer.B for layer in layers], config.ortho)
-        a_hat_t, _ = descend([layer.A.T for layer in layers], config.ortho)
+        b_hat, _ = descend([s * b for b, _, s in layers], config.ortho)
+        a_hat_t, _ = descend([a.T for _, a, _ in layers], config.ortho)
         products = [bh @ ah.T for bh, ah in zip(b_hat, a_hat_t)]
     else:
-        products = [assemble_full_rank(layer) for layer in layers]
+        products = [task_matrix(layer) for layer in layers]
     if not config.decouple_enabled:
         return lam * sum(products)
     parts = [decouple(w, config.magnitude_mode) for w in products]
@@ -139,15 +146,25 @@ def dense_merge_delta(layers, config) -> np.ndarray:
     return lam * recompose(Decoupled(alpha, direction, config.magnitude_mode))
 
 
+def merged_factors(layers, config, key="l"):
+    """(left, right, ortho stats) of write_merged's merge of one layer group of
+    (B, A, scaling) f64 triples: merge._merged_factors, given each B as an
+    exact in-memory f64 record and a new A stack, with the merged left factor
+    joined into one dense m x R array. The stats are {"B": OrthoStats, "A":
+    OrthoStats}, or None when no descent ran."""
+    ranks = [b.shape[1] for b, _, _ in layers]
+    records = [TensorRecord.from_array(key, b, "f64") for b, _, _ in layers]
+    a, s = np.vstack([a for _, a, _ in layers]), np.repeat([s for _, _, s in layers], ranks)
+    left, right, stats, _ = _merged_factors(key, (records, a, s, ranks), config)
+    return np.hstack([rec.values() for rec in left]), right, stats
+
+
 def decoded_group(adapters, key) -> list:
-    """The layer in every adapter of an AdapterSet as a LoraLayer, each factor
-    decoded on its own to a new f64 array: what AdapterSet.stacks decodes
-    into slices of its two stacks."""
-    layers = []
-    for adapter, scaling in zip(adapters.adapters, adapters.scalings):
-        b, a = adapter[key]
-        layers.append(LoraLayer(key, b.to_array(), a.to_array(), b.shape[1], scaling))
-    return layers
+    """The layer in every adapter of an AdapterSet as a (B, A, scaling) triple,
+    each factor decoded on its own to a new f64 array: what AdapterSet.factors
+    decodes into its A stack, and the merge reads from the B records in pieces."""
+    pairs = [adapter[key] for adapter in adapters.adapters]
+    return [(b.to_array(), a.to_array(), s) for (b, a), s in zip(pairs, adapters.scalings)]
 
 
 def dense_report(adapters):
@@ -157,7 +174,7 @@ def dense_report(adapters):
     after decouple()'s floor."""
     variance, grams, stats = 0.0, {}, {}
     for key in adapters.layer_keys:
-        ws = [assemble_full_rank(layer) for layer in decoded_group(adapters, key)]
+        ws = [task_matrix(layer) for layer in decoded_group(adapters, key)]
         variance += float(np.var([decouple(w, "matrix").magnitude[0] for w in ws]))
         grams[key] = np.array([[np.linalg.norm(wi.T @ wj) for wj in ws] for wi in ws])
         stats[key] = [float(np.linalg.norm(decouple(w, "column").magnitude)) for w in ws]
@@ -174,22 +191,22 @@ def svd_truncate(w, r: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge_adapter_set(adapters, config=None) -> dict:
-    """Merge every aligned layer; returns layer_key -> MergedLayer, sorted."""
+    """Merge every aligned layer; returns layer_key -> merged_factors' (left, right, stats), sorted."""
     if config is None:
         config = MergeConfig()
     if adapters.n < 1:
         raise ValueError("need at least one adapter")
-    return {key: merge_layer(decoded_group(adapters, key), config) for key in adapters.layer_keys}
+    return {key: merged_factors(decoded_group(adapters, key), config, key) for key in adapters.layer_keys}
 
 
-def layer_outputs(merged, mode: str, rank: int | None = None, base=None) -> dict:
-    """The f32 tensors one merged layer (a MergedLayer) contributes to an output
-    checkpoint, by key: write_merged's blocks (merge._output_blocks, given
-    left as one f64 record and a copy of right, which lowrank output
+def layer_outputs(key, left, right, mode: str, rank: int | None = None, base=None) -> dict:
+    """The f32 tensors one merged layer left @ right of this key contributes to
+    an output checkpoint, by key: write_merged's blocks (merge._output_blocks,
+    given left as one f64 record and a copy of right, which lowrank output
     overwrites), copied and joined."""
-    keys = list(output_shapes(merged.layer_key, merged.shape, mode, rank, base))
+    keys = list(output_shapes(key, (len(left), right.shape[1]), mode, rank, base))
     blocks: dict[str, list] = {}
-    left = [TensorRecord.from_array(merged.layer_key, merged.left, "f64")]
-    for key, block in _output_blocks(keys, left, merged.right.copy(), mode, rank, base):
-        blocks.setdefault(key, []).append(block.copy())
-    return {key: np.concatenate(parts) for key, parts in blocks.items()}
+    records = [TensorRecord.from_array(key, left, "f64")]
+    for name, block in _output_blocks(keys, records, right.copy(), mode, rank, base):
+        blocks.setdefault(name, []).append(block.copy())
+    return {name: np.concatenate(parts) for name, parts in blocks.items()}

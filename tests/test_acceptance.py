@@ -23,10 +23,11 @@ from domerge.experiments import (
     run_decoupling_suite,
 )
 from domerge.linalg import MAGNITUDE_MODES, decouple, recompose
-from domerge.merge import MergeConfig, assemble_full_rank, merge_layer
+from domerge.merge import MergeConfig
 from domerge.ortho import OrthoConfig, ortho_grad, ortho_loss, orthogonalize_group
 
 from conftest import LAYER_KEYS, make_adapter_records
+from oracles import merged_factors
 
 
 @contextlib.contextmanager
@@ -167,17 +168,15 @@ def test_merging_identical_adapters_reproduces_the_adapter(capfd):
     with criterion(8, "merging n identical adapters reproduces the original deltas", capfd):
         rng = np.random.default_rng(7)
         records = make_adapter_records(LAYER_KEYS, rank=4, full_shape=(16, 12), rng=rng)
-        from domerge.checkpoint import LoraLayer
 
         for n in (2, 3, 5):
             for key in LAYER_KEYS:
                 b = records[f"{key}.lora_B.weight"].to_array()
                 a = records[f"{key}.lora_A.weight"].to_array()
-                layer = LoraLayer(key, B=b, A=a, rank=4)
                 config = MergeConfig(lam=1.0 / n**2, ortho=None)
-                out = merge_layer([layer] * n, config)
-                target = assemble_full_rank(layer)
-                err = np.linalg.norm(out.delta - target) / np.linalg.norm(target)
+                left, right, _ = merged_factors([(b, a, 1.0)] * n, config, key)
+                target = b @ a
+                err = np.linalg.norm(left @ right - target) / np.linalg.norm(target)
                 assert err <= 1e-10
 
 

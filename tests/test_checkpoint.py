@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from domerge.checkpoint import (
     AlignmentError,
-    LoraLayer,
     MalformedHeaderError,
     OffsetError,
     ParseError,
     TensorRecord,
     TruncatedPayloadError,
     UnknownDtypeError,
+    check_factors,
     extract_adapters,
     load_checkpoint,
     load_manifest,
@@ -533,22 +533,23 @@ def test_roundtrip_property(tmp_path_factory, seed, dtype):
     assert (back.dtype, back.shape, back.raw) == (rec.dtype, rec.shape, rec.raw)
 
 
-def test_lora_layer_validation():
-    b, a = np.ones((6, 2)), np.ones((2, 5))
-    layer = LoraLayer("l", B=b, A=a, rank=2)
-    assert layer.full_shape == (6, 5)
-    with pytest.raises(AlignmentError):
-        LoraLayer("l", B=b, A=np.ones((3, 5)), rank=2)  # inner dims differ
-    with pytest.raises(AlignmentError):
-        LoraLayer("l", B=b, A=a, rank=3)  # rank must equal the inner dim
-    with pytest.raises(AlignmentError):
-        LoraLayer("l", B=np.ones((6, 6)), A=np.ones((6, 2)), rank=6)  # rank > min(full)
-    for scaling in (0.0, float("nan"), float("inf")):
-        with pytest.raises(AlignmentError):
-            LoraLayer("l", B=b, A=a, rank=2, scaling=scaling)
-    for flat_b, flat_a in ((np.ones(6), a), (b, np.ones((1, 2, 5)))):
+def test_check_factors_validation():
+    # a LoRA pair: 2-D factors that chain, of rank 1 to min of the full shape, with a positive finite scaling
+    b, a = (6, 2), (2, 5)
+    check_factors("l", b, a, 1.0)
+    check_factors("l", (6, 5), (5, 5), 0.5)  # rank min(full) is allowed
+    with pytest.raises(AlignmentError, match=r"l: inner dimensions differ, B is \(6, 2\), A is \(3, 5\)"):
+        check_factors("l", b, (3, 5), 1.0)
+    with pytest.raises(AlignmentError, match="l: rank 0"):
+        check_factors("l", (6, 0), (0, 5), 1.0)
+    with pytest.raises(AlignmentError, match=r"l: rank 6 exceeds min of full shape \(6, 2\)"):
+        check_factors("l", (6, 6), (6, 2), 1.0)
+    for scaling in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(AlignmentError, match="l: scaling must be positive and finite"):
+            check_factors("l", b, a, scaling)
+    for flat_b, flat_a in (((6,), a), (b, (1, 2, 5))):
         with pytest.raises(AlignmentError, match="l: factors must be 2-D"):
-            LoraLayer("l", B=flat_b, A=flat_a, rank=2)
+            check_factors("l", flat_b, flat_a, 1.0)
 
 
 def test_extract_adapters_aligned(adapter_files):

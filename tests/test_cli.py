@@ -750,6 +750,73 @@ def test_merge_refuses_to_write_non_finite_output(tmp_path, capsys, rng):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["big.safetensors", "o.safetensors"]
 
 
+@pytest.mark.parametrize("dtype, value", [("bf16", np.nan), ("f32", np.inf)])
+def test_merge_fused_non_finite_base_exit_3_naming_it(adapter_files, tmp_path, capsys, rng, monkeypatch, dtype, value):
+    # the last layer's base holds the bad value in row 9: its third render block of 4 rows (R = 12),
+    # after the earlier layers and blocks are written; only a block that fails its check rereads its base rows
+    monkeypatch.setattr(merge_module, "_RENDER_BLOCK_BYTES", 4 * 24 * 4)
+    weights = {key + ".weight": rng.standard_normal((16, 12)) for key in LAYER_KEYS}
+    last = sorted(weights)[-1]
+    weights[last][9, 5] = value
+    base = tmp_path / "base.safetensors"
+    save_checkpoint({k: TensorRecord.from_array(k, w, dtype) for k, w in weights.items()}, base)
+    written = []
+    monkeypatch.setattr(merge_module, "save_checkpoint", _logged_save(written))
+    out = tmp_path / "fused.safetensors"
+    out.write_bytes(b"occupied")
+    argv = [*map(str, adapter_files), "--base", str(base), "--output-mode", "fused", "--output", str(out), "--force"]
+    code, stdout, err = run(capsys, "merge", *argv)
+    assert (code, stdout) == (3, "")
+    assert err == f"domerge: error: {base}: non-finite values in tensor {last!r}; {out} not written\n"
+    assert written[-2:] == [(last, 4), (last, 4)] and len(written) == 3 * 4 + 2
+    assert out.read_bytes() == b"occupied"
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([*(p.name for p in adapter_files), "base.safetensors", "fused.safetensors"])
+
+
+def test_merge_fused_finite_base_whose_sum_overflows_exit_2(adapter_files, tmp_path, capsys, rng):
+    # the delta's largest entry is half of f32's max and the base entry under it f32's max, of its sign
+    f32_max = float(np.finfo(np.float32).max)
+    factors = [load_checkpoint(p) for p in adapter_files]
+    key = LAYER_KEYS[0]
+    delta = sum(f[key + ".lora_B.weight"].to_array() @ f[key + ".lora_A.weight"].to_array() for f in factors)
+    i, j = np.unravel_index(np.argmax(np.abs(delta)), delta.shape)
+    weights = {k + ".weight": rng.standard_normal((16, 12)) for k in LAYER_KEYS}
+    weights[key + ".weight"][i, j] = np.sign(delta[i, j]) * f32_max
+    base = tmp_path / "base.safetensors"
+    save_checkpoint({k: TensorRecord.from_array(k, w, "f32") for k, w in weights.items()}, base)
+    out = tmp_path / "fused.safetensors"
+    lam = str(0.5 * f32_max / abs(delta[i, j]))
+    code, _, err = run(
+        capsys, "merge", *map(str, adapter_files), "--method", "task_arithmetic", "--lambda", lam,
+        "--base", str(base), "--output-mode", "fused", "--output", str(out),
+    )
+    assert code == 2 and f"merged tensor '{key}.weight' is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["delta", "fused"])
+@pytest.mark.parametrize("flags", [["--no-ortho"], ["--method", "average"]], ids=["no_ortho", "average"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_merging_copies_of_one_bf16_adapter_writes_its_product(tmp_path, capsys, rng, n, flags, mode):
+    # n copies of B A, each read from bf16 and merged as the stacks [B ... B] [A/n; ...; A/n],
+    # rendered within the f32 bound of that f64 product (plus a bf16 base in fused output)
+    path, base, out = tmp_path / "adapter.safetensors", tmp_path / "base.safetensors", tmp_path / "out.safetensors"
+    save_checkpoint(make_adapter_records(LAYER_KEYS, 4, (16, 12), rng, dtype="bf16"), path)
+    weights = {k + ".weight": rng.standard_normal((16, 12)) for k in LAYER_KEYS}
+    save_checkpoint({k: TensorRecord.from_array(k, w, "bf16") for k, w in weights.items()}, base)
+    argv = ["merge", *[str(path)] * n, *flags, "--base", str(base), "--output-mode", mode, "--output", str(out)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    adapter, merged, weights = load_checkpoint(path), load_checkpoint(out), load_checkpoint(base)
+    assert len(merged) == len(LAYER_KEYS)
+    for key in LAYER_KEYS:
+        b, a = (adapter[key + suffix].to_array() for suffix in (".lora_B.weight", ".lora_A.weight"))
+        name = key if mode == "delta" else key + ".weight"
+        values = None if mode == "delta" else weights[name].to_array()
+        assert_within_render_bound(merged[name].values(), np.hstack([b] * n), np.vstack([a / n] * n), values)
+
+
 @pytest.mark.parametrize(
     "entry, needs",
     [({"path": ""}, "needs a string 'path'"), ({"name": 5}, "name 5"), ({"name": None}, "name None")],

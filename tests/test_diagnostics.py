@@ -14,7 +14,7 @@ from domerge.diagnostics import (
     format_float,
 )
 
-from oracles import decoded_group, dense_report
+from oracles import decoded_group, dense_report, task_matrix
 from test_merge import adapter_set, degenerate_group
 
 
@@ -90,9 +90,7 @@ def test_orthogonality_report_symmetric_unsquared(adapter_files):
     for key, gram in report.items():
         assert gram.shape == (3, 3)
         assert np.allclose(gram, gram.T)
-        group = decoded_group(adapters, key)
-        w0 = group[0].scaling * (group[0].B @ group[0].A)
-        w1 = group[1].scaling * (group[1].B @ group[1].A)
+        w0, w1 = (task_matrix(layer) for layer in decoded_group(adapters, key)[:2])
         # entries are unsquared product norms
         assert gram[0, 1] == pytest.approx(np.linalg.norm(w0.T @ w1), rel=1e-12)
         assert gram[0, 0] == pytest.approx(np.linalg.norm(w0.T @ w0), rel=1e-12)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from domerge.checkpoint import LORA_A_SUFFIX, LORA_B_SUFFIX, extract_adapters, load_checkpoint, load_manifest
-from domerge.merge import MergeConfig, merge_layer
+from domerge.merge import MergeConfig
 
 from oracles import (
     EPS32,
@@ -25,6 +25,7 @@ from oracles import (
     decoded_group,
     dense_merge_delta,
     dense_report,
+    merged_factors,
     svd_truncate,
 )
 
@@ -59,23 +60,24 @@ def check_merge(work: Path, name: str, adapters, base) -> None:
     assert sorted(summary["layers"]) == adapters.layer_keys == sorted(golden_outputs.LAYERS)
     for key in adapters.layer_keys:
         layers = decoded_group(adapters, key)
-        merged, want = merge_layer(layers, config), dense_merge_delta(layers, config)
-        assert np.linalg.norm(merged.delta - want) <= 1e-12 * np.linalg.norm(want)
+        (left, right, _), want = merged_factors(layers, config, key), dense_merge_delta(layers, config)
+        delta = left @ right
+        assert np.linalg.norm(delta - want) <= 1e-12 * np.linalg.norm(want)
         if name in LOWRANK:
             b, a = (written[key + suffix].to_array() for suffix in (LORA_B_SUFFIX, LORA_A_SUFFIX))
-            left, right, r = merged.left, merged.right, merged.left.shape[1]
+            r = left.shape[1]
             scale = (np.hypot.reduce(left, axis=0) * np.hypot.reduce(right, axis=1)).sum()
-            err = np.linalg.norm(b @ a - np.matmul(*svd_truncate(merged.delta, LOWRANK[name])))
+            err = np.linalg.norm(b @ a - np.matmul(*svd_truncate(delta, LOWRANK[name])))
             assert err <= 8 * EPS32 * scale + 2 * EPS32 * np.linalg.norm(b) * np.linalg.norm(a)
             assert not (b[:, r:].any() or a[r:].any())
         elif name == "fused":
             values = base[key + ".weight"].to_array()
-            assert_within_render_bound(written[key + ".weight"].to_array(), merged.left, merged.right, values)
+            assert_within_render_bound(written[key + ".weight"].to_array(), left, right, values)
         else:
-            assert_within_render_bound(written[key].to_array(), merged.left, merged.right)
+            assert_within_render_bound(written[key].to_array(), left, right)
         groups = summary["layers"][key].get("ortho", {})
         assert sorted(groups) == ([] if config.ortho is None else ["A", "B"])
-        members = {"B": [layer.scaling * layer.B for layer in layers], "A": [layer.A.T for layer in layers]}
+        members = {"B": [s * b for b, _, s in layers], "A": [a.T for _, a, _ in layers]}
         for group, stats in groups.items():
             lo = cross_gram_sum(members[group])
             assert abs(stats["initial_lo"] - lo) <= 1e-12 * lo

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from domerge.cli import main
 from domerge.checkpoint import (
     AdapterSet,
     AlignmentError,
-    LoraLayer,
     TensorRecord,
     extract_adapters,
     load_checkpoint,
@@ -18,13 +18,10 @@ from domerge.checkpoint import (
 )
 from domerge.merge import (
     MergeConfig,
-    MergedLayer,
     _pieces,
     _render_f32,
     _times,
     _truncated_factors,
-    assemble_full_rank,
-    merge_layer,
     output_shapes,
     resolve_base_key,
     write_merged,
@@ -39,15 +36,21 @@ from oracles import (
     dense_merge_delta,
     layer_outputs,
     merge_adapter_set,
+    merged_factors,
     svd_truncate,
+    task_matrix,
 )
 
 
-def make_layer(rng, m=10, n=8, rank=3, scaling=1.0, key="l"):
-    return LoraLayer(
-        key, B=rng.standard_normal((m, rank)), A=rng.standard_normal((rank, n)),
-        rank=rank, scaling=scaling,
-    )
+def make_layer(rng, m=10, n=8, rank=3, scaling=1.0):
+    """One adapter's (B, A, scaling) f64 layer."""
+    return rng.standard_normal((m, rank)), rng.standard_normal((rank, n)), scaling
+
+
+def merged_delta(layers, config):
+    """The dense merged delta left @ right of merged_factors."""
+    left, right, _ = merged_factors(layers, config)
+    return left @ right
 
 
 def records(left):
@@ -62,14 +65,14 @@ def truncated(left, right, rank):
 
 
 def adapter_set(adapters, names):
-    """An AdapterSet of LoraLayer dicts, held as exact in-memory f64 factor records."""
-    def records(layer):
-        return tuple(TensorRecord.from_array(layer.layer_key, f, "f64") for f in (layer.B, layer.A))
+    """An AdapterSet of {layer key: (B, A, scaling)} dicts, held as exact in-memory f64 factor records."""
+    def records(key, b, a):
+        return tuple(TensorRecord.from_array(key, f, "f64") for f in (b, a))
 
     return AdapterSet(
-        [{key: records(layer) for key, layer in a.items()} for a in adapters],
+        [{key: records(key, b, a) for key, (b, a, _) in adapter.items()} for adapter in adapters],
         names,
-        [next(iter(a.values())).scaling for a in adapters],
+        [next(iter(adapter.values()))[2] for adapter in adapters],
     )
 
 
@@ -104,107 +107,106 @@ def test_config_validation():
             MergeConfig(lam=lam)
 
 
-def test_assemble_full_rank_applies_scaling(rng):
-    layer = make_layer(rng, scaling=2.0)
-    assert np.array_equal(assemble_full_rank(layer), 2.0 * (layer.B @ layer.A))
-
-
 def test_task_arithmetic_single_adapter_identity(rng):
-    layer = make_layer(rng)
-    out = merge_layer([layer], MergeConfig(method="task_arithmetic", lam=1.0))
-    assert np.array_equal(out.delta, layer.B @ layer.A)
+    b, a, s = make_layer(rng)
+    assert np.array_equal(merged_delta([(b, a, s)], MergeConfig(method="task_arithmetic", lam=1.0)), b @ a)
 
 
 def test_task_arithmetic_sums_scaled_products(rng):
     layers = [make_layer(rng, scaling=s) for s in (1.0, 2.0)]
-    out = merge_layer(layers, MergeConfig(method="task_arithmetic", lam=0.5))
-    expected = 0.5 * (assemble_full_rank(layers[0]) + assemble_full_rank(layers[1]))
-    assert np.allclose(out.delta, expected, rtol=1e-14)
+    out = merged_delta(layers, MergeConfig(method="task_arithmetic", lam=0.5))
+    expected = 0.5 * (task_matrix(layers[0]) + task_matrix(layers[1]))
+    assert np.allclose(out, expected, rtol=1e-14)
 
 
 def test_average_is_mean_of_products(rng):
     layers = [make_layer(rng) for _ in range(4)]
-    out = merge_layer(layers, MergeConfig(method="average"))
-    expected = sum(assemble_full_rank(l) for l in layers) / 4
-    assert np.allclose(out.delta, expected, rtol=1e-14)
+    out = merged_delta(layers, MergeConfig(method="average"))
+    expected = sum(task_matrix(l) for l in layers) / 4
+    assert np.allclose(out, expected, rtol=1e-14)
 
 
 def test_identical_adapters_reconstruct_without_ortho(rng):
     layer = make_layer(rng)
     for n in (2, 3):
         cfg = MergeConfig(lam=1.0 / n**2, ortho=None)
-        out = merge_layer([layer] * n, cfg)
-        target = assemble_full_rank(layer)
-        assert np.linalg.norm(out.delta - target) <= 1e-12 * np.linalg.norm(target)
+        out = merged_delta([layer] * n, cfg)
+        target = task_matrix(layer)
+        assert np.linalg.norm(out - target) <= 1e-12 * np.linalg.norm(target)
 
 
 def test_fully_ablated_matches_task_arithmetic_bitwise(rng):
     layers = [make_layer(rng) for _ in range(3)]
     ablated = MergeConfig(method="do_merging", ortho=None, decouple_enabled=False, lam=0.2)
     ta = MergeConfig(method="task_arithmetic", lam=0.2)
-    a = merge_layer(layers, ablated).delta
-    b = merge_layer(layers, ta).delta
-    assert np.array_equal(a, b)
+    assert np.array_equal(merged_delta(layers, ablated), merged_delta(layers, ta))
 
 
 def test_ortho_stats_presence(rng):
     layers = [make_layer(rng) for _ in range(2)]
-    with_ortho = merge_layer(layers, MergeConfig())
-    without = merge_layer(layers, MergeConfig(ortho=None))
-    assert set(with_ortho.ortho_stats) == {"A", "B"}
-    assert without.ortho_stats is None
+    assert set(merged_factors(layers, MergeConfig())[2]) == {"A", "B"}
+    assert merged_factors(layers, MergeConfig(ortho=None))[2] is None
 
 
 def test_ortho_budget_reflected_in_stats(rng):
     layers = [make_layer(rng) for _ in range(3)]
     cfg = MergeConfig(ortho=OrthoConfig(max_rel_perturbation=0.02))
-    out = merge_layer(layers, cfg)
-    for stats in out.ortho_stats.values():
+    for stats in merged_factors(layers, cfg)[2].values():
         assert max(stats.per_member_rel_perturbation) <= 0.02
 
 
 def test_mixed_rank_groups_merge(rng):
-    layers = [make_layer(rng, rank=2, key="x"), make_layer(rng, rank=5, key="x")]
-    out = merge_layer(layers, MergeConfig())
-    assert out.delta.shape == (10, 8)
-    assert out.ortho_stats["B"].final_lo <= out.ortho_stats["B"].initial_lo
-    assert out.ortho_stats["A"].final_lo <= out.ortho_stats["A"].initial_lo
+    layers = [make_layer(rng, rank=2), make_layer(rng, rank=5)]
+    left, right, stats = merged_factors(layers, MergeConfig())
+    assert (left @ right).shape == (10, 8)
+    assert stats["B"].final_lo <= stats["B"].initial_lo
+    assert stats["A"].final_lo <= stats["A"].initial_lo
 
 
 @pytest.mark.parametrize("factor", ["B", "A"])
 @pytest.mark.parametrize("method", ["do_merging", "task_arithmetic"])
-def test_merge_layer_rejects_non_finite_factors(rng, method, factor):
-    layers = [make_layer(rng, key="enc.q") for _ in range(3)]
-    getattr(layers[1], factor)[2, 1] = np.inf
-    with pytest.raises(ValueError, match=r"'enc\.q'.*adapter 1"):
-        merge_layer(layers, MergeConfig(method=method))
+def test_merge_layer_rejects_non_finite_factors(tmp_path, capsys, rng, method, factor):
+    # checked as the adapters load, so every method exits 3 naming the file and layer, writing nothing
+    paths = [tmp_path / f"adapter{i}.safetensors" for i in range(3)]
+    for i, path in enumerate(paths):
+        adapter = make_adapter_records(["enc.q"], 3, (10, 8), rng, dtype="f64")
+        if i == 1:
+            key = f"enc.q.lora_{factor}.weight"
+            values = adapter[key].to_array()
+            values[2, 1] = np.inf
+            adapter[key] = TensorRecord.from_array(key, values, "f64")
+        save_checkpoint(adapter, path)
+    out = tmp_path / "out.safetensors"
+    assert main(["merge", *map(str, paths), "--method", method, "--output", str(out)]) == 3
+    assert re.search(r"adapter1\.safetensors: non-finite values in layer 'enc\.q'", capsys.readouterr().err)
+    assert not out.exists()
 
 
-def test_merge_layer_rejects_shape_conflicts(rng):
-    layers = [make_layer(rng, m=10), make_layer(rng, m=11)]
-    with pytest.raises((ValueError, AlignmentError)):
-        merge_layer(layers, MergeConfig())
-    with pytest.raises(ValueError, match="empty layer group"):
-        merge_layer([], MergeConfig())
+def test_merge_layer_rejects_shape_conflicts(tmp_path, rng):
+    # a layer whose full shape differs between adapters is refused as they load, as is an empty set
+    paths = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
+    for path, m in zip(paths, (10, 11)):
+        save_checkpoint(make_adapter_records(["l"], 3, (m, 8), rng), path)
+    with pytest.raises(AlignmentError, match=r"layer 'l' has conflicting full shapes \[\(10, 8\), \(11, 8\)\]"):
+        extract_adapters(paths)
+    with pytest.raises(AlignmentError, match="no adapter files given"):
+        extract_adapters([])
 
 
 def test_decoupling_changes_result_for_imbalanced_scalings(rng):
     layers = [make_layer(rng, scaling=1.0), make_layer(rng, scaling=4.0)]
-    coupled = merge_layer(layers, MergeConfig(ortho=None, decouple_enabled=False)).delta
-    decoupled = merge_layer(layers, MergeConfig(ortho=None, decouple_enabled=True)).delta
+    coupled = merged_delta(layers, MergeConfig(ortho=None, decouple_enabled=False))
+    decoupled = merged_delta(layers, MergeConfig(ortho=None, decouple_enabled=True))
     assert not np.allclose(coupled, decoupled)
 
 
 def test_merge_adapter_set_sorted_by_layer_key(rng):
-    adapters = adapter_set(
-        [{"b": make_layer(rng, key="b"), "a": make_layer(rng, key="a")} for _ in range(2)], ["x", "y"]
-    )
+    adapters = adapter_set([{"b": make_layer(rng), "a": make_layer(rng)} for _ in range(2)], ["x", "y"])
     merged = merge_adapter_set(adapters)
     assert list(merged) == ["a", "b"]
-    for key, layer in merged.items():
-        alone = merge_layer(decoded_group(adapters, key), MergeConfig())
-        assert layer.layer_key == key
-        assert np.array_equal(layer.delta, alone.delta)
+    for key, (left, right, _) in merged.items():
+        alone_left, alone_right, _ = merged_factors(decoded_group(adapters, key), MergeConfig(), key)
+        assert np.array_equal(left @ right, alone_left @ alone_right)
 
 
 def base_records(keys, shape, rng):
@@ -216,65 +218,64 @@ def base_records(keys, shape, rng):
 
 
 def test_fused_output_requires_base(adapter_files):
-    merged = merge_adapter_set(extract_adapters(adapter_files))
+    key, (left, right, _) = next(iter(merge_adapter_set(extract_adapters(adapter_files)).items()))
     with pytest.raises(ValueError):
-        layer_outputs(next(iter(merged.values())), "fused")
+        layer_outputs(key, left, right, "fused")
 
 
 def test_fused_output_adds_base(adapter_files, rng):
     adapters = extract_adapters(adapter_files)
     base = base_records(adapters.layer_keys, (16, 12), rng)
-    for key, layer in merge_adapter_set(adapters).items():
-        out = layer_outputs(layer, "fused", base=base)
+    for key, (left, right, _) in merge_adapter_set(adapters).items():
+        out = layer_outputs(key, left, right, "fused", base=base)
         assert list(out) == [key + ".weight"]
         fused = out[key + ".weight"]
         assert fused.dtype == np.float32
-        assert_within_render_bound(fused, layer.left, layer.right, base[key + ".weight"].to_array())
+        assert_within_render_bound(fused, left, right, base[key + ".weight"].to_array())
 
 
 def test_fused_output_shape_conflict_rejected(adapter_files, rng):
     adapters = extract_adapters(adapter_files)
     base = base_records(adapters.layer_keys, (3, 3), rng)
-    for layer in merge_adapter_set(adapters).values():
+    for key, (left, right, _) in merge_adapter_set(adapters).items():
         with pytest.raises(AlignmentError):
-            layer_outputs(layer, "fused", base=base)
+            layer_outputs(key, left, right, "fused", base=base)
 
 
 @pytest.mark.parametrize("mode, rank", [("delta", None), ("fused", None), ("lowrank", 3)])
 def test_layer_outputs_shapes_only_matches_rendered(adapter_files, rng, mode, rank):
     adapters = extract_adapters(adapter_files)
     base = base_records(adapters.layer_keys, (16, 12), rng)
-    for layer in merge_adapter_set(adapters).values():
-        shapes = output_shapes(layer.layer_key, layer.shape, mode, rank, base)
-        rendered = layer_outputs(layer, mode, rank, base)
+    for key, (left, right, _) in merge_adapter_set(adapters).items():
+        shapes = output_shapes(key, (len(left), right.shape[1]), mode, rank, base)
+        rendered = layer_outputs(key, left, right, mode, rank, base)
         assert list(shapes) == list(rendered)
         assert all(shapes[key] == arr.shape for key, arr in rendered.items())
 
 
 def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
     adapters = extract_adapters(adapter_files)
-    layer = next(iter(merge_adapter_set(adapters).values()))
-    conflict = base_records(adapters.layer_keys, (3, 3), rng)
+    key, (left, right, _) = next(iter(merge_adapter_set(adapters).items()))
+    conflict, shape = base_records(adapters.layer_keys, (3, 3), rng), (len(left), right.shape[1])
     with pytest.raises(AlignmentError):
-        output_shapes(layer.layer_key, layer.shape, "fused", base=conflict)
+        output_shapes(key, shape, "fused", base=conflict)
     for rank in (13, None):
         with pytest.raises(ValueError, match="out of range"):
-            output_shapes(layer.layer_key, layer.shape, "lowrank", rank)
+            output_shapes(key, shape, "lowrank", rank)
     with pytest.raises(ValueError, match="unknown output mode 'dense'"):
-        output_shapes(layer.layer_key, layer.shape, "dense")
+        output_shapes(key, shape, "dense")
 
 
 def test_merge_adapter_set_returns_rank_sum_factors(rng):
     layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
     adapters = adapter_set([{"l": layer} for layer in layers], ["a", "b"])
     for cfg in (MergeConfig(), MergeConfig(method="task_arithmetic")):
-        merged = merge_adapter_set(adapters, config=cfg)["l"]
-        assert merged.left.shape == (10, 5) and merged.right.shape == (5, 8)
-        assert merged.shape == (10, 8)
-        delta = layer_outputs(merged, "delta")
+        left, right, _ = merge_adapter_set(adapters, config=cfg)["l"]
+        assert left.shape == (10, 5) and right.shape == (5, 8)
+        delta = layer_outputs("l", left, right, "delta")
         assert list(delta) == ["l"]
         assert delta["l"].dtype == np.float32
-        assert_within_render_bound(delta["l"], merged.left, merged.right)
+        assert_within_render_bound(delta["l"], left, right)
 
 
 @pytest.mark.parametrize("dtype", [None, "f64", "f32", "f16", "bf16"])
@@ -300,7 +301,7 @@ def test_render_f32_is_the_f32_of_the_f64_product(monkeypatch, rng, dtype, rows,
     assert joined.dtype == np.float32 and joined.shape == (m, n)
     assert_within_render_bound(joined, left, right, base_values)
     # layer_outputs joins copies of the same blocks, so no block's reuse shows
-    got = layer_outputs(MergedLayer("w", left, right), mode, base=base)["w"]
+    got = layer_outputs("w", left, right, mode, base=base)["w"]
     assert np.array_equal(got, joined)
 
 
@@ -434,12 +435,11 @@ def test_fused_render_keeps_no_base_file_pages(tmp_path, rng, monkeypatch):
     assert blocks == 4 * m * n // merge_module._RENDER_BLOCK_BYTES and max(growth) < 1 << 20, growth
 
 
-def lowrank_factors(merged, rank):
-    """The f64 rank-`rank` factors, checked to be what layer_outputs writes in f32."""
-    out = layer_outputs(merged, "lowrank", rank)
-    key = merged.layer_key
+def lowrank_factors(key, left, right, rank):
+    """The f64 rank-`rank` factors of left @ right, checked to be what layer_outputs writes in f32."""
+    out = layer_outputs(key, left, right, "lowrank", rank)
     assert list(out) == [key + ".lora_A.weight", key + ".lora_B.weight"]
-    b, a = truncated(merged.left, merged.right, rank)
+    b, a = truncated(left, right, rank)
     for written, factor in ((out[key + ".lora_B.weight"], b), (out[key + ".lora_A.weight"], a)):
         assert written.dtype == np.float32
         assert np.array_equal(written, factor.astype(np.float32))
@@ -467,11 +467,11 @@ def test_resolve_base_key_strips_peft_prefix():
 def test_lowrank_output_refactorizes(adapter_files):
     adapters = extract_adapters(adapter_files)
     merged = merge_adapter_set(adapters, config=MergeConfig(ortho=None))
-    for layer in merged.values():
-        b, a = lowrank_factors(layer, 12)
+    for key, (left, right, _) in merged.items():
+        b, a = lowrank_factors(key, left, right, 12)
         assert b.shape == (16, 12) and a.shape == (12, 12)
         # full column rank requested, so the refactorization is exact
-        assert np.linalg.norm(b @ a - layer.delta) <= 1e-9 * np.linalg.norm(layer.delta)
+        assert np.linalg.norm(b @ a - left @ right) <= 1e-9 * np.linalg.norm(left @ right)
 
 
 def test_merge_determinism_across_calls(adapter_files):
@@ -479,15 +479,16 @@ def test_merge_determinism_across_calls(adapter_files):
     m1 = merge_adapter_set(adapters, config=MergeConfig())
     m2 = merge_adapter_set(adapters, config=MergeConfig())
     for key in m1:
-        assert np.array_equal(m1[key].delta, m2[key].delta)
+        assert np.array_equal(m1[key][0] @ m1[key][1], m2[key][0] @ m2[key][1])
 
 
 def degenerate_group(rng, m, n, ranks):
     """Mixed-rank layers; in the second, B A has a zero column and units below decouple's floor."""
     layers = [make_layer(rng, m=m, n=n, rank=r, scaling=0.5 + i) for i, r in enumerate(ranks)]
-    layers[1].A[:, 3] = 0.0
-    layers[1].A[:, 5] *= 1e-14
-    layers[1].B[2, :] *= 1e-14
+    b, a, _ = layers[1]
+    a[:, 3] = 0.0
+    a[:, 5] *= 1e-14
+    b[2, :] *= 1e-14
     return layers
 
 
@@ -505,7 +506,7 @@ def test_factored_merge_matches_dense_oracle(shape, mode, ortho):
         MergeConfig(method="average"),
     ]
     for cfg in configs:
-        got = merge_layer(layers, cfg).delta
+        got = merged_delta(layers, cfg)
         want = dense_merge_delta(layers, cfg)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -521,10 +522,10 @@ def test_merge_descent_is_orthogonalize_groups(shape, scaled):
     layers = [
         make_layer(rng, *shape, rank=r, scaling=0.5 + i if scaled else 1.0) for i, r in enumerate((2, 4, 3))
     ]
-    got = merge_layer(layers, MergeConfig()).ortho_stats
+    got = merged_factors(layers, MergeConfig())[2]
     want = {
-        "B": orthogonalize_group([layer.scaling * layer.B for layer in layers])[1],
-        "A": orthogonalize_group([layer.A.T for layer in layers])[1],
+        "B": orthogonalize_group([s * b for b, _, s in layers])[1],
+        "A": orthogonalize_group([a.T for _, a, _ in layers])[1],
     }
     for group in ("B", "A"):
         g, w = got[group], want[group]
@@ -540,22 +541,23 @@ def test_merge_descent_is_orthogonalize_groups(shape, scaled):
 @pytest.mark.parametrize("mode", ["column", "row"])
 @pytest.mark.parametrize("shape", [(11008, 4096), (4096, 11008)], ids=["gate_proj", "down_proj"])
 def test_merge_layer_peak_memory_at_model_shapes(shape, mode):
-    """4 f64 rank-16 adapters of a Llama-2-7B MLP shape (R = 64): the merge
-    holds its two stacks and at most one more copy of one of them at a time,
-    so its tracemalloc peak stays below 1.9 times the decoded factors'
-    bytes. Per-adapter scaled copies of B and hstack / hsplit round trips of
-    the m x R side took it above 2 times."""
+    """4 f64 rank-16 adapters of a Llama-2-7B MLP shape (R = 64), merged by
+    merged_factors (write_merged's merge, left joined into one m x R array;
+    row mode forms another): the merge holds its two stacks and at most one
+    more copy of one of them at a time, so its tracemalloc peak stays below
+    1.9 times the decoded factors' bytes. Per-adapter scaled copies of B and
+    hstack / hsplit round trips of the m x R side took it above 2 times."""
     rng = np.random.default_rng(0)
     layers = [make_layer(rng, *shape, rank=16) for _ in range(4)]
     config = MergeConfig(magnitude_mode=mode)
     tracemalloc.start()
     try:
-        merged = merge_layer(layers, config)
+        left, _, _ = merged_factors(layers, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert merged.left.shape == (shape[0], 64)
-    factors = sum(layer.B.nbytes + layer.A.nbytes for layer in layers)
+    assert left.shape == (shape[0], 64)
+    factors = sum(b.nbytes + a.nbytes for b, a, _ in layers)
     assert peak < 1.9 * factors, (peak / factors, peak)
 
 
@@ -635,7 +637,8 @@ def test_write_merged_holds_no_m_by_R_stack(model_layer_files, tmp_path, mode, r
     """16 bf16 rank-16 adapters of a gate_proj (R = 256), where B's m x R is
     most of the stacks: a layer holds its A stack (0.27 of the stacks' bytes
     8 (m + n) R), the descent's R x R arrays and one piece of B, and its
-    tracemalloc peak measures 0.50. Decoding B into an m x R stack measured 1.26."""
+    tracemalloc peak measures 0.45 (delta) and 0.46 (lowrank). Decoding B
+    into an m x R stack measured 1.26."""
     adapters, out = extract_adapters(model_layer_files(*GATE, count=16)), tmp_path / "out.safetensors"
     tracemalloc.start()
     try:
@@ -648,6 +651,27 @@ def test_write_merged_holds_no_m_by_R_stack(model_layer_files, tmp_path, mode, r
     assert peak < 0.6 * stacks, (peak / stacks, peak)
 
 
+@pytest.mark.parametrize("mode, rank, bound", [("delta", None, 1.92), ("lowrank", 16, 2.04)])
+def test_write_merged_a_descent_beside_few_gram_sized_arrays(model_layer_files, tmp_path, mode, rank, bound):
+    """16 bf16 rank-16 adapters of a 1024 x 1024 layer (R = 256), where an
+    R x R array is 0.125 of the stacks' bytes 8 (m + n) R, so the descents
+    set the peak. The A group descends beside the B Gram, its own Gram and K,
+    formed in E_B's buffer, and beside the Gram pass's G only when lowrank
+    output follows: the tracemalloc peak measures 1.79 (delta) and 1.91
+    (lowrank); each bound is that plus one R x R array. Holding G, E_B and
+    I + E_B apart from K through the A descent measured 2.16 in both modes."""
+    adapters, out = extract_adapters(model_layer_files(1024, 1024, count=16)), tmp_path / "out.safetensors"
+    tracemalloc.start()
+    try:
+        write_merged(adapters, MergeConfig(), out, mode, rank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        out.unlink(missing_ok=True)
+    stacks = 8 * 2048 * 256
+    assert peak < bound * stacks, (peak / stacks, peak)
+
+
 def lowrank_layers(rng):
     return [make_layer(rng, m=20, n=14, rank=r) for r in (2, 4, 3)]
 
@@ -655,24 +679,26 @@ def lowrank_layers(rng):
 @pytest.mark.parametrize("rank", [9, 10, 14])
 def test_lowrank_exact_at_or_beyond_combined_rank(rank):
     layers = lowrank_layers(np.random.default_rng(5))
-    out = merge_layer(layers, MergeConfig())
-    b, a = lowrank_factors(out, rank)
+    left, right, _ = merged_factors(layers, MergeConfig())
+    b, a = lowrank_factors("l", left, right, rank)
+    delta = left @ right
     assert b.shape == (20, rank) and a.shape == (rank, 14)
     assert np.all(b[:, 9:] == 0.0) and np.all(a[9:] == 0.0)
-    assert np.linalg.norm(b @ a - out.delta) <= 1e-12 * np.linalg.norm(out.delta)
+    assert np.linalg.norm(b @ a - delta) <= 1e-12 * np.linalg.norm(delta)
 
 
 @pytest.mark.parametrize("rank", [1, 4, 8])
 def test_lowrank_matches_dense_truncation_error(rank):
     layers = lowrank_layers(np.random.default_rng(6))
-    out = merge_layer(layers, MergeConfig())
-    b, a = lowrank_factors(out, rank)
-    db, da = svd_truncate(out.delta, rank)
-    err = np.linalg.norm(b @ a - out.delta)
-    dense_err = np.linalg.norm(db @ da - out.delta)
+    left, right, _ = merged_factors(layers, MergeConfig())
+    b, a = lowrank_factors("l", left, right, rank)
+    delta = left @ right
+    db, da = svd_truncate(delta, rank)
+    err = np.linalg.norm(b @ a - delta)
+    dense_err = np.linalg.norm(db @ da - delta)
     assert err == pytest.approx(dense_err, rel=1e-10)
     # same best approximation, not just the same error
-    assert np.linalg.norm(b @ a - db @ da) <= 1e-9 * np.linalg.norm(out.delta)
+    assert np.linalg.norm(b @ a - db @ da) <= 1e-9 * np.linalg.norm(delta)
 
 
 def hard_stacks():
@@ -722,9 +748,9 @@ def test_truncated_factors_term_past_f64_is_an_infinite_b(rng):
 
 def test_lowrank_rank_beyond_shape_rejected():
     layers = lowrank_layers(np.random.default_rng(7))
-    out = merge_layer(layers, MergeConfig())
+    left, right, _ = merged_factors(layers, MergeConfig())
     with pytest.raises(ValueError, match="out of range"):
-        layer_outputs(out, "lowrank", 15)
+        layer_outputs("l", left, right, "lowrank", 15)
 
 
 @pytest.mark.parametrize("mode, rank", [("delta", None), ("fused", None), ("lowrank", 3)])

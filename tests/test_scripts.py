@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from domerge import TensorRecord, load_checkpoint, save_checkpoint
+from domerge.cli import _parse_output_mode, build_parser, cmd_merge
 
 from conftest import LAYER_KEYS, make_adapter_records
 
@@ -86,3 +87,19 @@ def test_seed_outputs_repeats_its_hashes(tmp_path):
     steps, trials, kept = counts.groups()
     assert 32 <= int(steps) <= int(trials) <= 32 * 200 * 30 and 0 < float(kept) < 1
     assert second.stdout == first.stdout
+
+
+def test_benchmark_merge_command_lines_parse(monkeypatch):
+    # perfbench/run.py runs `merge --manifest M [--base B] <workload args> --output O --force` for
+    # each workload; a flag it passes (--threads among them) must not be dropped from the CLI first
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from run import WORKLOADS
+
+    parser = build_parser()
+    assert sorted(WORKLOADS) == ["fused-io", "lowrank-many", "ortho-dense"]
+    for name, workload in WORKLOADS.items():
+        base = ["--base", "base.safetensors"] if workload.corpus.with_base else []
+        argv = ["merge", "--manifest", "m.json", *base, *workload.args, "--output", "o.safetensors", "--force"]
+        args = parser.parse_args(argv)
+        assert args.func is cmd_merge and args.force and args.adapters == [], name
+        _parse_output_mode(args.output_mode)

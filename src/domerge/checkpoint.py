@@ -8,7 +8,7 @@ producers) is tolerated and ignored.
 
 Parsing is strict: every declared tensor must land inside the buffer, byte
 ranges must not overlap, and each range must match shape x dtype width.
-Failures raise distinct error types carrying the file byte position.
+Failures raise ParseError carrying the file byte position.
 
 A header longer than the reference reader's limit is refused unread, and
 so is a key that is not text. Loaded records name byte ranges of the open
@@ -57,25 +57,11 @@ class CheckpointError(Exception):
 
 
 class ParseError(CheckpointError):
+    """A container that breaks the format: a bad header, dtype or byte range, or a payload cut short."""
+
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (byte {position})")
         self.message, self.position = message, position
-
-
-class MalformedHeaderError(ParseError):
-    pass
-
-
-class UnknownDtypeError(ParseError):
-    pass
-
-
-class OffsetError(ParseError):
-    pass
-
-
-class TruncatedPayloadError(ParseError):
-    pass
 
 
 class AlignmentError(CheckpointError):
@@ -135,7 +121,7 @@ class TensorRecord:
             got = os.preadv(self.payload.fd, [view], at)
             if not got:
                 message = f"{self.payload.path}: tensor {self.key!r} ends past the end of the file"
-                raise TruncatedPayloadError(message, at)
+                raise ParseError(message, at)
             view, at = view[got:], at + got
         return out
 
@@ -212,29 +198,29 @@ def load_checkpoint(path) -> dict[str, TensorRecord]:
     _MAX_HEADER_BYTES and the file size. Each record names its payload's byte range in
     the one open file, which stays readable after its path is replaced or
     unlinked, and is closed once no record refers to it. Reading a record
-    past the end of a file cut short since raises TruncatedPayloadError.
+    past the end of a file cut short since raises ParseError.
     Every ParseError's message starts with path.
     """
     file = _InputFile(path)
     try:
         return _parse_header(file)
     except ParseError as e:
-        raise type(e)(f"{path}: {e.message}", e.position) from e.__cause__
+        raise ParseError(f"{path}: {e.message}", e.position) from e.__cause__
 
 
 def _parse_header(file: _InputFile) -> dict[str, TensorRecord]:
     size = os.fstat(file.fd).st_size
     header_len = int.from_bytes(os.pread(file.fd, 8, 0), "little")
     if header_len > _MAX_HEADER_BYTES:
-        raise MalformedHeaderError(f"{header_len}-byte header is over the {_MAX_HEADER_BYTES}-byte limit", 0)
+        raise ParseError(f"{header_len}-byte header is over the {_MAX_HEADER_BYTES}-byte limit", 0)
     if 8 + header_len > size:
-        raise MalformedHeaderError(f"file size {size} is too short for a {header_len}-byte header", 0)
+        raise ParseError(f"file size {size} is too short for a {header_len}-byte header", 0)
     try:
         header = json.loads(os.pread(file.fd, header_len, 8), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as e:  # bad JSON or _unique_keys' keys, bytes that are not text, too deep
-        raise MalformedHeaderError(f"bad header: {e}", 8) from e
+        raise ParseError(f"bad header: {e}", 8) from e
     if not isinstance(header, dict):
-        raise MalformedHeaderError("header must be a JSON object", 8)
+        raise ParseError("header must be a JSON object", 8)
 
     buf_start = 8 + header_len
     buf_len = size - buf_start
@@ -244,31 +230,31 @@ def _parse_header(file: _InputFile) -> dict[str, TensorRecord]:
         if key == "__metadata__":
             continue
         if not isinstance(entry, dict) or not {"dtype", "shape", "data_offsets"} <= set(entry):
-            raise MalformedHeaderError(f"tensor {key!r}: missing dtype/shape/data_offsets", 8)
+            raise ParseError(f"tensor {key!r}: missing dtype/shape/data_offsets", 8)
         wire = entry["dtype"]
         if not isinstance(wire, str) or wire not in _WIRE_TO_DTYPE:
-            raise UnknownDtypeError(f"tensor {key!r}: unknown dtype {wire!r}", 8)
+            raise ParseError(f"tensor {key!r}: unknown dtype {wire!r}", 8)
         dtype = _WIRE_TO_DTYPE[wire]
         # type(), not isinstance: JSON true/false load as bool, an int subclass
         shape = entry["shape"]
         if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
-            raise MalformedHeaderError(f"tensor {key!r}: bad shape {shape!r}", 8)
+            raise ParseError(f"tensor {key!r}: bad shape {shape!r}", 8)
         offs = entry["data_offsets"]
         if not (isinstance(offs, list) and len(offs) == 2 and all(type(o) is int for o in offs)):
-            raise MalformedHeaderError(f"tensor {key!r}: bad data_offsets {offs!r}", 8)
+            raise ParseError(f"tensor {key!r}: bad data_offsets {offs!r}", 8)
         begin, end = offs
         width = _DTYPES[dtype][1]
         need = math.prod(shape) * width
         if begin < 0 or end < begin:
-            raise OffsetError(f"tensor {key!r}: invalid range [{begin}, {end})", buf_start + max(begin, 0))
+            raise ParseError(f"tensor {key!r}: invalid range [{begin}, {end})", buf_start + max(begin, 0))
         if end - begin != need:
-            raise OffsetError(
+            raise ParseError(
                 f"tensor {key!r}: range holds {end - begin} bytes, "
                 f"shape {shape} x {wire} needs {need}",
                 buf_start + begin,
             )
         if end > buf_len:
-            raise TruncatedPayloadError(
+            raise ParseError(
                 f"tensor {key!r}: range ends at {end} but buffer has {buf_len} bytes", size
             )
         spans.append((begin, end, key))
@@ -277,7 +263,7 @@ def _parse_header(file: _InputFile) -> dict[str, TensorRecord]:
     spans.sort()
     for (b1, e1, k1), (b2, e2, k2) in zip(spans, spans[1:]):
         if b2 < e1:
-            raise OffsetError(f"tensors {k1!r} and {k2!r} overlap at buffer offset {b2}", buf_start + b2)
+            raise ParseError(f"tensors {k1!r} and {k2!r} overlap at buffer offset {b2}", buf_start + b2)
     return records
 
 

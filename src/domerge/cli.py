@@ -1,5 +1,7 @@
 """Command-line interface: merge, inspect, diagnose, and verify. Each parses
 its arguments, calls the library (merge: merge.write_merged) and prints.
+merge's --method is a preset: task_arithmetic and average turn both MergeConfig
+stages off, and average sets lam = 1 / n once the n adapters are read.
 
 Exit codes for merge/inspect/diagnose: 0 success, 2 usage, 3 checkpoint
 parse or adapter alignment failure, 4 I/O failure. verify exits 0 when
@@ -13,6 +15,7 @@ stdout and every file written are UTF-8 with surrogateescape, stderr with backsl
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -36,12 +39,14 @@ from .diagnostics import (
     format_float,
 )
 from .linalg import MAGNITUDE_MODES
-from .merge import METHODS, MergeConfig, write_merged
+from .merge import MergeConfig, write_merged
 from .ortho import OrthoConfig
 
 EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
+
+METHODS = ("do_merging", "task_arithmetic", "average")  # merge --method presets, the default first
 
 # verify's suites: name -> (runner in .experiments, name of the runner's count argument)
 SUITES = {
@@ -77,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--base", help="base checkpoint; required for fused output and read only for it"
     )
-    m.add_argument("--method", choices=METHODS, default=MergeConfig.method)
+    m.add_argument("--method", choices=METHODS, default=METHODS[0])
     m.add_argument(
         "--lambda",
         dest="lam",
@@ -166,6 +171,13 @@ def _parse_output_mode(text: str) -> tuple[str, int | None]:
     raise ValueError(f"unknown output mode {text!r}")
 
 
+def _refuse_overwriting_inputs(flag: str, target: Path, inputs) -> None:
+    """A FileExistsError if target is one of the input files (None entries skipped): writing it
+    would destroy that input. Callers check before any checkpoint is read."""
+    if target.exists() and any(p and Path(p).exists() and Path(p).samefile(target) for p in inputs):
+        raise FileExistsError(f"{flag} {target} is one of the inputs; it would be overwritten")
+
+
 def cmd_merge(args) -> int:
     mode, rank = _parse_output_mode(args.output_mode)
     if mode == "fused" and not args.base:
@@ -177,16 +189,21 @@ def cmd_merge(args) -> int:
     ortho = None
     if not args.no_ortho:
         ortho = OrthoConfig(max_steps=args.ortho_steps, max_rel_perturbation=args.ortho_budget)
+    stages = args.method == "do_merging"  # the baselines run neither stage
     config = MergeConfig(
         lam=args.lam,
         magnitude_mode=args.magnitude_mode,
-        method=args.method,
-        ortho=ortho,
-        decouple_enabled=not args.no_decouple,
+        ortho=ortho if stages else None,
+        decouple_enabled=stages and not args.no_decouple,
     )
+    if args.method == "average" and args.lam is not None:
+        raise ValueError("the average method applies 1/n and takes no lambda")
 
     paths, names, scalings = _gather_sources(args)
+    _refuse_overwriting_inputs("--output", out_path, [*paths, args.manifest, args.base])
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=not args.lenient)
+    if args.method == "average":
+        config = dataclasses.replace(config, lam=1.0 / adapters.n)
     base = load_checkpoint(args.base) if mode == "fused" else None
     layers = write_merged(adapters, config, out_path, mode, rank, base)
 
@@ -194,7 +211,7 @@ def cmd_merge(args) -> int:
         "command": "merge",
         "output": str(out_path),
         "output_mode": args.output_mode,
-        "method": config.method,
+        "method": args.method,
         "lambda": config.resolve_lam(adapters.n),
         "magnitude_mode": config.magnitude_mode,
         "ortho_enabled": config.ortho is not None,
@@ -237,10 +254,7 @@ def cmd_inspect(args) -> int:
 
 def cmd_diagnose(args) -> int:
     paths, names, scalings = _gather_sources(args)
-    target = check_output_path(args.report)  # a report written over an input would destroy it: refuse before any read
-    inputs = [*paths, *([Path(args.manifest)] if args.manifest else [])]
-    if target.exists() and any(p.exists() and p.samefile(target) for p in inputs):
-        raise FileExistsError(f"--report {target} is one of the inputs; it would be overwritten")
+    _refuse_overwriting_inputs("--report", check_output_path(args.report), [*paths, args.manifest])
     adapters = extract_adapters(paths, scalings=scalings, names=names, strict=True)
     report = build_report(adapters)
     emit_report(report, args.report, args.format)

@@ -1,13 +1,14 @@
 """Layer-wise merging of aligned adapters.
 
-The main method orthogonalizes each layer's low-rank factor groups, splits
-each adapter's task matrix s_i B_i A_i into magnitudes and directions, and
-merges the two separately: delta = lam * (sum_i alpha_i) applied to
-(sum_j direction_j). Task-arithmetic summation and uniform averaging are
-baselines, and both stages can be disabled independently; with both off
-the main method is exactly the task-arithmetic code path.
+The merge has two stages, each switched by one MergeConfig field: it
+orthogonalizes each layer's low-rank factor groups (ortho), then splits each
+adapter's task matrix s_i B_i A_i into magnitudes and directions and merges
+the two separately (decouple_enabled): delta = lam * (sum_i alpha_i) applied
+to (sum_j direction_j). With both stages off the merge is task arithmetic,
+lam * sum_i s_i B_i A_i, and with lam = 1 / n the average; the CLI's --method
+names these settings.
 
-Every method works on a layer's stored B records [B_1 ... B_n] (m x R) and decoded A
+Every setting works on a layer's stored B records [B_1 ... B_n] (m x R) and decoded A
 stack [A_1; ...; A_n] (R x n), R = sum_i rank_i: descent, decoupling and unit norms are
 R x R algebra on their Grams, and the merged delta is B (in row mode another m x R matrix)
 times one R x n factor. Every consumer of that left factor reads it through one reader,
@@ -32,9 +33,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .linalg import MAGNITUDE_MODES, _floor_degenerate
-from .ortho import OrthoConfig, OrthoStats, gram_descent
-
-METHODS = ("do_merging", "task_arithmetic", "average")
+from .ortho import OrthoConfig, OrthoStats, _plus_identity, gram_descent
 
 _RENDER_BLOCK_BYTES = 512 << 10  # bytes of the reused f32 output block, and at most of one f64 piece of left
 _BASE_PIECE_BYTES = 128 << 10  # stored bytes of base rows read, and f64 bytes of left decoded, at a time
@@ -52,16 +51,15 @@ class MergeConfig:
     lam: merging coefficient applied to the combined delta. None resolves to
         1 / n^2 at merge time, which makes the magnitude-sum convention
         equivalent to averaging both components (and reduces to 1/4 for two
-        adapters). Explicit values override; average always applies 1 / n.
+        adapters). Explicit values override.
     ortho: factor-group orthogonalization settings, or None to disable.
     decouple_enabled: when False, directions and magnitudes are not split
         and the merged delta is lam * sum of task matrices.
-    The baselines run neither stage, so their config reads ortho=None, decouple_enabled=False.
+    Task arithmetic is ortho=None, decouple_enabled=False; the average adds lam=1 / n.
     """
 
     lam: float | None = None
     magnitude_mode: str = "column"
-    method: str = "do_merging"
     ortho: OrthoConfig | None = field(default_factory=OrthoConfig)
     decouple_enabled: bool = True
 
@@ -70,26 +68,19 @@ class MergeConfig:
             raise ValueError("lam must be positive and finite")
         if self.magnitude_mode not in MAGNITUDE_MODES:
             raise ValueError(f"unknown magnitude mode {self.magnitude_mode!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "average" and self.lam is not None:
-            raise ValueError("the average method applies 1/n and takes no lambda")
-        if self.method != "do_merging":
-            object.__setattr__(self, "ortho", None)
-            object.__setattr__(self, "decouple_enabled", False)
 
     def resolve_lam(self, n: int) -> float:
         """The scale the merge applies to n adapters."""
-        if self.method == "average":
-            return 1.0 / n
         return self.lam if self.lam is not None else 1.0 / (n * n)
 
 
-def _pieces(left, rows: int):
+def _pieces(left, rows: int | None = None):
     """Yield (i, rows [i, i + rows) of left) for i = 0, rows, ...: left is m-row TensorRecords side
     by side (B's, or one f64 record of an array), each piece decoded exactly to f64 into one
-    reused buffer the consumer may overwrite, valid until the next is asked for; m = 0 yields one."""
+    reused buffer the consumer may overwrite, valid until the next is asked for; m = 0 yields one.
+    rows defaults to the most whose f64 piece fits in _RENDER_BLOCK_BYTES (at least one)."""
     m, bounds = left[0].shape[0], np.cumsum([0, *(rec.shape[1] for rec in left)])
+    rows = max(1, _RENDER_BLOCK_BYTES // (8 * bounds[-1])) if rows is None else rows
     buf = np.empty((min(rows, m), bounds[-1]))
     for i in range(0, max(m, 1), rows):
         piece = buf[: min(rows, m - i)]
@@ -104,7 +95,7 @@ def _gram_pass(left):
     of two as the peaks rise, so in f64's normal range G has the bits of left's piece-summed Gram."""
     r = sum(rec.shape[1] for rec in left)
     gram, c = np.zeros((r, r)), np.full(r, _MIN_EXP)
-    for _, piece in _pieces(left, max(1, _RENDER_BLOCK_BYTES // (8 * r))):
+    for _, piece in _pieces(left):
         peaks = _abs_max(piece, 0)
         rise = np.maximum(np.where(peaks > 0, np.frexp(peaks)[1], _MIN_EXP) - c, 0)
         if rise.any():
@@ -156,20 +147,14 @@ def _times(m, a):
     return a
 
 
-def _plus_identity(z):
-    """I + z formed in z's buffer, with the bits of np.eye(len(z)) + z (-0.0 + 0.0 is +0.0)."""
-    np.add(z, 0.0, out=z).flat[:: len(z) + 1] += 1.0
-    return z
-
-
 def _merged_factors(layer_key, factors, config: MergeConfig, keep_gram: bool = False):
     """(L, R, ortho stats, _gram_pass(L) if keep_gram, else None) of layer_key's factors =
     AdapterSet.factors' (B, A, s, ranks), merged delta L @ R = B K A~ lam: L the B records,
     read by one Gram pass, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in
     place. Both groups descend in R x R coordinates (ortho.gram_descent), A
     on transposes; row mode scales the rows of a new B K, and then L is one
-    f64 record of it and K = I. Every method ends in the scaling by lam K, so
-    the fully ablated method is task_arithmetic bitwise. A~ and then R are
+    f64 record of it and K = I. Every setting ends in the scaling by lam K,
+    which with both stages off is all task arithmetic does. A~ and then R are
     formed in the A stack's own buffer (_times), and I + E_B, then K, in E_B's,
     so the A descent runs beside three R x R arrays (four with keep_gram). Any
     f64 overflow is a ValueError naming the layer."""
@@ -183,18 +168,18 @@ def _merged_factors(layer_key, factors, config: MergeConfig, keep_gram: bool = F
             left_gram = left_gram if keep_gram else None
         if config.ortho is not None:
             ie, b_stats = gram_descent(gram, ranks, config.ortho)  # E_B, made I + E_B, then K
-            gram = _plus_identity(ie).T @ gram @ ie
+            gram = _plus_identity(ie, ie).T @ gram @ ie
             k = np.multiply(ie, s[:, None], out=ie)
             z, a_stats = gram_descent(gram_a, ranks, config.ortho)
             del ie, gram_a
-            right = _times(_plus_identity(z).T, right)
+            right = _times(_plus_identity(z, z).T, right)
             stats = {"B": b_stats, "A": a_stats}
             if not all(math.isfinite(st.initial_lo) for st in stats.values()):  # then no descent step was taken
                 raise ValueError(f"layer {layer_key!r}: the cross-Gram mass overflows float64")
         if config.decouple_enabled:
             if config.magnitude_mode == "row":
                 rows = np.empty((left[0].shape[0], r))
-                for i, piece in _pieces(left, max(1, _RENDER_BLOCK_BYTES // (8 * r))):
+                for i, piece in _pieces(left):
                     (np.matmul if k.ndim == 2 else np.multiply)(piece, k, out=rows[i : i + len(piece)])
                 left, k, left_gram = [TensorRecord.from_array(layer_key, rows, "f64")], np.ones(r), None
             mags = _unit_magnitudes(layer_key, gram, right, ranks, config.magnitude_mode, rows)

@@ -99,12 +99,25 @@ def _off_gram(gram, own):
     return gram, 0.5 * float(np.vdot(gram, gram))
 
 
-def ortho_loss(mats, deltas, mu: float) -> float:
-    """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
+def _plus_identity(z, out):
+    """I + z formed in out (which may be z), with the bits of np.eye(len(z)) + z (-0.0 + 0.0 is +0.0)."""
+    np.add(z, 0.0, out=out).flat[:: len(z) + 1] += 1.0
+    return out
+
+
+def _stacked(mats, deltas):
+    """(widths, D, X, G_off, Lo) of the checked group: D = [d_1 ... d_n], X = [W_1 ... W_n] + D,
+    and _off_gram's G_off and Lo of X^T X."""
     mats, deltas = _check_group(mats, deltas)
+    widths = [w.shape[1] for w in mats]
     d = np.hstack(deltas)
     x = np.hstack(mats) + d
-    _, lo = _off_gram(x.T @ x, ~_owner_mask([w.shape[1] for w in mats]))
+    return (widths, d, x, *_off_gram(x.T @ x, ~_owner_mask(widths)))
+
+
+def ortho_loss(mats, deltas, mu: float) -> float:
+    """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
+    _, d, _, _, lo = _stacked(mats, deltas)
     return lo + mu * float(np.vdot(d, d))
 
 
@@ -117,11 +130,8 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     at Gram size, and the gradient is exactly zero on a mutually orthogonal
     group with zero deltas.
     """
-    mats, deltas = _check_group(mats, deltas)
-    d = np.hstack(deltas)
-    x = np.hstack(mats) + d
-    g, _ = _off_gram(x.T @ x, ~_owner_mask([w.shape[1] for w in mats]))
-    return np.hsplit(2.0 * x @ g + 2.0 * mu * d, np.cumsum([w.shape[1] for w in mats[:-1]]))
+    widths, d, x, g, _ = _stacked(mats, deltas)
+    return np.hsplit(2.0 * x @ g + 2.0 * mu * d, np.cumsum(widths[:-1]))
 
 
 def gram_descent(gram, widths, config: OrthoConfig):
@@ -154,9 +164,8 @@ def gram_descent(gram, widths, config: OrthoConfig):
     trajectory, trials, stop_reason = [initial_lo], 0, "step_cap"
     grad, trial, g_trial, new_x, new_g = (np.empty_like(gram) for _ in range(5))
     for _ in range(config.max_steps):
-        # grad = 2 x @ g + 2 mu z, x = I + z as np.eye(R) + z has it (-0.0 + 0.0 is +0.0, as 0.0 + -0.0)
-        np.add(z, 0.0, out=trial).flat[:: len(z) + 1] += 1.0
-        np.matmul(np.multiply(trial, 2.0, out=trial), g, out=grad)
+        # grad = 2 x @ g + 2 mu z, x = I + z
+        np.matmul(np.multiply(_plus_identity(z, trial), 2.0, out=trial), g, out=grad)
         grad += np.multiply(z, 2.0 * mu, out=trial)
         for _ in range(_MAX_BACKTRACKS):
             trials += 1
@@ -167,7 +176,7 @@ def gram_descent(gram, widths, config: OrthoConfig):
             cols = np.repeat(shrink, widths)
             trial *= cols
             g_trial *= cols
-            np.add(trial, 0.0, out=new_x).flat[:: len(z) + 1] += 1.0  # new_x = I + trial
+            _plus_identity(trial, new_x)
             penalty = mu * float(np.vdot(trial, g_trial))  # before g_trial becomes gram + g_trial
             new_g, new_lo = _off_gram(np.matmul(new_x.T, np.add(gram, g_trial, out=g_trial), out=new_g), own)
             new = new_lo + penalty

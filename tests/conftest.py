@@ -115,7 +115,7 @@ def factor_reads(monkeypatch):
         log.append(("factors", key))
         return factors(self, key)
 
-    def logged_pieces(left, rows):
+    def logged_pieces(left, rows=None):
         for i, piece in pieces(left, rows):
             log.append(("piece", left[0].key, i))
             yield i, piece

@@ -126,12 +126,7 @@ def task_matrix(layer) -> np.ndarray:
 
 def dense_merge_delta(layers, config) -> np.ndarray:
     """Merged delta of one layer group of (B, A, scaling) triples from per-adapter m x n task matrices."""
-    n = len(layers)
-    lam = config.resolve_lam(n)
-    if config.method == "average":
-        return sum(task_matrix(layer) for layer in layers) / n
-    if config.method == "task_arithmetic":
-        return lam * sum(task_matrix(layer) for layer in layers)
+    lam = config.resolve_lam(len(layers))
     if config.ortho is not None:
         b_hat, _ = descend([s * b for b, _, s in layers], config.ortho)
         a_hat_t, _ = descend([a.T for _, a, _ in layers], config.ortho)

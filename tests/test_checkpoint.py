@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 
 from domerge.checkpoint import (
     AlignmentError,
-    MalformedHeaderError,
-    OffsetError,
     ParseError,
     TensorRecord,
-    TruncatedPayloadError,
-    UnknownDtypeError,
     check_factors,
     extract_adapters,
     load_checkpoint,
@@ -436,7 +432,7 @@ def test_reading_past_a_truncated_end_names_file_and_key(tmp_path, rng):
     assert np.array_equal(records["b"].rows(0, 16).to_array(), b[:16].astype(np.float32))
     tail = records["b"].rows(16, 32)
     for read in (records["b"].to_array, lambda: bytes(records["b"].raw), lambda: tail.values().sum()):
-        with pytest.raises(TruncatedPayloadError) as exc:
+        with pytest.raises(ParseError, match="ends past the end of the file") as exc:
             read()
         assert str(path) in str(exc.value) and "'b'" in str(exc.value)
         assert exc.value.position == cut
@@ -446,7 +442,7 @@ def test_reading_past_a_truncated_end_names_file_and_key(tmp_path, rng):
 def test_short_file_rejected_at_byte_0(tmp_path, size):
     path = tmp_path / "short.safetensors"
     path.write_bytes(b"\x01" * size)
-    with pytest.raises(MalformedHeaderError) as exc:
+    with pytest.raises(ParseError, match="is too short for a|-byte header is over the") as exc:
         load_checkpoint(path)
     assert exc.value.position == 0
 
@@ -455,7 +451,7 @@ def test_truncated_file_rejected_with_position(tmp_path):
     blob = raw_safetensors([("x", "F32", np.ones(4, dtype=np.float32))])
     path = tmp_path / "t.safetensors"
     path.write_bytes(blob[:-3])
-    with pytest.raises(TruncatedPayloadError) as exc:
+    with pytest.raises(ParseError, match="range ends at") as exc:
         load_checkpoint(path)
     assert exc.value.position == len(blob) - 3
 
@@ -467,18 +463,18 @@ def test_header_json_garbage_rejected(tmp_path):
     path = tmp_path / "g.safetensors"
     for payload in (b"not json at all!", json.dumps(bool_shape).encode(), json.dumps(bool_offset).encode()):
         path.write_bytes(struct.pack("<Q", len(payload)) + payload + b"\0" * 16)
-        with pytest.raises(MalformedHeaderError):
+        with pytest.raises(ParseError, match="bad (header|shape|data_offsets)"):
             load_checkpoint(path)
     for payload in (b"[]", b"[1, 2]", b'"x"', b"7"):  # JSON, but not an object
         path.write_bytes(struct.pack("<Q", len(payload)) + payload + b"\0" * 16)
-        with pytest.raises(MalformedHeaderError, match="header must be a JSON object"):
+        with pytest.raises(ParseError, match="header must be a JSON object"):
             load_checkpoint(path)
 
 
 def test_header_longer_than_file_rejected(tmp_path):
     path = tmp_path / "h.safetensors"
     path.write_bytes(struct.pack("<Q", 10**6) + b"{}")
-    with pytest.raises(MalformedHeaderError):
+    with pytest.raises(ParseError, match="too short for a 1000000-byte header"):
         load_checkpoint(path)
 
 
@@ -486,7 +482,7 @@ def test_unknown_dtype_rejected(tmp_path):
     header = json.dumps({"x": {"dtype": "I64", "shape": [1], "data_offsets": [0, 8]}}).encode()
     path = tmp_path / "d.safetensors"
     path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
-    with pytest.raises(UnknownDtypeError):
+    with pytest.raises(ParseError, match="unknown dtype 'I64'"):
         load_checkpoint(path)
 
 
@@ -495,7 +491,7 @@ def test_offset_shape_mismatch_rejected(tmp_path):
     header = json.dumps({"x": {"dtype": "F32", "shape": [3], "data_offsets": [0, 8]}}).encode()
     path = tmp_path / "o.safetensors"
     path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 8)
-    with pytest.raises(OffsetError):
+    with pytest.raises(ParseError, match=re.escape("range holds 8 bytes, shape [3] x F32 needs 12")):
         load_checkpoint(path)
 
 
@@ -504,7 +500,7 @@ def test_negative_or_reversed_offsets_rejected(tmp_path):
     for begin, end in ((-4, 8), (8, 4), (-12, -24)):
         header = json.dumps({"x": {"dtype": "F32", "shape": [3], "data_offsets": [begin, end]}}).encode()
         path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 16)
-        with pytest.raises(OffsetError, match=rf"invalid range \[{begin}, {end}\)"):
+        with pytest.raises(ParseError, match=rf"invalid range \[{begin}, {end}\)"):
             load_checkpoint(path)
 
 
@@ -517,7 +513,7 @@ def test_overlapping_offsets_rejected(tmp_path):
     ).encode()
     path = tmp_path / "ov.safetensors"
     path.write_bytes(struct.pack("<Q", len(header)) + header + b"\x00" * 12)
-    with pytest.raises(OffsetError):
+    with pytest.raises(ParseError, match="overlap at buffer offset 4"):
         load_checkpoint(path)
 
 
@@ -755,11 +751,6 @@ def test_load_checkpoint_refuses_a_directory(tmp_path):
         load_checkpoint(tmp_path)
 
 
-def test_parse_errors_are_parse_error_subclasses():
-    for cls in (MalformedHeaderError, UnknownDtypeError, OffsetError, TruncatedPayloadError):
-        assert issubclass(cls, ParseError)
-
-
 def test_header_over_the_size_limit_is_rejected_before_it_is_read(tmp_path, monkeypatch):
     # a sparse file whose 8-byte prefix declares a 150 MB header, and is that long
     path = tmp_path / "big.safetensors"
@@ -767,12 +758,12 @@ def test_header_over_the_size_limit_is_rejected_before_it_is_read(tmp_path, monk
     os.truncate(path, 8 + 150_000_000)
     reads, real_pread = [], os.pread
     monkeypatch.setattr(os, "pread", lambda fd, n, at: reads.append((n, at)) or real_pread(fd, n, at))
-    with pytest.raises(MalformedHeaderError, match="150000000-byte header is over the 100000000-byte limit") as info:
+    with pytest.raises(ParseError, match="150000000-byte header is over the 100000000-byte limit") as info:
         load_checkpoint(path)
     assert info.value.position == 0 and str(path) in str(info.value)
     assert reads and all(at + n <= 8 for n, at in reads)  # nothing past the prefix
     path.write_bytes((100_000_000).to_bytes(8, "little"))  # at the limit, the next check speaks
-    with pytest.raises(MalformedHeaderError, match="too short for a 100000000-byte header"):
+    with pytest.raises(ParseError, match="too short for a 100000000-byte header"):
         load_checkpoint(path)
 
 
@@ -783,7 +774,7 @@ def test_header_key_that_is_not_text_rejected(tmp_path, where):
     header = f'{{"w\\ud800x":{entry}}}' if where == "tensor" else f'{{"__metadata__":{{"\\ud800":"v"}},"w":{entry}}}'
     path = tmp_path / "odd.safetensors"
     path.write_bytes(struct.pack("<Q", len(header)) + header.encode() + b"\0" * 4)
-    with pytest.raises(MalformedHeaderError, match=r"key '.*\\ud800.*' is not text") as info:
+    with pytest.raises(ParseError, match=r"key '.*\\ud800.*' is not text") as info:
         load_checkpoint(path)
     assert info.value.position == 8 and str(path) in str(info.value)
     str(info.value).encode()  # the message itself is text
@@ -794,7 +785,7 @@ def test_duplicate_header_key_rejected(tmp_path):
     header = f'{{"w":{entry},"w":{entry}}}'.encode()
     path = tmp_path / "dup.safetensors"
     path.write_bytes(struct.pack("<Q", len(header)) + header + b"\0" * 4)
-    with pytest.raises(MalformedHeaderError, match="repeats key 'w'"):
+    with pytest.raises(ParseError, match="repeats key 'w'"):
         load_checkpoint(path)
 
 

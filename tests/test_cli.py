@@ -76,6 +76,19 @@ def test_merge_summary_reports_applied_stages(adapter_files, tmp_path, capsys, m
     assert all(("ortho" in entry) is stages for entry in summary["layers"].values())
 
 
+@pytest.mark.parametrize("method", ["task_arithmetic", "average"])
+def test_merge_baseline_preset_ignores_stage_flags(adapter_files, tmp_path, capsys, method):
+    # a baseline runs neither stage, so the stages' own flags change no output bit
+    out = tmp_path / "m.safetensors"
+    argv = ["merge", *(str(p) for p in adapter_files), "--method", method, "--output", str(out), "--force"]
+    code, bare, _ = run(capsys, *argv)
+    assert code == 0
+    written = out.read_bytes()
+    code, flagged, _ = run(capsys, *argv, "--ortho-steps", "5", "--ortho-budget", "0.2", "--magnitude-mode", "row")
+    assert code == 0 and out.read_bytes() == written
+    assert json.loads(flagged) == {**json.loads(bare), "magnitude_mode": "row"}  # the summary echoes the flag
+
+
 def test_merge_average_rejects_lambda(adapter_files, tmp_path, capsys):
     out = tmp_path / "m.safetensors"
     code, _, err = run(
@@ -94,6 +107,7 @@ def test_merge_average_rejects_lambda(adapter_files, tmp_path, capsys):
         pytest.param(["--lambda", "inf"], "lam", id="inf"),
         pytest.param(["--ortho-budget", "1.5"], "max_rel_perturbation", id="ortho-budget"),
         pytest.param(["--ortho-steps", "0"], "max_steps", id="ortho-steps"),
+        pytest.param(["--method", "task_arithmetic", "--ortho-steps", "0"], "max_steps", id="preset-ortho-steps"),
     ],
 )
 def test_merge_rejects_non_finite_lambda_before_reading(tmp_path, capsys, flags, field):
@@ -261,7 +275,7 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
         alive.append(weakref.ref(a))  # the A stack, which becomes the merged right factor
         return b, a, s, ranks
 
-    def logged_pieces(left, rows):
+    def logged_pieces(left, rows=None):
         for i, piece in real_pieces(left, rows):
             alive.append(weakref.ref(piece.base))  # the reused piece buffer
             yield i, piece
@@ -345,16 +359,22 @@ def test_merge_delta_ignores_corrupt_base(adapter_files, tmp_path, capsys):
     assert plain.read_bytes() == with_base.read_bytes()
 
 
-def test_merge_fused_output_may_replace_base(adapter_files, base_file, tmp_path, capsys):
-    elsewhere = tmp_path / "fused.safetensors"
-    args = [*(str(p) for p in adapter_files), "--output-mode", "fused"]
-    assert run(capsys, "merge", *args, "--base", str(base_file), "--output", str(elsewhere))[0] == 0
-    # the base is read through its open file, which survives the output replacing its path
-    code, _, _ = run(
-        capsys, "merge", *args, "--base", str(base_file), "--output", str(base_file), "--force"
-    )
-    assert code == 0
-    assert base_file.read_bytes() == elsewhere.read_bytes()
+@pytest.mark.parametrize("over", ["adapter", "manifest", "base"])
+def test_merge_output_over_an_input_exits_4_before_reading(
+    adapter_files, base_file, tmp_path, capsys, monkeypatch, over
+):
+    # --force replaces an earlier output, never an input: that input would be lost
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": str(p)} for p in adapter_files]))
+    out = {"adapter": adapter_files[0], "manifest": manifest, "base": base_file}[over]
+    inputs = ["--manifest", str(manifest)] if over == "manifest" else [str(p) for p in adapter_files]
+    before = {p: p.read_bytes() for p in [*adapter_files, manifest, base_file]}
+    monkeypatch.setattr(cli, "extract_adapters", lambda *a, **k: pytest.fail("an adapter was read"))
+    argv = ["merge", *inputs, "--output-mode", "fused", "--base", str(base_file), "--output", str(out), "--force"]
+    code, stdout, err = run(capsys, *argv)
+    assert code == 4 and stdout == ""
+    assert err == f"domerge: error: --output {out} is one of the inputs; it would be overwritten\n"
+    assert {p: p.read_bytes() for p in before} == before
 
 
 def test_merge_fused_base_truncated_after_loading_exits_3(tmp_path, capsys, rng, monkeypatch):
@@ -1247,7 +1267,7 @@ def _merge_cases(draw):
         dtype, seed = draw(st.sampled_from(["f64", "f32", "f16", "bf16"])), draw(st.integers(0, 2**16))
         adapters.append((rank, draw(_decades(-300, 300)), dtype, seed, draw(st.booleans()), draw(_decades(-300, 299))))
     mode = draw(st.sampled_from(["delta", "fused", "lowrank:1", "lowrank:2", "lowrank:3"]))
-    flags = ["--output-mode", mode, "--method", draw(st.sampled_from(merge_module.METHODS))]
+    flags = ["--output-mode", mode, "--method", draw(st.sampled_from(cli.METHODS))]
     flags += ["--magnitude-mode", draw(st.sampled_from(["column", "row", "matrix"]))]
     flags += [flag for flag in ("--no-ortho", "--no-decouple", "--lenient") if draw(st.booleans())]
     return (m, n), adapters, flags

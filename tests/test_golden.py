@@ -38,8 +38,8 @@ CONFIGS = {  # golden_outputs.MERGES' flags as the MergeConfig the CLI builds
     "matrix": MergeConfig(magnitude_mode="matrix"),
     "no_ortho": MergeConfig(ortho=None),
     "no_decouple": MergeConfig(decouple_enabled=False),
-    "task_arithmetic": MergeConfig(method="task_arithmetic"),
-    "average": MergeConfig(method="average"),
+    "task_arithmetic": MergeConfig(ortho=None, decouple_enabled=False),
+    "average": MergeConfig(ortho=None, decouple_enabled=False, lam=1 / len(golden_outputs.ADAPTERS)),
     "fused": MergeConfig(),
     "lowrank": MergeConfig(),
     "lowrank_padded": MergeConfig(),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -80,28 +81,20 @@ def test_config_defaults():
     cfg = MergeConfig()
     assert cfg.lam is None
     assert cfg.magnitude_mode == "column"
-    assert cfg.method == "do_merging"
     assert cfg.decouple_enabled
     assert isinstance(cfg.ortho, OrthoConfig)
     assert cfg.resolve_lam(2) == 0.25
     assert cfg.resolve_lam(3) == pytest.approx(1 / 9)
     assert MergeConfig(lam=0.7).resolve_lam(5) == 0.7
-    assert MergeConfig(method="average").resolve_lam(4) == 0.25
-
-
-def test_baseline_config_reports_no_stages():
-    for method in ("task_arithmetic", "average"):
-        cfg = MergeConfig(method=method, ortho=OrthoConfig(), decouple_enabled=True)
-        assert cfg.ortho is None and not cfg.decouple_enabled
+    # the two stage switches and lam are the whole config; a method is a preset of them (cli.METHODS)
+    assert [f.name for f in dataclasses.fields(MergeConfig)] == ["lam", "magnitude_mode", "ortho", "decouple_enabled"]
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MergeConfig(method="git_rebase")
+    with pytest.raises(TypeError):
+        MergeConfig(method="average")
     with pytest.raises(ValueError):
         MergeConfig(magnitude_mode="banana")
-    with pytest.raises(ValueError, match="average"):
-        MergeConfig(method="average", lam=0.5)  # average applies 1/n
     for lam in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="lam"):
             MergeConfig(lam=lam)
@@ -109,19 +102,19 @@ def test_config_validation():
 
 def test_task_arithmetic_single_adapter_identity(rng):
     b, a, s = make_layer(rng)
-    assert np.array_equal(merged_delta([(b, a, s)], MergeConfig(method="task_arithmetic", lam=1.0)), b @ a)
+    assert np.array_equal(merged_delta([(b, a, s)], MergeConfig(ortho=None, decouple_enabled=False, lam=1.0)), b @ a)
 
 
 def test_task_arithmetic_sums_scaled_products(rng):
     layers = [make_layer(rng, scaling=s) for s in (1.0, 2.0)]
-    out = merged_delta(layers, MergeConfig(method="task_arithmetic", lam=0.5))
+    out = merged_delta(layers, MergeConfig(ortho=None, decouple_enabled=False, lam=0.5))
     expected = 0.5 * (task_matrix(layers[0]) + task_matrix(layers[1]))
     assert np.allclose(out, expected, rtol=1e-14)
 
 
 def test_average_is_mean_of_products(rng):
     layers = [make_layer(rng) for _ in range(4)]
-    out = merged_delta(layers, MergeConfig(method="average"))
+    out = merged_delta(layers, MergeConfig(ortho=None, decouple_enabled=False, lam=1 / 4))
     expected = sum(task_matrix(l) for l in layers) / 4
     assert np.allclose(out, expected, rtol=1e-14)
 
@@ -137,9 +130,11 @@ def test_identical_adapters_reconstruct_without_ortho(rng):
 
 def test_fully_ablated_matches_task_arithmetic_bitwise(rng):
     layers = [make_layer(rng) for _ in range(3)]
-    ablated = MergeConfig(method="do_merging", ortho=None, decouple_enabled=False, lam=0.2)
-    ta = MergeConfig(method="task_arithmetic", lam=0.2)
-    assert np.array_equal(merged_delta(layers, ablated), merged_delta(layers, ta))
+    # with both stages off the merge is the stacked product [B_1 ... B_n] (lam s * [A_1; ...; A_n])
+    ablated = MergeConfig(ortho=None, decouple_enabled=False, lam=0.2)
+    scales = np.repeat([0.2 * s for _, _, s in layers], [a.shape[0] for _, a, _ in layers])
+    stacked = np.hstack([b for b, _, _ in layers]) @ (np.vstack([a for _, a, _ in layers]) * scales[:, None])
+    assert np.array_equal(merged_delta(layers, ablated), stacked)
 
 
 def test_ortho_stats_presence(rng):
@@ -269,7 +264,7 @@ def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
 def test_merge_adapter_set_returns_rank_sum_factors(rng):
     layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
     adapters = adapter_set([{"l": layer} for layer in layers], ["a", "b"])
-    for cfg in (MergeConfig(), MergeConfig(method="task_arithmetic")):
+    for cfg in (MergeConfig(), MergeConfig(ortho=None, decouple_enabled=False)):
         left, right, _ = merge_adapter_set(adapters, config=cfg)["l"]
         assert left.shape == (10, 5) and right.shape == (5, 8)
         delta = layer_outputs("l", left, right, "delta")
@@ -502,8 +497,8 @@ def test_factored_merge_matches_dense_oracle(shape, mode, ortho):
     configs = [
         MergeConfig(magnitude_mode=mode, ortho=ortho_cfg),
         MergeConfig(magnitude_mode=mode, ortho=ortho_cfg, decouple_enabled=False),
-        MergeConfig(method="task_arithmetic", lam=0.3),
-        MergeConfig(method="average"),
+        MergeConfig(ortho=None, decouple_enabled=False, lam=0.3),
+        MergeConfig(ortho=None, decouple_enabled=False, lam=1 / 3),
     ]
     for cfg in configs:
         got = merged_delta(layers, cfg)
@@ -792,7 +787,7 @@ def test_write_merged_non_finite_block_leaves_target(tmp_path, rng):
     save_checkpoint(records, path)
     out = tmp_path / "o.safetensors"
     out.write_bytes(b"occupied")
-    config = MergeConfig(method="task_arithmetic", lam=1e300)
+    config = MergeConfig(ortho=None, decouple_enabled=False, lam=1e300)
     with pytest.raises(ValueError, match="'l' is not finite"):
         write_merged(extract_adapters([path]), config, out)
     assert out.read_bytes() == b"occupied"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import AdapterSet, atomic_file
-from .merge import _gram_pass, _grams, _unit_magnitudes
+from .merge import _grams, _unit_magnitudes
 from .ortho import _owner_mask
 
 
@@ -59,7 +59,7 @@ class DiagnosticsReport:
 
 
 def build_report(adapters: AdapterSet) -> DiagnosticsReport:
-    """The report of the adapters, from one decode of each layer's A and one pass over its B.
+    """The report of the adapters, from one decode of each layer's A and _grams' one pass over its B.
 
     magnitude_variance sums each layer's population variance (0 for one
     adapter) of the task matrices' Frobenius norms. With M = B_i^T B_j and
@@ -71,7 +71,7 @@ def build_report(adapters: AdapterSet) -> DiagnosticsReport:
     for key in adapters.layer_keys:
         b, a, s, ranks = adapters.factors(key)
         with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked for instead
-            gram_b, gram_a = _grams(key, _gram_pass(b), a, s)
+            gram_b, gram_a = _grams(key, b, a, s)
             variance += float(np.var(_unit_magnitudes(key, gram_b, a, ranks, "matrix")))
             own_a = np.where(_owner_mask(ranks), 0.0, gram_a)  # block-diagonal P_i
             starts = np.cumsum([0, *ranks[:-1]])

@@ -105,11 +105,11 @@ def _gram_pass(left):
     return gram, c
 
 
-def _grams(layer_key, left_gram, right, s):
-    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right, left_gram
-    = _gram_pass(left); a ValueError naming the layer if either overflows f64 (callers ignore
-    numpy's overflow warnings: every overflow is checked for instead)."""
-    gram, c = left_gram
+def _grams(layer_key, left, right, s):
+    """The R x R Grams S_B^T S_B and S_A S_A^T, S_B = left diag(s) and S_A = right, the first
+    unscaled from one _gram_pass(left); a ValueError naming the layer if either overflows f64
+    (callers ignore numpy's overflow warnings: every overflow is checked for instead)."""
+    gram, c = _gram_pass(left)
     grams = np.ldexp(gram, c[:, None] + c) * np.outer(s, s), right @ right.T
     if not all(np.isfinite(g).all() for g in grams):
         raise ValueError(f"layer {layer_key!r}: factor Grams overflow float64")
@@ -147,25 +147,23 @@ def _times(m, a):
     return a
 
 
-def _merged_factors(layer_key, factors, config: MergeConfig, keep_gram: bool = False):
-    """(L, R, ortho stats, _gram_pass(L) if keep_gram, else None) of layer_key's factors =
-    AdapterSet.factors' (B, A, s, ranks), merged delta L @ R = B K A~ lam: L the B records,
-    read by one Gram pass, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in
+def _merged_factors(layer_key, factors, config: MergeConfig):
+    """(L, R, ortho stats) of layer_key's factors = AdapterSet.factors' (B, A, s, ranks),
+    merged delta L @ R = B K A~ lam: L the B records, read by _grams' one Gram pass
+    unless both stages are off, K = diag(s) (I + E_B), A~ = (I + E_A)^T A decoupled in
     place. Both groups descend in R x R coordinates (ortho.gram_descent), A
     on transposes; row mode scales the rows of a new B K, and then L is one
     f64 record of it and K = I. Every setting ends in the scaling by lam K,
     which with both stages off is all task arithmetic does. A~ and then R are
     formed in the A stack's own buffer (_times), and I + E_B, then K, in E_B's,
-    so the A descent runs beside three R x R arrays (four with keep_gram). Any
-    f64 overflow is a ValueError naming the layer."""
+    so the A descent runs beside three R x R arrays in every mode. Any f64
+    overflow is a ValueError naming the layer."""
     left, right, s, ranks = factors
     del factors
     with np.errstate(over="ignore", invalid="ignore"):  # each overflow is checked for instead
-        r, k, stats, left_gram, rows = right.shape[0], s, None, None, None  # k: K, or its diagonal
+        r, k, stats, rows = right.shape[0], s, None, None  # k: K, or its diagonal
         if config.ortho is not None or config.decouple_enabled:
-            left_gram = _gram_pass(left)
-            gram, gram_a = _grams(layer_key, left_gram, right, s)  # gram: of left K
-            left_gram = left_gram if keep_gram else None
+            gram, gram_a = _grams(layer_key, left, right, s)  # gram: of left K
         if config.ortho is not None:
             ie, b_stats = gram_descent(gram, ranks, config.ortho)  # E_B, made I + E_B, then K
             gram = _plus_identity(ie, ie).T @ gram @ ie
@@ -181,7 +179,7 @@ def _merged_factors(layer_key, factors, config: MergeConfig, keep_gram: bool = F
                 rows = np.empty((left[0].shape[0], r))
                 for i, piece in _pieces(left):
                     (np.matmul if k.ndim == 2 else np.multiply)(piece, k, out=rows[i : i + len(piece)])
-                left, k, left_gram = [TensorRecord.from_array(layer_key, rows, "f64")], np.ones(r), None
+                left, k = [TensorRecord.from_array(layer_key, rows, "f64")], np.ones(r)
             mags = _unit_magnitudes(layer_key, gram, right, ranks, config.magnitude_mode, rows)
             alpha, bounds = sum(mags), np.cumsum([0, *ranks])
             units = right if rows is None else rows.T  # rows of units, scaled in place
@@ -192,7 +190,7 @@ def _merged_factors(layer_key, factors, config: MergeConfig, keep_gram: bool = F
         # B itself was checked finite at load, and no m x R temporary is made
         if not (np.isfinite(_abs_max(right, None)) and (rows is None or np.isfinite(_abs_max(rows, None)))):
             raise ValueError(f"layer {layer_key!r}: the merged factors overflow float64")
-    return left, right, stats, left_gram
+    return left, right, stats
 
 
 def _abs_max(x, axis):
@@ -209,16 +207,16 @@ def _gram_roots(gram):
     return np.sqrt(lam[keep]), vec[:, keep]
 
 
-def _truncated_factors(left, right, r: int, left_gram=None):
+def _truncated_factors(left, right, r: int):
     """Yield the best rank-r f64 factors of left @ right, 1 <= r <= min(m, n), singular
     values folded into B: A (r x n), formed in right's buffer (handed over), then B's
     rows, a block per piece of left, valid until the next; components past the
-    product's rank are zero. left_gram is _gram_pass(left), or None to make it here.
+    product's rank are zero. left is read twice: by a _gram_pass, then for B's rows.
 
     No m x R or n x R basis is formed. Each rank-1 term is first balanced by exact powers
     of two, as in _render_f32 (right's row k by 2^-e_k, left's column k by 2^e_k), then
     left as a whole by 2^-s so its largest |entry| is below 1. With L^T L = V_l S_l^2 V_l^T
-    (left_gram's, rescaled), R R^T = V_r S_r^2 V_r^T (_gram_roots) and the SVD U Sigma W^T
+    (the Gram pass's, rescaled), R R^T = V_r S_r^2 V_r^T (_gram_roots) and the SVD U Sigma W^T
     of the core (V_l S_l)^T (V_r S_r), B = L V_l S_l^-1 U_r Sigma_r 2^s, A = W_r^T S_r^-1 V_r^T R.
 
     Gram eigenvalues at or below R eps64 lambda_max are dropped, so at r >= rank(left @ right)
@@ -226,7 +224,7 @@ def _truncated_factors(left, right, r: int, left_gram=None):
     sum_k ||left[:, k]|| ||right[k]|| against the dense f64 truncation T_r on ill-scaled,
     ill-conditioned and rank-deficient stacks.
     """
-    gram, c = _gram_pass(left) if left_gram is None else left_gram
+    gram, c = _gram_pass(left)
     _, e = np.frexp(_abs_max(right, 1))
     np.ldexp(right, -e[:, None], out=right)
     s = (c + e).max()  # the exponent of left 2^e's largest |entry|; a term past f64's range overflows B below
@@ -338,7 +336,7 @@ def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, bas
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def _output_blocks(keys, left, right, mode: str, rank: int | None, base, left_gram=None):
+def _output_blocks(keys, left, right, mode: str, rank: int | None, base):
     """Yield (key, f32 row block) pairs of the tensors one merged layer
     left @ right contributes to an output checkpoint, each tensor's blocks
     in row order; keys are output_shapes' for the layer, and the block
@@ -349,10 +347,12 @@ def _output_blocks(keys, left, right, mode: str, rank: int | None, base, left_gr
     oracle, each viewing a buffer the next block reuses. "lowrank": the
     best rank-`rank` factors, _truncated_factors' f64 A and B's row blocks
     (within its stated bound of the dense truncation) rounded to f32 once.
+    Each source reads left through _pieces: _render_f32 once, and
+    _truncated_factors twice, for its own Gram and then for B's rows.
     """
-    blocks = (_truncated_factors(left, right, rank, left_gram) if mode == "lowrank"
+    blocks = (_truncated_factors(left, right, rank) if mode == "lowrank"
               else _render_f32(left, right, base[keys[0]] if mode == "fused" else None))
-    del left, right, left_gram
+    del left, right
     for key, block in zip(itertools.chain(keys, itertools.repeat(keys[-1])), blocks):  # lowrank: A, then B's rows
         with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
             block = block.astype(np.float32, copy=False)
@@ -401,14 +401,12 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
 
     def records():
         for layer_key in adapters.layer_keys:
-            left, right, ortho, gram = _merged_factors(
-                layer_key, adapters.factors(layer_key), config, keep_gram=mode == "lowrank"
-            )
+            left, right, ortho = _merged_factors(layer_key, adapters.factors(layer_key), config)
             stats[layer_key] = {"shape": list(adapters.full_shape(layer_key))}
             if ortho is not None:
                 stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}
-            blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base, gram)
-            del left, right, gram
+            blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base)
+            del left, right
             at = 0  # the block's first row, in fused output's one tensor per layer
             for key, block in blocks:
                 if not np.isfinite(block).all():

@@ -150,7 +150,7 @@ def merged_factors(layers, config, key="l"):
     ranks = [b.shape[1] for b, _, _ in layers]
     records = [TensorRecord.from_array(key, b, "f64") for b, _, _ in layers]
     a, s = np.vstack([a for _, a, _ in layers]), np.repeat([s for _, _, s in layers], ranks)
-    left, right, stats, _ = _merged_factors(key, (records, a, s, ranks), config)
+    left, right, stats = _merged_factors(key, (records, a, s, ranks), config)
     return np.hstack([rec.values() for rec in left]), right, stats
 
 

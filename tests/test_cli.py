@@ -259,8 +259,9 @@ def _logged_save(log):
 
 
 def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, monkeypatch, factor_reads):
-    # lowrank output: the merge's Gram pass reads B, A is written, and then B's
-    # rows are read again and written; each read of B is one piece of 6 rows
+    # lowrank output: the merge's Gram pass and the truncation's own Gram pass
+    # read B, A is written, and then B's rows are read again and written; each
+    # read of B is one piece of 6 rows
     keys = ["l0", "l1", "l2"]
     adapters = []
     for i in range(2):
@@ -302,7 +303,8 @@ def test_merge_writes_each_layer_before_merging_the_next(tmp_path, capsys, rng, 
     for key in keys:
         b = key + ".lora_B.weight"
         a = key + ".lora_A.weight"
-        expected += [("factors", key), ("piece", b, 0), ("write", a), ("piece", b, 0), ("write", b)]
+        expected += [("factors", key), ("piece", b, 0), ("piece", b, 0), ("write", a)]
+        expected += [("piece", b, 0), ("write", b)]
     assert factor_reads == expected
     assert held == [0, 0, 0]  # no earlier layer's A stack or piece of B is alive when the next is read
 

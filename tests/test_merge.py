@@ -607,7 +607,7 @@ def test_write_merged_peak_memory_at_a_model_shape(model_layer_files, tmp_path, 
     8 (m + n) R, measures 0.42 (gate_proj) and 1.10 (down_proj, where the
     A stack alone is 0.73); each bound is the measurement plus 0.15 to 0.2.
     lowrank:r forms A in the balanced right's buffer and then B's rows a
-    piece at a time: 0.43 and 1.00 at r = 16, 0.59 and 1.27 at r = R = 64.
+    piece at a time: 0.43 and 0.98 at r = 16, 0.59 and 1.27 at r = R = 64.
     Decoding B whole into an m x R stack held next to A measured 1.24 and
     1.38 (delta and fused), and 1.28 and 2.03 (lowrank:16 and lowrank:64)."""
     adapters, (m, n) = extract_adapters(model_layer_files(*shape)), shape
@@ -632,8 +632,8 @@ def test_write_merged_holds_no_m_by_R_stack(model_layer_files, tmp_path, mode, r
     """16 bf16 rank-16 adapters of a gate_proj (R = 256), where B's m x R is
     most of the stacks: a layer holds its A stack (0.27 of the stacks' bytes
     8 (m + n) R), the descent's R x R arrays and one piece of B, and its
-    tracemalloc peak measures 0.45 (delta) and 0.46 (lowrank). Decoding B
-    into an m x R stack measured 1.26."""
+    tracemalloc peak measures 0.45 in both modes. Decoding B into an m x R
+    stack measured 1.26."""
     adapters, out = extract_adapters(model_layer_files(*GATE, count=16)), tmp_path / "out.safetensors"
     tracemalloc.start()
     try:
@@ -646,15 +646,16 @@ def test_write_merged_holds_no_m_by_R_stack(model_layer_files, tmp_path, mode, r
     assert peak < 0.6 * stacks, (peak / stacks, peak)
 
 
-@pytest.mark.parametrize("mode, rank, bound", [("delta", None, 1.92), ("lowrank", 16, 2.04)])
-def test_write_merged_a_descent_beside_few_gram_sized_arrays(model_layer_files, tmp_path, mode, rank, bound):
+@pytest.mark.parametrize("mode, rank", [("delta", None), ("lowrank", 16)])
+def test_write_merged_a_descent_beside_few_gram_sized_arrays(model_layer_files, tmp_path, mode, rank):
     """16 bf16 rank-16 adapters of a 1024 x 1024 layer (R = 256), where an
     R x R array is 0.125 of the stacks' bytes 8 (m + n) R, so the descents
-    set the peak. The A group descends beside the B Gram, its own Gram and K,
-    formed in E_B's buffer, and beside the Gram pass's G only when lowrank
-    output follows: the tracemalloc peak measures 1.79 (delta) and 1.91
-    (lowrank); each bound is that plus one R x R array. Holding G, E_B and
-    I + E_B apart from K through the A descent measured 2.16 in both modes."""
+    set the peak. In every output mode the A group descends beside the B Gram,
+    its own Gram and K, formed in E_B's buffer, and nothing is kept for the
+    output stage: the tracemalloc peak measures 1.79 in both modes, and the
+    bound is that plus half an R x R array. Keeping the Gram pass's G for
+    lowrank output measured 1.91; holding G, E_B and I + E_B apart from K
+    through the A descent measured 2.16."""
     adapters, out = extract_adapters(model_layer_files(1024, 1024, count=16)), tmp_path / "out.safetensors"
     tracemalloc.start()
     try:
@@ -664,7 +665,7 @@ def test_write_merged_a_descent_beside_few_gram_sized_arrays(model_layer_files, 
         tracemalloc.stop()
         out.unlink(missing_ok=True)
     stacks = 8 * 2048 * 256
-    assert peak < bound * stacks, (peak / stacks, peak)
+    assert peak < 1.85 * stacks, (peak / stacks, peak)
 
 
 def lowrank_layers(rng):

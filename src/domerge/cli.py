@@ -270,6 +270,8 @@ def cmd_diagnose(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 2:
         raise ValueError("--samples must be >= 2")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
     if args.report:
         check_output_path(args.report)
     from . import experiments  # imported here, so that no merge pays for loading the suites

@@ -14,7 +14,8 @@ R x R algebra on their Grams, and the merged delta is B (in row mode another m x
 times one R x n factor. Every consumer of that left factor reads it through one reader,
 _pieces, a row piece of at most one render block at a time, so outside row mode a layer
 holds O(R n + R^2) plus one piece and one block, whatever m is. write_merged streams a
-whole merge into one checkpoint as f32 row blocks.
+whole merge into one checkpoint as f32 row blocks, picking each layer's block source:
+_render_f32 for delta and fused output, _truncated_factors for lowrank.
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ def _truncated_factors(left, right, r: int):
     values folded into B: A (r x n), formed in right's buffer (handed over), then B's
     rows, a block per piece of left, valid until the next; components past the
     product's rank are zero. left is read twice: by a _gram_pass, then for B's rows.
+    write_merged takes these blocks as lowrank output, rounded to f32.
 
     No m x R or n x R basis is formed. Each rank-1 term is first balanced by exact powers
     of two, as in _render_f32 (right's row k by 2^-e_k, left's column k by 2^e_k), then
@@ -261,7 +263,7 @@ def resolve_base_key(base: dict, layer_key: str) -> str:
 
 def _render_f32(left, right, base=None):
     """Yield (left @ right + base) as consecutive f32 row blocks, the product
-    formed in f32.
+    formed in f32: write_merged's block source for delta and fused output.
 
     Each rank-1 term is rescaled by an exact power of two: right's row k by
     2^-e_k, e_k the exponent of the row's largest |entry|, into an f32 copy
@@ -336,29 +338,6 @@ def output_shapes(layer_key: str, shape, mode: str, rank: int | None = None, bas
     raise ValueError(f"unknown output mode {mode!r}")
 
 
-def _output_blocks(keys, left, right, mode: str, rank: int | None, base):
-    """Yield (key, f32 row block) pairs of the tensors one merged layer
-    left @ right contributes to an output checkpoint, each tensor's blocks
-    in row order; keys are output_shapes' for the layer, and the block
-    source is handed the only references to left and right.
-
-    "delta": the merged delta; "fused": base weights plus the delta; both
-    are _render_f32's f32 blocks, within its stated bound of the f64
-    oracle, each viewing a buffer the next block reuses. "lowrank": the
-    best rank-`rank` factors, _truncated_factors' f64 A and B's row blocks
-    (within its stated bound of the dense truncation) rounded to f32 once.
-    Each source reads left through _pieces: _render_f32 once, and
-    _truncated_factors twice, for its own Gram and then for B's rows.
-    """
-    blocks = (_truncated_factors(left, right, rank) if mode == "lowrank"
-              else _render_f32(left, right, base[keys[0]] if mode == "fused" else None))
-    del left, right
-    for key, block in zip(itertools.chain(keys, itertools.repeat(keys[-1])), blocks):  # lowrank: A, then B's rows
-        with np.errstate(over="ignore"):  # an entry past f32's range is inf, which write_merged refuses
-            block = block.astype(np.float32, copy=False)
-        yield key, block
-
-
 def _stats_dict(stats: OrthoStats) -> dict:
     """The summary fields of one factor group's descent, without its trajectory."""
     return {
@@ -372,7 +351,7 @@ def _stats_dict(stats: OrthoStats) -> dict:
 
 
 def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank: int | None = None, base=None):
-    """Merge the AdapterSet and write _output_blocks' f32 tensors to path;
+    """Merge the AdapterSet and write its f32 output tensors to path;
     return each layer's summary entry, {layer_key: {"shape": [m, n], "ortho":
     {group: _stats_dict of its descent}}}, "ortho" only when the descent ran,
     each kept as the layer finishes and its OrthoStats dropped.
@@ -380,13 +359,20 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
     The header is laid out from output_shapes first, once per layer, so a bad
     base or rank, or two layers writing one tensor (an AlignmentError naming
     both), fails before any merge. Each layer's factors (AdapterSet.factors)
-    then go to _merged_factors and its merged factors, with its keys, to
-    _output_blocks, each call given the only reference, and its blocks are
-    checked finite and streamed, so a layer holds its A stack once and reads
-    B a piece at a time. A non-finite fused block whose base rows hold a
-    non-finite value is an AlignmentError naming the base file and tensor,
-    any other a ValueError; those rows are read again only then. path is
-    always replaced, and left as it was on any error.
+    then go to _merged_factors, and its merged factors to the block source
+    this picks, each call given the only reference. "delta" (the merged
+    delta) and "fused" (base weights plus the delta) are _render_f32's f32
+    blocks, within its stated bound of the f64 oracle; "lowrank" is the
+    best rank-`rank` factors, _truncated_factors' f64 A and then B's row
+    blocks, within its stated bound of the dense truncation. The blocks are
+    paired in order with output_shapes' keys, rounded to f32 once, checked
+    finite and streamed, so a layer holds its A stack once and reads B a
+    piece at a time (once to render, twice to truncate). The tests' output
+    oracle, layer_outputs, writes one layer through this. A non-finite fused
+    block whose base rows hold a non-finite value is an AlignmentError
+    naming the base file and tensor, any other a ValueError; those rows are
+    read again only then. path is always replaced, and left as it was on
+    any error.
     """
     layout, owners, keys = {}, {}, {}
     for layer_key in adapters.layer_keys:
@@ -405,10 +391,15 @@ def write_merged(adapters, config: MergeConfig, path, mode: str = "delta", rank:
             stats[layer_key] = {"shape": list(adapters.full_shape(layer_key))}
             if ortho is not None:
                 stats[layer_key]["ortho"] = {g: _stats_dict(st) for g, st in ortho.items()}
-            blocks = _output_blocks(keys[layer_key], left, right, mode, rank, base)
+            tensors = keys[layer_key]
+            blocks = (_truncated_factors(left, right, rank) if mode == "lowrank"
+                      else _render_f32(left, right, base[tensors[0]] if mode == "fused" else None))
             del left, right
             at = 0  # the block's first row, in fused output's one tensor per layer
-            for key, block in blocks:
+            names = itertools.chain(tensors, itertools.repeat(tensors[-1]))  # lowrank: A, then B's rows
+            for key, block in zip(names, blocks):
+                with np.errstate(over="ignore"):  # an entry past f32's range is inf, refused below
+                    block = block.astype(np.float32, copy=False)
                 if not np.isfinite(block).all():
                     if mode == "fused" and not np.isfinite(base[key].rows(at, at + len(block)).values()).all():
                         source = getattr(base[key].payload, "path", "base checkpoint")

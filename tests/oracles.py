@@ -6,16 +6,20 @@ truncated SVD and the f64 product the f32 render is bounded against, and
 the diagnostics report from dense task matrices. They form every m x n
 task matrix and loop over member pairs, which is exactly what the package
 code avoids; tests compare the two at stated tolerances. merged_factors is
-no oracle: it runs write_merged's own merge on such triples, densely joined. The whole-set helpers at the
-end hold every layer, or a whole output tensor, at once, which the CLI's
-layer-at-a-time stream avoids.
+no oracle: it runs write_merged's own merge on such triples, densely joined;
+nor is layer_outputs, which writes one merged layer through write_merged and
+reads it back. The whole-set helpers at the end hold every layer, or a whole
+output tensor, at once, which the CLI's layer-at-a-time stream avoids.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from domerge.checkpoint import TensorRecord
+from domerge.checkpoint import AdapterSet, TensorRecord, load_checkpoint
 from domerge.linalg import Decoupled, decouple, recompose
-from domerge.merge import MergeConfig, _merged_factors, _output_blocks, output_shapes
+from domerge.merge import MergeConfig, _merged_factors, write_merged
 from domerge.ortho import _MAX_BACKTRACKS, _REL_LOSS_TOL, OrthoStats
 
 
@@ -196,12 +200,13 @@ def merge_adapter_set(adapters, config=None) -> dict:
 
 def layer_outputs(key, left, right, mode: str, rank: int | None = None, base=None) -> dict:
     """The f32 tensors one merged layer left @ right of this key contributes to
-    an output checkpoint, by key: write_merged's blocks (merge._output_blocks,
-    given left as one f64 record and a copy of right, which lowrank output
-    overwrites), copied and joined."""
-    keys = list(output_shapes(key, (len(left), right.shape[1]), mode, rank, base))
-    blocks: dict[str, list] = {}
-    records = [TensorRecord.from_array(key, left, "f64")]
-    for name, block in _output_blocks(keys, records, right.copy(), mode, rank, base):
-        blocks.setdefault(name, []).append(block.copy())
-    return {name: np.concatenate(parts) for name, parts in blocks.items()}
+    an output checkpoint, by key, as write_merged writes them: a one-adapter
+    set, B = left and A = right as exact f64 records with scaling 1, merged
+    with lam 1 and both stages off (whose merged factors are left and right
+    themselves), written to a temporary file and read back."""
+    pair = tuple(TensorRecord.from_array(key, f, "f64") for f in (left, right))
+    adapters = AdapterSet([{key: pair}], ["a"], [1.0])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.safetensors"
+        write_merged(adapters, MergeConfig(lam=1.0, ortho=None, decouple_enabled=False), path, mode, rank, base)
+        return {name: rec.values() for name, rec in load_checkpoint(path).items()}

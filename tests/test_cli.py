@@ -1065,6 +1065,8 @@ _CLI_ERRORS = {
     "output_exists": (["merge", "A", "--output", "A"], 4, "io", "A exists; pass --force to overwrite"),
     "too_few_samples": (["verify", "--suite", "crossterm", "--samples", "1"], 2, "usage",
                         "--samples must be >= 2"),
+    "negative_seed": (["verify", "--suite", "crossterm", "--samples", "2", "--seed", "-1"], 2, "usage",
+                      "--seed must be >= 0"),
 }
 
 
@@ -1535,6 +1537,9 @@ _OVERFLOWS = {
     "task_matrix": ([(1e104, 1e104)], [1.0], ["--no-ortho"], "the task matrix of adapter 0 overflows float64"),
     # finite Grams, but Lo = sum of squared cross-Gram entries overflows before the descent
     "cross_gram": ([(1e80, 1e-80), (1e80, 1e-80)], [1.0, 1.0], [], "the cross-Gram mass overflows float64"),
+    # finite Grams, Lo and magnitudes, but lam = 1e300 times the merged right factor overflows
+    "merged_factors": ([(1e-20, 1e20), (1e-20, 1e20)], [1.0, 1.0], ["--lambda", "1e300"],
+                       "the merged factors overflow float64"),
 }
 
 
@@ -1556,6 +1561,14 @@ def test_diagnose_layer_whose_grams_overflow_exits_2_before_writing(tmp_path, ca
     report = tmp_path / "r.json"
     code, stdout, err = run(capsys, "diagnose", "--manifest", manifest, "--report", str(report))
     assert (code, stdout, err) == (2, "", "domerge: error: layer 'l': factor Grams overflow float64\n")
+    assert not report.exists()
+
+
+def test_diagnose_layer_whose_measurements_overflow_exits_2_before_writing(tmp_path, capsys, rng):
+    manifest = _scaled_adapters(tmp_path, rng, [(1e80, 1), (1e80, 1)], [1.0, 1.0])
+    report = tmp_path / "r.json"
+    code, stdout, err = run(capsys, "diagnose", "--manifest", manifest, "--report", str(report))
+    assert (code, stdout, err) == (2, "", "domerge: error: layer 'l': its measurements overflow float64\n")
     assert not report.exists()
 
 

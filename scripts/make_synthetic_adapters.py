@@ -7,23 +7,21 @@ manifest) into a directory, ready for the domerge CLI:
     python scripts/make_synthetic_adapters.py --out-dir /tmp/adapters
     domerge merge /tmp/adapters/adapter0.safetensors \
         /tmp/adapters/adapter1.safetensors --output /tmp/merged.safetensors
+
+The files are perfbench/corpus.make_corpus's for the same arguments: it
+writes them into a temporary directory inside --out-dir, and each is then
+moved into place, so --out-dir may already exist.
 """
 
 import argparse
-import json
+import os
+import sys
+import tempfile
 from pathlib import Path
 
-import numpy as np
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from domerge import TensorRecord, save_checkpoint
-
-
-def build_layer_keys(layers: int) -> list[str]:
-    keys = []
-    for i in range(layers):
-        block = f"model.blocks.{i // 2}"
-        keys.append(f"{block}.attn.q" if i % 2 == 0 else f"{block}.ffn.up")
-    return keys
+from corpus import CorpusSpec, make_corpus  # noqa: E402
 
 
 def main() -> int:
@@ -39,38 +37,14 @@ def main() -> int:
     parser.add_argument("--with-base", action="store_true", help="also write base.safetensors")
     args = parser.parse_args()
 
+    spec = CorpusSpec(args.adapters, args.layers, args.rows, args.cols, args.rank, args.dtype, args.with_base)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    keys = build_layer_keys(args.layers)
-    manifest = []
-    for i in range(args.adapters):
-        rng = np.random.default_rng((args.seed, i))
-        records = {}
-        for key in keys:
-            b = rng.standard_normal((args.rows, args.rank))
-            a = rng.standard_normal((args.rank, args.cols))
-            bk, ak = f"{key}.lora_B.weight", f"{key}.lora_A.weight"
-            records[bk] = TensorRecord.from_array(bk, b, args.dtype)
-            records[ak] = TensorRecord.from_array(ak, a, args.dtype)
-        path = args.out_dir / f"adapter{i}.safetensors"
-        save_checkpoint(records, path)
-        manifest.append({"path": path.name, "name": f"adapter{i}", "scaling": 1.0})
-        print(f"wrote {path}")
-
-    if args.with_base:
-        rng = np.random.default_rng((args.seed, int.from_bytes(b"base", "big")))
-        records = {}
-        for key in keys:
-            k = key + ".weight"
-            records[k] = TensorRecord.from_array(
-                k, rng.standard_normal((args.rows, args.cols)), args.dtype
-            )
-        path = args.out_dir / "base.safetensors"
-        save_checkpoint(records, path)
-        print(f"wrote {path}")
-
-    manifest_path = args.out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    print(f"wrote {manifest_path}")
+    with tempfile.TemporaryDirectory(dir=args.out_dir) as tmp:
+        corpus = make_corpus(spec, args.seed, Path(tmp) / "corpus")
+        for made in (*corpus.adapter_paths, *([corpus.base] if corpus.base else []), corpus.manifest):
+            path = args.out_dir / made.name
+            os.replace(made, path)
+            print(f"wrote {path}")
     return 0
 
 

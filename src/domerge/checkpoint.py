@@ -105,11 +105,9 @@ class TensorRecord:
         return np.dtype(_DTYPES[self.dtype][2])
 
     @property
-    def raw(self) -> bytes | memoryview:
-        """The payload bytes; a loaded record reads them from its file on each access."""
-        if isinstance(self.payload, _InputFile):
-            return memoryview(self._words().reshape(-1).view(np.uint8)).toreadonly()
-        return self.payload
+    def raw(self) -> memoryview:
+        """The payload bytes as a read-only view; a loaded record reads them from its file on each access."""
+        return memoryview(self._words().reshape(-1).view(np.uint8)).toreadonly()
 
     def _words(self, out=None) -> np.ndarray:
         """The stored words: a view of an in-memory payload, or read into out or a new array."""
@@ -355,10 +353,10 @@ def save_checkpoint(records, path, layout=None) -> None:
             raise ValueError(f"tensors {short} were left short of their bytes: too few rows, or never written")
 
 
-def check_factors(label: str, b_shape, a_shape, scaling: float) -> None:
+def check_factors(label: str, b_shape, a_shape) -> None:
     """Raise AlignmentError, its message starting with label, unless B and A
     chain into a LoRA pair of rank at least 1 and at most min of the full
-    shape (PEFT refuses rank 0), with a positive finite scaling."""
+    shape (PEFT refuses rank 0)."""
     if len(b_shape) != 2 or len(a_shape) != 2:
         raise AlignmentError(f"{label}: factors must be 2-D")
     if b_shape[1] != a_shape[0]:
@@ -367,8 +365,6 @@ def check_factors(label: str, b_shape, a_shape, scaling: float) -> None:
         raise AlignmentError(f"{label}: rank 0; a LoRA pair has rank at least 1")
     if b_shape[1] > min(b_shape[0], a_shape[1]):
         raise AlignmentError(f"{label}: rank {b_shape[1]} exceeds min of full shape {(b_shape[0], a_shape[1])}")
-    if not 0 < scaling < math.inf:
-        raise AlignmentError(f"{label}: scaling must be positive and finite")
 
 
 @dataclass
@@ -425,13 +421,13 @@ def lora_pairs(records) -> tuple[dict[str, tuple[TensorRecord, TensorRecord]], l
 def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> AdapterSet:
     """Build an aligned AdapterSet from checkpoint files.
 
-    Each file needs at least one pair from lora_pairs and no lone factor.
-    Every pair's shapes, rank and values (finite) are checked in layer-key
-    order, each pair read once, but nothing decoded is kept. The layer keys
-    of all files are then walked once, in sorted order: a layer is aligned
-    when every adapter has it, all with one full shape. In strict mode the
-    first layer that is not raises; in lenient mode each is dropped with a
-    recorded warning, in layer-key order. Ranks may differ per adapter.
+    Each file needs a positive finite scaling, checked before the file is opened,
+    at least one pair from lora_pairs and no lone factor. Every pair's shapes, rank
+    and values (finite) are checked in layer-key order, each pair read once, but
+    nothing decoded is kept. The layer keys of all files are then walked once, in
+    sorted order: a layer is aligned when every adapter has it, all with one full
+    shape. In strict mode the first layer that is not raises; in lenient mode each
+    is dropped with a recorded warning, in layer-key order. Ranks may differ per adapter.
     """
     files = [Path(f) for f in files]
     if not files:
@@ -448,6 +444,8 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
 
     adapters: list[dict[str, tuple[TensorRecord, TensorRecord]]] = []
     for f, scale in zip(files, scalings):
+        if not 0 < scale < math.inf:
+            raise AlignmentError(f"{f.name}: scaling {scale!r} must be positive and finite")
         pairs, lonely = lora_pairs(load_checkpoint(f))
         if lonely:
             raise AlignmentError(f"{f.name}: unmatched factor pair for layer(s) {lonely}")
@@ -456,7 +454,7 @@ def extract_adapters(files, scalings=None, names=None, strict: bool = True) -> A
                 f"{f}: no {LORA_A_SUFFIX!r}/{LORA_B_SUFFIX!r} factor pairs; not a LoRA adapter"
             )
         for key, (b, a) in pairs.items():
-            check_factors(f"{f.name}: {key}", b.shape, a.shape, scale)
+            check_factors(f"{f.name}: {key}", b.shape, a.shape)
             if not (np.isfinite(b.values()).all() and np.isfinite(a.values()).all()):
                 raise AlignmentError(f"{f.name}: non-finite values in layer {key!r}")
         adapters.append(pairs)

@@ -232,7 +232,7 @@ def cmd_inspect(args) -> int:
     pairs, lines = [], []  # the JSON entries and text lines of the pairs
     for layer, (b, a) in lora_pairs(records)[0].items():
         try:  # a pair is listed with a rank exactly when a merge would accept its shapes
-            check_factors(layer, b.shape, a.shape, 1.0)
+            check_factors(layer, b.shape, a.shape)
         except AlignmentError as e:
             pairs.append({"layer": layer, "rank": None, "full_shape": None})
             lines.append(str(e))

@@ -115,6 +115,13 @@ def _stacked(mats, deltas):
     return (widths, d, x, *_off_gram(x.T @ x, ~_owner_mask(widths)))
 
 
+def _grad(x, g, d, mu, out=None, tmp=None):
+    """2 x @ g + 2 mu d formed in out, through tmp (which may be x): ortho_loss's gradient in stacked form."""
+    out = np.matmul(np.multiply(x, 2.0, out=tmp), g, out=out)
+    out += np.multiply(d, 2.0 * mu, out=tmp)
+    return out
+
+
 def ortho_loss(mats, deltas, mu: float) -> float:
     """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
     _, d, _, _, lo = _stacked(mats, deltas)
@@ -131,7 +138,7 @@ def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
     group with zero deltas.
     """
     widths, d, x, g, _ = _stacked(mats, deltas)
-    return np.hsplit(2.0 * x @ g + 2.0 * mu * d, np.cumsum(widths[:-1]))
+    return np.hsplit(_grad(x, g, d, mu), np.cumsum(widths[:-1]))
 
 
 def gram_descent(gram, widths, config: OrthoConfig):
@@ -164,9 +171,7 @@ def gram_descent(gram, widths, config: OrthoConfig):
     trajectory, trials, stop_reason = [initial_lo], 0, "step_cap"
     grad, trial, g_trial, new_x, new_g = (np.empty_like(gram) for _ in range(5))
     for _ in range(config.max_steps):
-        # grad = 2 x @ g + 2 mu z, x = I + z
-        np.matmul(np.multiply(_plus_identity(z, trial), 2.0, out=trial), g, out=grad)
-        grad += np.multiply(z, 2.0 * mu, out=trial)
+        _grad(_plus_identity(z, trial), g, z, mu, out=grad, tmp=trial)
         for _ in range(_MAX_BACKTRACKS):
             trials += 1
             np.subtract(z, np.multiply(grad, t, out=trial), out=trial)  # trial = z - t * grad

@@ -530,22 +530,19 @@ def test_roundtrip_property(tmp_path_factory, seed, dtype):
 
 
 def test_check_factors_validation():
-    # a LoRA pair: 2-D factors that chain, of rank 1 to min of the full shape, with a positive finite scaling
+    # a LoRA pair: 2-D factors that chain, of rank 1 to min of the full shape
     b, a = (6, 2), (2, 5)
-    check_factors("l", b, a, 1.0)
-    check_factors("l", (6, 5), (5, 5), 0.5)  # rank min(full) is allowed
+    check_factors("l", b, a)
+    check_factors("l", (6, 5), (5, 5))  # rank min(full) is allowed
     with pytest.raises(AlignmentError, match=r"l: inner dimensions differ, B is \(6, 2\), A is \(3, 5\)"):
-        check_factors("l", b, (3, 5), 1.0)
+        check_factors("l", b, (3, 5))
     with pytest.raises(AlignmentError, match="l: rank 0"):
-        check_factors("l", (6, 0), (0, 5), 1.0)
+        check_factors("l", (6, 0), (0, 5))
     with pytest.raises(AlignmentError, match=r"l: rank 6 exceeds min of full shape \(6, 2\)"):
-        check_factors("l", (6, 6), (6, 2), 1.0)
-    for scaling in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(AlignmentError, match="l: scaling must be positive and finite"):
-            check_factors("l", b, a, scaling)
+        check_factors("l", (6, 6), (6, 2))
     for flat_b, flat_a in (((6,), a), (b, (1, 2, 5))):
         with pytest.raises(AlignmentError, match="l: factors must be 2-D"):
-            check_factors("l", flat_b, flat_a, 1.0)
+            check_factors("l", flat_b, flat_a)
 
 
 def test_extract_adapters_aligned(adapter_files):
@@ -593,6 +590,15 @@ def test_extract_adapters_applies_scaling(adapter_files):
     key = plain.layer_keys[0]
     assert (scaled.factors(key)[2] == 2.5).all()
     assert (plain.factors(key)[2] == 1.0).all()
+
+
+def test_extract_adapters_checks_a_scaling_before_opening_its_file(adapter_files, tmp_path):
+    # a scaling belongs to its adapter, not to a factor pair: a bad one is refused before its file is read
+    missing = tmp_path / "missing.safetensors"
+    for scaling in (0.0, -1.0, float("nan"), float("inf")):
+        message = f"missing.safetensors: scaling {scaling!r} must be positive and finite"
+        with pytest.raises(AlignmentError, match=re.escape(message)):
+            extract_adapters([adapter_files[0], missing], scalings=[1.0, scaling])
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 """Smoke runs of the scripts under scripts/ and of the README's library
-example, which import the package's public API."""
+example, most of which import the package's public API."""
 
 import re
 import subprocess
@@ -37,6 +37,27 @@ def test_synthetic_adapters_feed_a_fused_merge(tmp_path):
     )
     assert merged.returncode == 0, merged.stderr
     assert (tmp_path / "merged.safetensors").exists()
+
+
+def test_synthetic_adapters_are_make_corpus_files_written_into_an_existing_dir(tmp_path, monkeypatch):
+    # the script writes perfbench's corpus: ROADMAP's benchmark corpora rely on the two being byte-identical
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from corpus import CorpusSpec, make_corpus
+
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"not the script's")
+    argv = [str(SCRIPTS / "make_synthetic_adapters.py"), "--out-dir", str(out), "--dtype", "bf16", "--with-base"]
+    runs = [_run(tmp_path, *argv) for _ in range(2)]
+    want = make_corpus(CorpusSpec(3, 4, 32, 24, 4, "bf16", with_base=True), 0, tmp_path / "want")
+    names = [p.name for p in (*want.adapter_paths, want.base, want.manifest)]
+    for made in runs:
+        assert made.returncode == 0, made.stderr
+        assert made.stdout.splitlines() == [f"wrote {out / name}" for name in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "notes.txt"])
+    assert (out / "notes.txt").read_bytes() == b"not the script's"
+    for name in names:
+        assert (out / name).read_bytes() == (want.manifest.parent / name).read_bytes(), name
 
 
 def test_ortho_budget_sweep_runs(tmp_path):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record the sha256 of what `domerge` writes for small fixed inputs in tests/golden_outputs.json.
+"""Record the sha256 of what `domerge` writes for fixed inputs in tests/golden_outputs.json.
 
 make_corpus writes three adapters (f32, bf16 and f16, ranks 4, 2 and 3, by a
 manifest with scalings) over two layers, one of them several render blocks
@@ -8,18 +8,25 @@ in-process: a merge per entry of MERGES (every output mode, method and
 magnitude mode, --no-ortho and --no-decouple, and a lowrank rank past the
 merge's), hashing the output and the stdout summary, then `diagnose` (json
 and csv reports, and stdout) and `inspect --json` of the bf16 and f16
-adapters. Paths are given relative to
-the work directory, so the summaries do not depend on where it is.
+adapters. Then, one at a time, it writes each perfbench/run.py workload's
+seed-7 corpus with perfbench/corpus.make_corpus, runs the benchmark's own
+command line on it (`merge --manifest M [--base B] <workload flags>
+--output O --force`) and hashes the output and the stdout; for ortho-dense
+also the `diagnose` report and stdout and `inspect --json` of adapter0. A
+workload's directory (up to 200 MB) is removed before the next is written.
+Paths are given relative to the work directory, so the summaries do not
+depend on where it is.
 
 tests/test_golden.py recomputes the hashes and compares them with the file
 when numpy, its BLAS and the CPU's SIMD extensions are the ones recorded
-there (environment()). A change that moves an output bit on purpose
+there (environment()). The BLAS thread count is not recorded: every merge
+here has R = sum of ranks <= 64, where ROADMAP item 4 measured identical
+bytes at 1 to 4 threads. A change that moves an output bit on purpose
 regenerates the file with
 
     python scripts/golden_outputs.py
 
-which prints the name of each hash that changed. scripts/seed_outputs.py
-hashes with sha() too.
+which prints the name of each hash that changed.
 """
 
 import contextlib
@@ -28,6 +35,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -36,10 +44,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden_outputs.json"
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import corpus as perfbench  # noqa: E402
 from domerge import TensorRecord, save_checkpoint  # noqa: E402
 from domerge.cli import main as domerge  # noqa: E402
+from run import WORKLOADS  # noqa: E402
 
 SEED = 7
 LAYERS = {"blk.0.attn.q": (64, 48), "blk.0.mlp.down": (480, 300)}  # 480 x 300 f32 is two render blocks
@@ -58,8 +68,16 @@ MERGES = {  # name -> merge flags after --manifest
 }
 
 
-def sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def sha(data: bytes | Path) -> str:
+    """The sha256 of bytes, or of a file read a MiB at a time (outputs reach 128 MB)."""
+    digest = hashlib.sha256()
+    if isinstance(data, bytes):
+        digest.update(data)
+    else:
+        with open(data, "rb") as f:
+            while chunk := f.read(1 << 20):
+                digest.update(chunk)
+    return digest.hexdigest()
 
 
 def environment() -> dict:
@@ -92,33 +110,47 @@ def make_corpus(work: Path) -> None:
 
 def run(*argv) -> bytes:
     """The stdout of domerge.cli.main(argv), run in-process; a failure is a RuntimeError with its stderr."""
+    argv = [str(a) for a in argv]
     out, err = (io.TextIOWrapper(io.BytesIO(), newline="\n", write_through=True) for _ in range(2))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = domerge(list(argv))
+        code = domerge(argv)
     if code:
         raise RuntimeError(f"domerge {' '.join(argv)} exited {code}: {err.buffer.getvalue().decode()}")
     return out.buffer.getvalue()
 
 
 def output_hashes(work: Path) -> dict:
-    """{name: sha256} of every output and stdout, made from make_corpus(work)
-    in work, where the outputs stay: each merge's out_<name>.safetensors and
-    its summary out_<name>.json, and diagnose's report.json and report.csv."""
+    """{name: sha256} of every output and stdout, made in work from make_corpus(work),
+    where the outputs stay (each merge's out_<name>.safetensors and its summary
+    out_<name>.json, and diagnose's report.json and report.csv), and from each
+    benchmark workload's corpus, whose directory work/<workload> goes once hashed."""
     make_corpus(work)
     hashes, home = {}, os.getcwd()
     os.chdir(work)
     try:
         for name, flags in MERGES.items():
             output, summary = Path(f"out_{name}.safetensors"), Path(f"out_{name}.json")
-            summary.write_bytes(run("merge", "--manifest", "manifest.json", *flags, "--output", str(output)))
+            summary.write_bytes(run("merge", "--manifest", "manifest.json", *flags, "--output", output))
             hashes[f"merge.{name}.stdout"] = sha(summary.read_bytes())
-            hashes[f"merge.{name}.output"] = sha(output.read_bytes())
+            hashes[f"merge.{name}.output"] = sha(output)
         for fmt in ("json", "csv"):
             stdout = run("diagnose", "--manifest", "manifest.json", "--report", f"report.{fmt}", "--format", fmt)
             hashes[f"diagnose.{fmt}.stdout"] = sha(stdout)
-            hashes[f"diagnose.{fmt}.report"] = sha(Path(f"report.{fmt}").read_bytes())
+            hashes[f"diagnose.{fmt}.report"] = sha(Path(f"report.{fmt}"))
         for i in (1, 2):
             hashes[f"inspect.{ADAPTERS[i][0]}.stdout"] = sha(run("inspect", f"adapter{i}.safetensors", "--json"))
+        for name, workload in WORKLOADS.items():
+            corpus = perfbench.make_corpus(workload.corpus, SEED, Path(name, "corpus"))
+            inputs = ["--manifest", corpus.manifest, *(["--base", corpus.base] if corpus.base else [])]
+            output = Path(name, "merged.safetensors")
+            stdout = run("merge", *inputs, *workload.args, "--output", output, "--force")
+            hashes[f"merge.{name}.stdout"], hashes[f"merge.{name}.output"] = sha(stdout), sha(output)
+            if name == "ortho-dense":
+                report = Path(name, "report.json")
+                stdout = run("diagnose", "--manifest", corpus.manifest, "--report", report)
+                hashes[f"diagnose.{name}.stdout"], hashes[f"diagnose.{name}.report"] = sha(stdout), sha(report)
+                hashes[f"inspect.{name}.stdout"] = sha(run("inspect", corpus.adapter_paths[0], "--json"))
+            shutil.rmtree(name)
     finally:
         os.chdir(home)
     return hashes

@@ -186,14 +186,12 @@ def cmd_merge(args) -> int:
     if out_path.exists() and not args.force:
         raise FileExistsError(f"{out_path} exists; pass --force to overwrite")
 
-    ortho = None
-    if not args.no_ortho:
-        ortho = OrthoConfig(max_steps=args.ortho_steps, max_rel_perturbation=args.ortho_budget)
+    ortho = OrthoConfig(max_steps=args.ortho_steps, max_rel_perturbation=args.ortho_budget)  # built to check the flags
     stages = args.method == "do_merging"  # the baselines run neither stage
     config = MergeConfig(
         lam=args.lam,
         magnitude_mode=args.magnitude_mode,
-        ortho=ortho if stages else None,
+        ortho=ortho if stages and not args.no_ortho else None,
         decouple_enabled=stages and not args.no_decouple,
     )
     if args.method == "average" and args.lam is not None:

@@ -125,7 +125,7 @@ def _unit_magnitudes(layer_key, gram, right, ranks, mode: str, left=None) -> lis
     for i, j in zip(bounds, bounds[1:]):
         a = right[i:j]
         if mode == "matrix":
-            sq = np.vdot(gram[i:j, i:j], a @ a.T)[None]
+            sq = np.einsum("ij,ij->", gram[i:j, i:j], a @ a.T)[None]
         else:  # quadratic forms in the columns of A_i, or of L_i^T
             x, q = (left[:, i:j].T, a @ a.T) if mode == "row" else (a, gram[i:j, i:j])
             sq = np.einsum("ij,ij->j", x, q @ x)

@@ -96,7 +96,7 @@ def _off_gram(gram, own):
     """(G_off, Lo): the stacked group's Gram X^T X with its same-member blocks (own = ~_owner_mask) zeroed
     in place, and Lo = sum_{i<j} ||X_i^T X_j||_F^2 = ||G_off||_F^2 / 2, as G_off holds each cross block twice."""
     gram[own] = 0.0
-    return gram, 0.5 * float(np.vdot(gram, gram))
+    return gram, 0.5 * float(np.einsum("ij,ij->", gram, gram))
 
 
 def _plus_identity(z, out):
@@ -125,7 +125,7 @@ def _grad(x, g, d, mu, out=None, tmp=None):
 def ortho_loss(mats, deltas, mu: float) -> float:
     """sum_{i<j} ||(W_i+d_i)^T (W_j+d_j)||_F^2 + mu * sum_i ||d_i||_F^2."""
     _, d, _, _, lo = _stacked(mats, deltas)
-    return lo + mu * float(np.vdot(d, d))
+    return lo + mu * float(np.einsum("ij,ij->", d, d))
 
 
 def ortho_grad(mats, deltas, mu: float) -> list[np.ndarray]:
@@ -182,7 +182,7 @@ def gram_descent(gram, widths, config: OrthoConfig):
             trial *= cols
             g_trial *= cols
             _plus_identity(trial, new_x)
-            penalty = mu * float(np.vdot(trial, g_trial))  # before g_trial becomes gram + g_trial
+            penalty = mu * float(np.einsum("ij,ij->", trial, g_trial))  # before g_trial becomes gram + g_trial
             new_g, new_lo = _off_gram(np.matmul(new_x.T, np.add(gram, g_trial, out=g_trial), out=new_g), own)
             new = new_lo + penalty
             if new < cur and new_lo <= cur_lo:

@@ -108,6 +108,8 @@ def test_merge_average_rejects_lambda(adapter_files, tmp_path, capsys):
         pytest.param(["--ortho-budget", "1.5"], "max_rel_perturbation", id="ortho-budget"),
         pytest.param(["--ortho-steps", "0"], "max_steps", id="ortho-steps"),
         pytest.param(["--method", "task_arithmetic", "--ortho-steps", "0"], "max_steps", id="preset-ortho-steps"),
+        pytest.param(["--no-ortho", "--ortho-steps", "0"], "max_steps", id="no-ortho-steps"),
+        pytest.param(["--no-ortho", "--ortho-budget", "5"], "max_rel_perturbation", id="no-ortho-budget"),
     ],
 )
 def test_merge_rejects_non_finite_lambda_before_reading(tmp_path, capsys, flags, field):

@@ -1,15 +1,20 @@
 """Output bits pinned: the sha256 of every output, summary and report of
-scripts/golden_outputs.py's fixed inputs, against tests/golden_outputs.json.
+scripts/golden_outputs.py's fixed inputs (a toy corpus and the seed-7
+benchmark corpora, through perfbench's own merge command lines), against
+tests/golden_outputs.json.
 
 Floating-point bits depend on numpy, its BLAS and the CPU's kernels, so the
 hashes are compared only in the environment the file records. In every
-environment the same outputs are also checked against tests/oracles.py at
-the bounds the code states, and the test prints which checks it ran.
+environment the toy corpus's outputs are also checked against
+tests/oracles.py at the bounds the code states, and the test prints which
+checks it ran.
 Regenerate the file after a deliberate change of bits with
 `python scripts/golden_outputs.py`.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -30,7 +35,9 @@ from oracles import (
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
-import golden_outputs  # noqa: E402
+import golden_outputs  # noqa: E402  (it puts perfbench/ on sys.path)
+from corpus import CorpusSpec, make_corpus  # noqa: E402
+from run import SCRUBBED_ENV  # noqa: E402
 
 CONFIGS = {  # golden_outputs.MERGES' flags as the MergeConfig the CLI builds
     "delta": MergeConfig(),
@@ -87,6 +94,7 @@ def check_merge(work: Path, name: str, adapters, base) -> None:
 def test_outputs_match_golden_hashes_or_oracles(tmp_path):
     golden = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
     hashes = golden_outputs.output_hashes(tmp_path)
+    assert not any((tmp_path / name).exists() for name in golden_outputs.WORKLOADS)  # each corpus is removed
     assert sorted(hashes) == sorted(golden["hashes"])
     checks = ["oracles"]
     if golden["environment"] == golden_outputs.environment():
@@ -107,3 +115,25 @@ def test_outputs_match_golden_hashes_or_oracles(tmp_path):
         np.testing.assert_allclose(report["per_layer_cross_gram"][key], grams[key], rtol=1e-12, atol=0)
         np.testing.assert_allclose(report["per_layer_magnitude_stats"][key], stats[key], rtol=1e-12, atol=0)
     print(f"golden outputs: checked {' and '.join(checks)} ({golden_outputs.environment()})")
+
+
+def test_merge_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # ROADMAP item 4's probe, R = 256: OpenBLAS threads a long dot product, so a sum that steers the
+    # descent must not go through it. lowrank's output bytes still follow LAPACK's threads, so only its
+    # summary is compared; the delta output and summary are compared whole
+    corpus = make_corpus(CorpusSpec(16, 4, 1024, 1024, 16, "bf16"), 7, tmp_path / "corpus")
+    env = {k: v for k, v in os.environ.items() if k not in SCRUBBED_ENV}
+    runs = {}
+    for threads in ("1", "2"):
+        got = runs[threads] = {}
+        for mode in ("delta", "lowrank:32"):
+            command = [sys.executable, "-m", "domerge.cli", "merge", "--manifest", str(corpus.manifest),
+                       "--output-mode", mode, "--output", "out.safetensors", "--force"]
+            env["OPENBLAS_NUM_THREADS"] = threads
+            done = subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            got[f"{mode} stdout"] = done.stdout
+            if mode == "delta":
+                got["delta output"] = (tmp_path / "out.safetensors").read_bytes()
+    changed = [name for name in runs["1"] if runs["1"][name] != runs["2"][name]]
+    assert not changed, f"bits that move with the thread count: {changed}"

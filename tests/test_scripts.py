@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from domerge import TensorRecord, load_checkpoint, save_checkpoint
-from domerge.cli import _parse_output_mode, build_parser, cmd_merge
 
 from conftest import LAYER_KEYS, make_adapter_records
 
@@ -92,35 +91,3 @@ def test_readme_library_example_runs(tmp_path, rng, monkeypatch, capsys):
     assert all(merged[k].dtype == "f32" and np.isfinite(merged[k].to_array()).all() for k in merged)
     assert len(capsys.readouterr().out.splitlines()) == len(LAYER_KEYS)
 
-
-def test_seed_outputs_repeats_its_hashes(tmp_path):
-    # one WORK_DIR for both runs: the merge summary names the output path
-    argv = [str(SCRIPTS / "seed_outputs.py"), str(tmp_path / "work"), "--workload", "lowrank-many"]
-    first, second = _run(tmp_path, *argv), _run(tmp_path, *argv)
-    assert first.returncode == 0, first.stderr
-    lines = first.stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [
-        ["lowrank-many", "merge.output"], ["lowrank-many", "merge.stdout"], ["lowrank-many", "merge.descent"]
-    ]
-    assert all(re.fullmatch(r"[0-9a-f]{64}", line.split()[2]) for line in lines[:2])
-    # the descent's counts over the 16 layers' 32 factor groups, and its mean share of Lo kept
-    counts = re.fullmatch(r"lowrank-many merge\.descent steps (\d+) trials (\d+) lo_kept (\S+)", lines[2])
-    steps, trials, kept = counts.groups()
-    assert 32 <= int(steps) <= int(trials) <= 32 * 200 * 30 and 0 < float(kept) < 1
-    assert second.stdout == first.stdout
-
-
-def test_benchmark_merge_command_lines_parse(monkeypatch):
-    # perfbench/run.py runs `merge --manifest M [--base B] <workload args> --output O --force` for
-    # each workload; a flag it passes (--threads among them) must not be dropped from the CLI first
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    from run import WORKLOADS
-
-    parser = build_parser()
-    assert sorted(WORKLOADS) == ["fused-io", "lowrank-many", "ortho-dense"]
-    for name, workload in WORKLOADS.items():
-        base = ["--base", "base.safetensors"] if workload.corpus.with_base else []
-        argv = ["merge", "--manifest", "m.json", *base, *workload.args, "--output", "o.safetensors", "--force"]
-        args = parser.parse_args(argv)
-        assert args.func is cmd_merge and args.force and args.adapters == [], name
-        _parse_output_mode(args.output_mode)

@@ -3,26 +3,25 @@
 
 make_corpus writes three adapters (f32, bf16 and f16, ranks 4, 2 and 3, by a
 manifest with scalings) over two layers, one of them several render blocks
-long, and a bf16 base. output_hashes runs `domerge.cli.main` on them
+long, and a bf16 base. toy_hashes runs `domerge.cli.main` on them
 in-process: a merge per entry of MERGES (every output mode, method and
 magnitude mode, --no-ortho and --no-decouple, and a lowrank rank past the
 merge's), hashing the output and the stdout summary, then `diagnose` (json
 and csv reports, and stdout) and `inspect --json` of the bf16 and f16
-adapters. Then, one at a time, it writes each perfbench/run.py workload's
-seed-7 corpus with perfbench/corpus.make_corpus, runs the benchmark's own
-command line on it (`merge --manifest M [--base B] <workload flags>
---output O --force`) and hashes the output and the stdout; for ortho-dense
-also the `diagnose` report and stdout and `inspect --json` of adapter0. A
-workload's directory (up to 200 MB) is removed before the next is written.
-Paths are given relative to the work directory, so the summaries do not
-depend on where it is.
+adapters. benchmark_hashes then, one at a time, writes each
+perfbench/run.py workload's seed-7 corpus with perfbench/corpus.make_corpus,
+runs the benchmark's own command line on it (`merge --manifest M [--base B]
+<workload flags> --output O --force`) and hashes the output and the stdout;
+for ortho-dense also the `diagnose` report and stdout and `inspect --json`
+of adapter0. A workload's directory (up to 200 MB) is removed before the
+next is written. Paths are given relative to the work directory, so the
+summaries do not depend on where it is.
 
-tests/test_golden.py recomputes the hashes and compares them with the file
-when numpy, its BLAS and the CPU's SIMD extensions are the ones recorded
-there (environment()). The BLAS thread count is not recorded: every merge
-here has R = sum of ranks <= 64, where ROADMAP item 4 measured identical
-bytes at 1 to 4 threads. A change that moves an output bit on purpose
-regenerates the file with
+tests/test_golden.py compares the hashes with the file (README, Tests).
+The file records the environment the bits depend on (environment()), but not
+the BLAS thread count: every merge here has R = sum of ranks <= 64, where
+ROADMAP item 4 measured identical bytes at 1 to 4 threads. A change that
+moves an output bit on purpose regenerates the file with
 
     python scripts/golden_outputs.py
 
@@ -119,15 +118,24 @@ def run(*argv) -> bytes:
     return out.buffer.getvalue()
 
 
-def output_hashes(work: Path) -> dict:
-    """{name: sha256} of every output and stdout, made in work from make_corpus(work),
-    where the outputs stay (each merge's out_<name>.safetensors and its summary
-    out_<name>.json, and diagnose's report.json and report.csv), and from each
-    benchmark workload's corpus, whose directory work/<workload> goes once hashed."""
-    make_corpus(work)
-    hashes, home = {}, os.getcwd()
+@contextlib.contextmanager
+def inside(work: Path):
+    """Run the block with work as the current directory."""
+    home = os.getcwd()
     os.chdir(work)
     try:
+        yield
+    finally:
+        os.chdir(home)
+
+
+def toy_hashes(work: Path) -> dict:
+    """{name: sha256} of every output and stdout made in work from make_corpus(work),
+    where the outputs stay: each merge's out_<name>.safetensors and its summary
+    out_<name>.json, and diagnose's report.json and report.csv."""
+    make_corpus(work)
+    hashes = {}
+    with inside(work):
         for name, flags in MERGES.items():
             output, summary = Path(f"out_{name}.safetensors"), Path(f"out_{name}.json")
             summary.write_bytes(run("merge", "--manifest", "manifest.json", *flags, "--output", output))
@@ -139,6 +147,14 @@ def output_hashes(work: Path) -> dict:
             hashes[f"diagnose.{fmt}.report"] = sha(Path(f"report.{fmt}"))
         for i in (1, 2):
             hashes[f"inspect.{ADAPTERS[i][0]}.stdout"] = sha(run("inspect", f"adapter{i}.safetensors", "--json"))
+    return hashes
+
+
+def benchmark_hashes(work: Path) -> dict:
+    """{name: sha256} of every output and stdout made from each benchmark workload's
+    seed-7 corpus, in work/<workload>, which goes once hashed."""
+    hashes = {}
+    with inside(work):
         for name, workload in WORKLOADS.items():
             corpus = perfbench.make_corpus(workload.corpus, SEED, Path(name, "corpus"))
             inputs = ["--manifest", corpus.manifest, *(["--base", corpus.base] if corpus.base else [])]
@@ -151,15 +167,13 @@ def output_hashes(work: Path) -> dict:
                 hashes[f"diagnose.{name}.stdout"], hashes[f"diagnose.{name}.report"] = sha(stdout), sha(report)
                 hashes[f"inspect.{name}.stdout"] = sha(run("inspect", corpus.adapter_paths[0], "--json"))
             shutil.rmtree(name)
-    finally:
-        os.chdir(home)
     return hashes
 
 
 def main() -> int:
     old = json.loads(GOLDEN.read_text())["hashes"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as work:
-        hashes = output_hashes(Path(work))
+        hashes = {**toy_hashes(Path(work)), **benchmark_hashes(Path(work))}
     GOLDEN.write_text(json.dumps({"environment": environment(), "hashes": hashes}, indent=1, sort_keys=True) + "\n")
     for name in sorted(hashes.keys() | old.keys()):
         if hashes.get(name) != old.get(name):

@@ -93,11 +93,17 @@ def _pieces(left, rows: int | None = None):
 def _gram_pass(left):
     """(G, c) of left in one pass of _pieces: c the exponents of its column peaks (_MIN_EXP for a
     zero column), G the Gram of left 2^-c, so no entry overflows. Pieces and sum are rescaled by powers
-    of two as the peaks rise, so in f64's normal range G has the bits of left's piece-summed Gram."""
-    r = sum(rec.shape[1] for rec in left)
-    gram, c = np.zeros((r, r)), np.full(r, _MIN_EXP)
+    of two as the peaks rise, so in f64's normal range G has the bits of left's piece-summed Gram.
+    A non-finite entry, which extract_adapters refuses at load but a hand-built AdapterSet can hold, is a
+    ValueError naming its record."""
+    bounds = np.cumsum([rec.shape[1] for rec in left])
+    gram, c = np.zeros((bounds[-1], bounds[-1])), np.full(bounds[-1], _MIN_EXP)
     for _, piece in _pieces(left):
         peaks = _abs_max(piece, 0)
+        finite = np.isfinite(peaks)
+        if not finite.all():
+            owner = left[np.searchsorted(bounds, finite.argmin(), side="right")]
+            raise ValueError(f"non-finite values in {owner.key!r}")
         rise = np.maximum(np.where(peaks > 0, np.frexp(peaks)[1], _MIN_EXP) - c, 0)
         if rise.any():
             c += rise

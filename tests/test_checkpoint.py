@@ -557,7 +557,7 @@ def test_extract_adapters_aligned(adapter_files):
 @pytest.mark.parametrize(
     "dtypes", [("f64",) * 3, ("f32",) * 3, ("f16",) * 3, ("bf16",) * 3, ("bf16", "f16", "f32")]
 )
-def test_stacks_are_each_adapters_decoded_factors_bit_for_bit(tmp_path, rng, dtypes):
+def test_factors_are_each_adapters_decoded_factors_bit_for_bit(tmp_path, rng, dtypes):
     files = []
     for i, (rank, dtype) in enumerate(zip((2, 5, 3), dtypes)):
         files.append(tmp_path / f"a{i}.safetensors")

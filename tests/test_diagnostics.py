@@ -83,7 +83,7 @@ def test_magnitude_variance_hand_value(tmp_path, rng):
     assert build_report(adapters).magnitude_variance == pytest.approx(norms.var(), rel=1e-12)
 
 
-def test_orthogonality_report_symmetric_unsquared(adapter_files):
+def test_build_report_cross_grams_are_symmetric_unsquared(adapter_files):
     adapters = extract_adapters(adapter_files)
     report = build_report(adapters).per_layer_cross_gram
     assert set(report) == set(adapters.layer_keys)

@@ -160,7 +160,7 @@ def test_mixed_rank_groups_merge(rng):
 
 @pytest.mark.parametrize("factor", ["B", "A"])
 @pytest.mark.parametrize("method", ["do_merging", "task_arithmetic"])
-def test_merge_layer_rejects_non_finite_factors(tmp_path, capsys, rng, method, factor):
+def test_non_finite_factors_exit_3_as_the_adapters_load(tmp_path, capsys, rng, method, factor):
     # checked as the adapters load, so every method exits 3 naming the file and layer, writing nothing
     paths = [tmp_path / f"adapter{i}.safetensors" for i in range(3)]
     for i, path in enumerate(paths):
@@ -177,7 +177,7 @@ def test_merge_layer_rejects_non_finite_factors(tmp_path, capsys, rng, method, f
     assert not out.exists()
 
 
-def test_merge_layer_rejects_shape_conflicts(tmp_path, rng):
+def test_extract_adapters_rejects_shape_conflicts(tmp_path, rng):
     # a layer whose full shape differs between adapters is refused as they load, as is an empty set
     paths = [tmp_path / "a.safetensors", tmp_path / "b.safetensors"]
     for path, m in zip(paths, (10, 11)):
@@ -188,6 +188,30 @@ def test_merge_layer_rejects_shape_conflicts(tmp_path, rng):
         extract_adapters([])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "mode, config",
+    [("lowrank", MergeConfig(ortho=None, decouple_enabled=False)), ("delta", MergeConfig())],
+    ids=["task_arithmetic_lowrank", "default_delta"],
+)
+def test_write_merged_names_a_non_finite_b_of_a_hand_built_set(tmp_path, rng, value, mode, config):
+    # extract_adapters refuses this at load, so only a hand-built set reaches the Gram pass, where a NaN
+    # column peak would pass for a zero column and an inf would be reported as a Gram overflow
+    layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
+    layers[1][0][4, 0] = value  # B_2's first column, the group's third: on a record boundary
+    adapters = AdapterSet(
+        [{"l": (TensorRecord.from_array(f"b{i}", b, "f64"), TensorRecord.from_array(f"a{i}", a, "f64"))}
+         for i, (b, a, _) in enumerate(layers)],
+        ["x", "y"],
+        [1.0, 1.0],
+    )
+    out = tmp_path / "o.safetensors"
+    out.write_bytes(b"occupied")
+    with pytest.raises(ValueError, match=r"^non-finite values in 'b1'$"):
+        write_merged(adapters, config, out, mode, 2 if mode == "lowrank" else None)
+    assert out.read_bytes() == b"occupied"
+
+
 def test_decoupling_changes_result_for_imbalanced_scalings(rng):
     layers = [make_layer(rng, scaling=1.0), make_layer(rng, scaling=4.0)]
     coupled = merged_delta(layers, MergeConfig(ortho=None, decouple_enabled=False))
@@ -195,7 +219,7 @@ def test_decoupling_changes_result_for_imbalanced_scalings(rng):
     assert not np.allclose(coupled, decoupled)
 
 
-def test_merge_adapter_set_sorted_by_layer_key(rng):
+def test_layers_merge_in_layer_key_order_each_as_alone(rng):
     adapters = adapter_set([{"b": make_layer(rng), "a": make_layer(rng)} for _ in range(2)], ["x", "y"])
     merged = merge_adapter_set(adapters)
     assert list(merged) == ["a", "b"]
@@ -238,7 +262,7 @@ def test_fused_output_shape_conflict_rejected(adapter_files, rng):
 
 
 @pytest.mark.parametrize("mode, rank", [("delta", None), ("fused", None), ("lowrank", 3)])
-def test_layer_outputs_shapes_only_matches_rendered(adapter_files, rng, mode, rank):
+def test_output_shapes_match_the_written_tensors(adapter_files, rng, mode, rank):
     adapters = extract_adapters(adapter_files)
     base = base_records(adapters.layer_keys, (16, 12), rng)
     for key, (left, right, _) in merge_adapter_set(adapters).items():
@@ -248,7 +272,7 @@ def test_layer_outputs_shapes_only_matches_rendered(adapter_files, rng, mode, ra
         assert all(shapes[key] == arr.shape for key, arr in rendered.items())
 
 
-def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
+def test_output_shapes_refuses_bad_base_rank_and_mode(adapter_files, rng):
     adapters = extract_adapters(adapter_files)
     key, (left, right, _) = next(iter(merge_adapter_set(adapters).items()))
     conflict, shape = base_records(adapters.layer_keys, (3, 3), rng), (len(left), right.shape[1])
@@ -261,7 +285,7 @@ def test_layer_outputs_shapes_only_raises_like_rendering(adapter_files, rng):
         output_shapes(key, shape, "dense")
 
 
-def test_merge_adapter_set_returns_rank_sum_factors(rng):
+def test_merged_factors_have_the_rank_sum_inner_dimension(rng):
     layers = [make_layer(rng, rank=2), make_layer(rng, rank=3)]
     adapters = adapter_set([{"l": layer} for layer in layers], ["a", "b"])
     for cfg in (MergeConfig(), MergeConfig(ortho=None, decouple_enabled=False)):
@@ -535,7 +559,7 @@ def test_merge_descent_is_orthogonalize_groups(shape, scaled):
 
 @pytest.mark.parametrize("mode", ["column", "row"])
 @pytest.mark.parametrize("shape", [(11008, 4096), (4096, 11008)], ids=["gate_proj", "down_proj"])
-def test_merge_layer_peak_memory_at_model_shapes(shape, mode):
+def test_merged_factors_peak_memory_at_model_shapes(shape, mode):
     """4 f64 rank-16 adapters of a Llama-2-7B MLP shape (R = 64), merged by
     merged_factors (write_merged's merge, left joined into one m x R array;
     row mode forms another): the merge holds its two stacks and at most one
